@@ -24,6 +24,23 @@ class ConsensusError(Exception):
     pass
 
 
+def _unpack_from(fmt: str, data: bytes, offset: int = 0) -> tuple:
+    """struct.unpack_from that reports short input as a ConsensusError."""
+    try:
+        return struct.unpack_from(fmt, data, offset)
+    except struct.error:
+        raise ConsensusError(f"message truncated at offset {offset}") from None
+
+
+def _unpack(fmt: str, data: bytes) -> tuple:
+    """struct.unpack of a whole fixed-size message, as a ConsensusError."""
+    try:
+        return struct.unpack(fmt, data)
+    except struct.error:
+        raise ConsensusError(f"expected {struct.calcsize(fmt)} bytes, "
+                             f"got {len(data)}") from None
+
+
 # --- trust accounting -------------------------------------------------------
 
 
@@ -305,18 +322,18 @@ class OrderingState:
 
     @classmethod
     def decode(cls, data: bytes) -> "OrderingState":
-        next_id, watermark, sequential, n_pending = struct.unpack_from("<QqBH", data)
+        next_id, watermark, sequential, n_pending = _unpack_from("<QqBH", data)
         state = cls(next_id, bool(sequential))
         state.committed_watermark = watermark
         offset = struct.calcsize("<QqBH")
         for _ in range(n_pending):
-            tgcs, ts, remaining = struct.unpack_from("<IQB", data, offset)
+            tgcs, ts, remaining = _unpack_from("<IQB", data, offset)
             offset += struct.calcsize("<IQB")
             state.pending.append(_QueuedRequest(tgcs, ts, remaining))
-        (n_assign,) = struct.unpack_from("<H", data, offset)
+        (n_assign,) = _unpack_from("<H", data, offset)
         offset += 2
         for _ in range(n_assign):
-            block_id, tgcs = struct.unpack_from("<QI", data, offset)
+            block_id, tgcs = _unpack_from("<QI", data, offset)
             offset += struct.calcsize("<QI")
             state.assignments[block_id] = tgcs
         return state
@@ -432,7 +449,7 @@ class NbrMessage:
 
     @classmethod
     def decode(cls, data: bytes) -> "NbrMessage":
-        return cls(*struct.unpack("<IQB", data))
+        return cls(*_unpack("<IQB", data))
 
 
 @dataclass(frozen=True)
@@ -446,11 +463,11 @@ class AssignMessage:
 
     @classmethod
     def decode(cls, data: bytes) -> "AssignMessage":
-        (count,) = struct.unpack_from("<H", data)
+        (count,) = _unpack_from("<H", data)
         entries = []
         offset = 2
         for _ in range(count):
-            block_id, tgcs = struct.unpack_from("<QI", data, offset)
+            block_id, tgcs = _unpack_from("<QI", data, offset)
             offset += 12
             entries.append(Assignment(block_id, tgcs))
         return cls(tuple(entries))
@@ -466,7 +483,7 @@ class BlockAckMessage:
 
     @classmethod
     def decode(cls, data: bytes) -> "BlockAckMessage":
-        return cls(*struct.unpack("<QI", data))
+        return cls(*_unpack("<QI", data))
 
 
 @dataclass(frozen=True)
@@ -480,7 +497,7 @@ class BlockErrorMessage:
 
     @classmethod
     def decode(cls, data: bytes) -> "BlockErrorMessage":
-        return cls(*struct.unpack("<QIB", data))
+        return cls(*_unpack("<QIB", data))
 
 
 @dataclass(frozen=True)
@@ -492,7 +509,7 @@ class VoidMessage:
 
     @classmethod
     def decode(cls, data: bytes) -> "VoidMessage":
-        return cls(*struct.unpack("<Q", data))
+        return cls(*_unpack("<Q", data))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ single-writer and reads can be snapshotted freely.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Set, Tuple
@@ -125,8 +126,7 @@ class FullLedger:
         self.blocks.append(block)
         self.tip_digest = wire.block_hash(wire.encode_header(block.header),
                                           self._backend.digest224)
-        for i, tx in enumerate(block.transactions):
-            self._tx_index[tx.key()] = (block.block_id, i)
+        self._tx_index.update(block.tx_locations)
 
     def has_tx(self, key: Tuple[int, int]) -> bool:
         return key in self._tx_index
@@ -266,12 +266,13 @@ class DroneLedger:
         self.capacity_bytes = capacity_bytes
         self.policy = policy
         self.blocks: List[Block] = []  # ascending block_id
+        self._ids: List[int] = []      # block ids of self.blocks, same order
         self.current_bytes = 0
-        self._sizes: Dict[int, int] = {}
         self._tx_index: Dict[Tuple[int, int], Tuple[int, int]] = {}
 
     def _owned_txs(self, block: Block) -> List[Transaction]:
-        return [tx for tx in block.transactions if self.drone_id in tx.owners]
+        """This drone's transactions in a block, in transaction order."""
+        return [block.transactions[i] for i in block.owner_index.get(self.drone_id, ())]
 
     def _is_outdated(self, block: Block, newest: Dict[Tuple[int, int], int]) -> bool:
         owned = self._owned_txs(block)
@@ -296,16 +297,22 @@ class DroneLedger:
                     newest[key] = tx.created_at_us
         return newest
 
+    def _position(self, block_id: int) -> Optional[int]:
+        index = bisect_left(self._ids, block_id)
+        if index < len(self._ids) and self._ids[index] == block_id:
+            return index
+        return None
+
     def store_block(self, block: Block) -> List[int]:
         """Insert a block, evicting per the replacement policy; returns the
         evicted block ids in eviction order."""
         if block.header.block_type is not BlockTarget.BLOCK_T1:
             raise LedgerError("block_type", "drones store only drone-class blocks")
-        if not self._owned_txs(block):
+        if self.drone_id not in block.owner_index:
             raise LedgerError("not_owner", "block names no transaction owned by this drone")
-        if block.block_id in self._sizes:
+        if self._position(block.block_id) is not None:
             return []  # exactly-once delivery; re-sends are idempotent
-        size = wire.encoded_block_size(block)
+        size = block.encoded_size
         if size > self.capacity_bytes:
             raise LedgerError("block_too_large",
                               f"{size} bytes exceeds capacity {self.capacity_bytes}")
@@ -324,19 +331,20 @@ class DroneLedger:
             evicted.append(oldest.block_id)
             self._remove(oldest)
 
-        index = len([b for b in self.blocks if b.block_id < block.block_id])
+        index = bisect_left(self._ids, block.block_id)
+        self._ids.insert(index, block.block_id)
         self.blocks.insert(index, block)
-        self._sizes[block.block_id] = size
         self.current_bytes += size
-        for i, tx in enumerate(block.transactions):
-            self._tx_index[tx.key()] = (block.block_id, i)
+        self._tx_index.update(block.tx_locations)
         return evicted
 
     def _remove(self, block: Block) -> None:
-        self.blocks.remove(block)
-        self.current_bytes -= self._sizes.pop(block.block_id)
-        for tx in block.transactions:
-            self._tx_index.pop(tx.key(), None)
+        index = self._position(block.block_id)
+        del self._ids[index]
+        del self.blocks[index]
+        self.current_bytes -= block.encoded_size
+        for key in block.tx_locations:
+            self._tx_index.pop(key, None)
 
     def has_tx(self, key: Tuple[int, int]) -> bool:
         return key in self._tx_index
@@ -345,18 +353,10 @@ class DroneLedger:
         loc = self._tx_index.get(key)
         if loc is None:
             return None
-        for block in self.blocks:
-            if block.block_id == loc[0]:
-                return block.transactions[loc[1]]
-        return None
+        index = self._position(loc[0])
+        if index is None:
+            return None
+        return self.blocks[index].transactions[loc[1]]
 
     def block_ids(self) -> List[int]:
-        return [b.block_id for b in self.blocks]
-
-
-def ta_owner_ids(block: Block) -> Set[int]:
-    """All node ids named as owners anywhere in a block's access list."""
-    owners: Set[int] = set()
-    for entry in block.header.ta_list:
-        owners.update(entry.owners)
-    return owners
+        return list(self._ids)

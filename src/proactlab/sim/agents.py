@@ -9,8 +9,9 @@ read-mostly exception, standing in for key distribution).
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import consensus, crypto, ledger, txbuild, wire
 from ..consensus import (
@@ -140,7 +141,8 @@ class World:
              on_expired=None) -> None:
         packet = Packet(kind, src, dst, payload, meta)
         total = size + self.cfg.packet_overhead_bytes
-        self.sim.log(str(src), kind, f"to={dst} bytes={total}")
+        if self.sim.event_log is not None:
+            self.sim.log(str(src), kind, f"to={dst} bytes={total}")
         if self.is_drone(src) or self.is_drone(dst):
             self._send_wireless(packet, total, on_expired)
         else:
@@ -428,16 +430,20 @@ class DroneAgent:
         except ledger.LedgerError:
             return
         now = self.w.sim.now_us
-        for tx in block.transactions:
-            self.w.metrics.bto_sample(txbuild.transaction_overhead(tx))
-            if self.id in tx.owners:
-                if tx.key() not in self._known_set:
-                    self._known_set.add(tx.key())
-                    self.known_refs.append(tx.key())
-                if tx.access_class is not AccessClass.PUBLIC and \
-                        self.w.registry.may_open(self.id, tx.owners):
-                    suite = crypto.suite_for_class(tx.security_class)
-                    self.energy.account_crypto(suite, len(tx.payload), now)
+        # one addition per value, in transaction order: the float sum (and
+        # so bto_mean) depends on the order
+        for overhead in block.tx_overheads:
+            self.w.metrics.bto_sample(overhead)
+        for i in block.owner_index[self.id]:
+            tx = block.transactions[i]
+            key = tx.key()
+            if key not in self._known_set:
+                self._known_set.add(key)
+                self.known_refs.append(key)
+            if tx.access_class is not AccessClass.PUBLIC and \
+                    self.w.registry.may_open(self.id, tx.owners):
+                suite = crypto.suite_for_class(tx.security_class)
+                self.energy.account_crypto(suite, len(tx.payload), now)
 
     def _serve_fetch(self, packet: Packet) -> None:
         request: FetchRequest = packet.payload
@@ -488,8 +494,9 @@ class DroneAgent:
     def _newest_private_tx(self) -> Optional[Transaction]:
         newest: Optional[Transaction] = None
         for block in self.ledger.blocks:
-            for tx in block.transactions:
-                if self.id in tx.owners and tx.access_class is AccessClass.SINGLE:
+            for i in block.owner_index[self.id]:
+                tx = block.transactions[i]
+                if tx.access_class is AccessClass.SINGLE:
                     if newest is None or tx.created_at_us > newest.created_at_us:
                         newest = tx
         return newest
@@ -544,7 +551,7 @@ class GcsAgent:
         self.ledger = FullLedger(world.backend)
         self.trust = consensus.TrustRecord(0.0)
         self.seq = 0
-        self.recent_reports: List[ReportRecord] = []
+        self.recent_reports: Deque[ReportRecord] = deque()  # ascending arrived_us
         self._buffered: Dict[int, Block] = {}
 
     def _next_seq(self) -> int:
@@ -656,7 +663,9 @@ class GcsAgent:
         # keep a generous margin beyond the corroboration window; the scan
         # itself filters precisely on creation times
         horizon = now - 3 * to_us(self.w.cfg.w_detect_s)
-        self.recent_reports = [r for r in self.recent_reports if r.arrived_us >= horizon]
+        reports = self.recent_reports
+        while reports and reports[0].arrived_us < horizon:
+            reports.popleft()
 
     def _detect_false(self, report: ReportMeta, created_us: int) -> bool:
         """A fabricated claim is caught when a legitimate drone near the
@@ -709,8 +718,8 @@ class GcsAgent:
         exactly once (each drone belongs to exactly one station)."""
         if block.header.block_type is not BlockTarget.BLOCK_T1:
             return
-        owners = ledger.ta_owner_ids(block)
-        size = wire.encoded_block_size(block)
+        owners = block.owner_index
+        size = block.encoded_size
         for drone in self.w.topo.drones_of_gcs(self.id):
             if drone in owners:
                 self.w.send(self.id, drone, "block-copy", block, size)
@@ -833,7 +842,7 @@ class TgcsAgent(GcsAgent):
             return
         predecessor = self.ledger.blocks[next_id - 1]
         block = miner_finalize(pending, predecessor, self.w.backend)
-        size = wire.encoded_block_size(block)
+        size = block.encoded_size
         self.w.broadcast_tgcs(self.id, "block", block, size)
         tally = self.tallies.setdefault(block.block_id, Tally())
         tally.miner = self.id
@@ -915,7 +924,7 @@ class TgcsAgent(GcsAgent):
             for tx in block.transactions:
                 self.w.metrics.tx_committed(tx.key(), wire.encode_transaction(tx), now)
             self.pending_assigned.pop(block_id, None)
-            size = wire.encoded_block_size(block)
+            size = block.encoded_size
             for gcs in self.w.topo.gcs_ids:
                 if gcs not in self.w.topo.tgcs_ids:
                     self.w.send(self.id, gcs, "committed-block", block, size)
@@ -997,7 +1006,7 @@ class CaAgent:
         genesis = wire.build_block(0, BlockTarget.BLOCK_T2, self.id, 0,
                                    consensus.genesis_prev_hash(), txs,
                                    self.w.backend.digest224)
-        size = wire.encoded_block_size(genesis)
+        size = genesis.encoded_size
         for gcs in self.w.topo.gcs_ids:
             self.w.send(self.id, gcs, "genesis", genesis, size)
 

@@ -22,7 +22,7 @@ class Simulator:
         self.now_us = 0
         self._seq = 0
         self._queue: List[Tuple[int, int, Callable[[], None]]] = []
-        self._event_log = event_log
+        self.event_log = event_log
 
     def schedule_at(self, time_us: int, handler: Callable[[], None]) -> None:
         if time_us < self.now_us:
@@ -34,8 +34,8 @@ class Simulator:
         self.schedule_at(self.now_us + max(0, delay_us), handler)
 
     def log(self, agent: str, kind: str, detail: str = "") -> None:
-        if self._event_log is not None:
-            self._event_log.write(f"{self.now_us}\t{agent}\t{kind}\t{detail}\n")
+        if self.event_log is not None:
+            self.event_log.write(f"{self.now_us}\t{agent}\t{kind}\t{detail}\n")
 
     def run(self, horizon_us: Optional[int] = None) -> bool:
         """Drain the queue; returns True when it emptied (quiescence) and

@@ -77,8 +77,7 @@ def open_transaction(tx: Transaction, agent_id: int, registry: KeyRegistry) -> b
 
 def transaction_overhead(tx: Transaction) -> float:
     """Blockchain size overhead of one transaction: (S_TB - S_TO) / S_TO."""
-    original = tx.plaintext_len()
-    return (wire.encoded_tx_size(tx) - original) / original
+    return wire.tx_overhead(tx)
 
 
 def registration_payload(node_id: int, role: str, real_id: str,

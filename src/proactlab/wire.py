@@ -23,7 +23,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, List, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .crypto import (
     DIGEST_LEN,
@@ -170,12 +171,44 @@ class BlockHeader:
 
 @dataclass(frozen=True)
 class Block:
+    """A header and its body.
+
+    The cached properties below are the delivery facts: derived once per
+    Block object and shared by every station and drone that receives it.
+    They live in the instance ``__dict__``, so equality and hashing stay
+    field-based, and a ``dataclasses.replace`` copy derives its own.
+    """
+
     header: BlockHeader
     transactions: Tuple[Transaction, ...]
 
     @property
     def block_id(self) -> int:
         return self.header.block_id
+
+    @cached_property
+    def encoded_size(self) -> int:
+        return encoded_block_size(self)
+
+    @cached_property
+    def tx_overheads(self) -> Tuple[float, ...]:
+        """Storage overhead of each transaction, in transaction order."""
+        return tuple(tx_overhead(tx) for tx in self.transactions)
+
+    @cached_property
+    def owner_index(self) -> Dict[int, Tuple[int, ...]]:
+        """Owner id -> indices of the transactions it owns, ascending."""
+        index: Dict[int, List[int]] = {}
+        for i, tx in enumerate(self.transactions):
+            for owner in tx.owners:
+                index.setdefault(owner, []).append(i)
+        return {owner: tuple(indices) for owner, indices in index.items()}
+
+    @cached_property
+    def tx_locations(self) -> Dict[Tuple[int, int], Tuple[int, int]]:
+        """Transaction key -> (block_id, index), for ledger indexes."""
+        block_id = self.block_id
+        return {tx.key(): (block_id, i) for i, tx in enumerate(self.transactions)}
 
 
 def _signed_parts(tx: Transaction) -> List[bytes]:
@@ -215,6 +248,12 @@ def encoded_tx_size(tx: Transaction) -> int:
             + 4 + len(tx.payload) + 1 + len(tx.signature))
 
 
+def tx_overhead(tx: Transaction) -> float:
+    """Blockchain size overhead of one transaction: (S_TB - S_TO) / S_TO."""
+    original = tx.plaintext_len()
+    return (encoded_tx_size(tx) - original) / original
+
+
 class _Reader:
     def __init__(self, data: bytes):
         self.data = data
@@ -229,6 +268,12 @@ class _Reader:
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def text(self, n: int) -> str:
+        try:
+            return self.take(n).decode()
+        except UnicodeDecodeError:
+            raise WireError("metadata string is not valid UTF-8") from None
 
     def done(self) -> bool:
         return self.pos == len(self.data)
@@ -248,9 +293,9 @@ def _decode_transaction(reader: _Reader) -> Transaction:
     except ValueError:
         raise WireError("unknown security class or block target") from None
     (enc_par_len,) = reader.unpack("<H")
-    enc_par = reader.take(enc_par_len).decode()
+    enc_par = reader.text(enc_par_len)
     (hash_par_len,) = reader.unpack("<H")
-    hash_par = reader.take(hash_par_len).decode()
+    hash_par = reader.text(hash_par_len)
     (payload_len,) = reader.unpack("<I")
     payload = reader.take(payload_len)
     (sig_len,) = reader.unpack("<B")

@@ -350,3 +350,29 @@ def test_consensus_config_invariants():
     assert cfg.th_ca == 4
     with pytest.raises(ConsensusError):
         consensus.ConsensusConfig(t_bis_s=6.0, t_blk_s=5.0)
+
+
+_DECODERS = (NbrMessage.decode, consensus.AssignMessage.decode, OrderingState.decode,
+             consensus.BlockAckMessage.decode, consensus.BlockErrorMessage.decode,
+             consensus.VoidMessage.decode)
+
+
+def test_decoders_reject_short_input_with_consensus_error():
+    for decode in _DECODERS:
+        with pytest.raises(ConsensusError):
+            decode(b"\x01")
+    # counts that promise more entries than the buffer holds
+    with pytest.raises(ConsensusError):
+        consensus.AssignMessage.decode(b"\x02\x00" + bytes(12))
+    with pytest.raises(ConsensusError):
+        OrderingState.decode(OrderingState(5).encode()[:-1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=64))
+def test_decoders_raise_only_consensus_error(data):
+    for decode in _DECODERS:
+        try:
+            decode(data)
+        except ConsensusError:
+            pass

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from proactlab import crypto, ledger, wire
+from proactlab import crypto, txbuild, wire
 from proactlab.ledger import (
     AccessDecision,
     BraPolicy,
@@ -298,7 +298,98 @@ def test_find_transaction_and_capacity_accounting(registry):
     assert dl.find_transaction((9999, 0)) is None
 
 
-def test_ta_owner_ids(registry):
+def test_owner_index_names_every_group_member(registry):
     group_tx = helpers.make_group_command(registry, BACKEND)
-    block = _block(registry, 3, wire.ZERO_HASH, [group_tx])
-    assert ledger.ta_owner_ids(block) == set(helpers.GROUP_MEMBERS)
+    single_tx = helpers.make_t1_command(registry, BACKEND, owner=helpers.DRONE_B, seq=2)
+    block = _block(registry, 3, wire.ZERO_HASH, [group_tx, single_tx])
+    assert set(block.owner_index) == set(helpers.GROUP_MEMBERS)
+    assert block.owner_index[helpers.DRONE_A] == (0,)
+    assert block.owner_index[helpers.DRONE_B] == (0, 1)
+
+
+def test_out_of_order_arrivals_are_stored_ascending(registry):
+    dl = DroneLedger(helpers.DRONE_A, capacity_bytes=50_000)
+    blocks = {i: _drone_block(registry, i, seqs=[i]) for i in (3, 1, 2)}
+    for block_id in (3, 1, 2):
+        assert dl.store_block(blocks[block_id]) == []
+    assert dl.block_ids() == [1, 2, 3]
+    assert [b.block_id for b in dl.blocks] == [1, 2, 3]
+    for block in blocks.values():
+        key = block.transactions[0].key()
+        assert dl.find_transaction(key) == block.transactions[0]
+
+
+def test_resent_block_is_a_no_op(registry):
+    dl = DroneLedger(helpers.DRONE_A, capacity_bytes=50_000)
+    block = _drone_block(registry, 4, seqs=[1, 2])
+    dl.store_block(block)
+    held = dl.current_bytes
+    assert dl.store_block(block) == []
+    assert dl.store_block(dataclasses.replace(block)) == []  # equal copy, same id
+    assert dl.block_ids() == [4]
+    assert dl.current_bytes == held == wire.encoded_block_size(block)
+
+
+def test_mixed_owner_block_stored_for_owners_only(registry):
+    mine = helpers.make_t1_command(registry, BACKEND, owner=helpers.DRONE_A, seq=1)
+    theirs = helpers.make_t1_command(registry, BACKEND, owner=helpers.DRONE_B, seq=2)
+    block = _block(registry, 5, wire.ZERO_HASH, [theirs, mine])
+    stranger = DroneLedger(helpers.GROUP_MEMBERS[-1])
+    with pytest.raises(LedgerError) as err:
+        stranger.store_block(block)
+    assert err.value.code == "not_owner"
+    assert stranger.block_ids() == [] and not stranger.has_tx(mine.key())
+    for owner in (helpers.DRONE_A, helpers.DRONE_B):
+        dl = DroneLedger(owner)
+        dl.store_block(block)
+        # the whole block is held, so every transaction in it is indexed
+        assert dl.has_tx(mine.key()) and dl.has_tx(theirs.key())
+        assert dl.find_transaction(theirs.key()) == theirs
+
+
+def test_find_transaction_after_eviction(registry):
+    dl = DroneLedger(helpers.DRONE_A, capacity_bytes=10_000)
+    blocks = [_drone_block(registry, i, seqs=[10 * i, 10 * i + 1],
+                           payload=bytes(1000)) for i in range(5)]
+    for b in blocks:
+        dl.store_block(b)
+    assert dl.block_ids() == [1, 2, 3, 4]
+    for tx in blocks[0].transactions:
+        assert not dl.has_tx(tx.key())
+        assert dl.find_transaction(tx.key()) is None
+    assert dl.find_transaction(blocks[1].transactions[1].key()) == \
+        blocks[1].transactions[1]
+
+
+def test_block_facts_equal_a_fresh_recomputation(registry):
+    txs = [helpers.make_t1_command(registry, BACKEND, seq=1),
+           helpers.make_group_command(registry, BACKEND, seq=2),
+           helpers.make_t1_command(registry, BACKEND, owner=helpers.DRONE_B, seq=3,
+                                   plaintext=bytes(700))]
+    block = _block(registry, 6, wire.ZERO_HASH, txs)
+    assert block.encoded_size == wire.encoded_block_size(block) \
+        == len(wire.encode_block(block))
+    assert block.tx_overheads == tuple(txbuild.transaction_overhead(tx) for tx in txs)
+    ta_owners = {o for entry in block.header.ta_list for o in entry.owners}
+    assert set(block.owner_index) == ta_owners
+    for owner, indices in block.owner_index.items():
+        assert indices == tuple(i for i, e in enumerate(block.header.ta_list)
+                                if owner in e.owners)
+    assert block.tx_locations == {tx.key(): (6, i) for i, tx in enumerate(txs)}
+
+
+def test_tampered_copy_derives_its_own_facts(registry):
+    block = _block(registry, 7, wire.ZERO_HASH,
+                   [helpers.make_t1_command(registry, BACKEND, seq=1)])
+    assert block.encoded_size and block.owner_index and block.tx_locations
+    forged_tx = helpers.make_t1_command(registry, BACKEND, owner=helpers.DRONE_B,
+                                        seq=9, plaintext=bytes(500))
+    tampered = dataclasses.replace(block, transactions=(forged_tx,))
+    assert tampered.encoded_size == wire.encoded_block_size(tampered) \
+        != block.encoded_size
+    assert tampered.tx_overheads == (txbuild.transaction_overhead(forged_tx),)
+    assert set(tampered.owner_index) == {helpers.DRONE_B}
+    assert tampered.tx_locations == {forged_tx.key(): (7, 0)}
+    # the cache does not take part in equality or hashing
+    fresh = dataclasses.replace(block)
+    assert fresh == block and hash(fresh) == hash(block)

@@ -572,6 +572,34 @@ def test_run_determinism_and_seed_sensitivity():
     assert other.tbd_mean_s != first.tbd_mean_s
 
 
+# metrics.csv rows and full-precision BTO means recorded before the per-block
+# delivery facts were introduced; any change to the order of the BTO float
+# additions, or to what a drone stores, shows up here first.
+PINNED_TINY_ROWS = [
+    ({"seed": 1},
+     {"seed": "1", "mode": "parallel", "n_uav": "8", "malicious_fraction": "0",
+      "data_tx_size": "10240", "adr": "na", "tbd_mean_s": "0.107512",
+      "dec_mean_kj": "1.00005", "bto_mean": "1.16364", "blocks_committed": "89",
+      "blocks_voided": "0", "packets_dropped": "0"},
+     1.1636363636363611),
+    # groups of two to eight drones, fetches and attacks on a 16-drone swarm
+    ({"seed": 1, "uav_per_uavn": 8, "t2_interval_s": 0.5, "group_min": 2, "group_max": 8,
+      "fetch_interval_s": 0.5, "malicious_fraction": 0.25},
+     {"seed": "1", "mode": "parallel", "n_uav": "16", "malicious_fraction": "0.25",
+      "data_tx_size": "10240", "adr": "0.666667", "tbd_mean_s": "0.11159",
+      "dec_mean_kj": "1.00006", "bto_mean": "1.18684", "blocks_committed": "101",
+      "blocks_voided": "0", "packets_dropped": "0"},
+     1.1868438538205979),
+]
+
+
+@pytest.mark.parametrize("overrides,row,bto_mean", PINNED_TINY_ROWS, ids=["tiny", "groups"])
+def test_tiny_metrics_row_is_pinned(overrides, row, bto_mean):
+    record = run(default_config(**{**TINY, **overrides}))
+    assert record.csv_row() == row
+    assert record.bto_mean == bto_mean
+
+
 def test_run_with_real_spongent_backend():
     cfg = default_config(n_ca=1, gcs_per_ca=2, tgcs_per_ca=2, uavn_per_gcs=1,
                          uav_per_uavn=2, sim_duration_s=1.0, data_tx_size=256,

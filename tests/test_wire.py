@@ -246,3 +246,54 @@ def test_round_trip_and_size_arithmetic_property(tx):
     assert len(encoded) == field_sum_size(len(tx.owners), len(tx.enc_par),
                                           len(tx.hash_par), payload_wire,
                                           len(tx.signature))
+
+
+def test_decode_rejects_non_utf8_metadata(registry, sim_backend):
+    tx = helpers.make_t1_command(registry, sim_backend)
+    data = bytearray(wire.encode_transaction(tx))
+    enc_par_at = wire.TX_FIXED_LEN + 4 * len(tx.owners) + 2
+    assert data[enc_par_at:enc_par_at + len(tx.enc_par)] == tx.enc_par.encode()
+    data[enc_par_at] = 0xFF
+    with pytest.raises(WireError, match="UTF-8"):
+        wire.decode_transaction(bytes(data))
+    hash_par_at = enc_par_at + len(tx.enc_par) + 2
+    data = bytearray(wire.encode_transaction(tx))
+    assert data[hash_par_at:hash_par_at + len(tx.hash_par)] == tx.hash_par.encode()
+    data[hash_par_at] = 0xC3  # a lead byte with no continuation
+    with pytest.raises(WireError, match="UTF-8"):
+        wire.decode_transaction(bytes(data))
+
+
+def _valid_encodings():
+    backend = crypto.SIMULATED_BACKEND
+    registry = helpers.make_registry(backend)
+    txs = [helpers.make_t1_command(registry, backend, seq=1),
+           helpers.make_group_command(registry, backend, seq=2)]
+    block = wire.build_block(3, BlockTarget.BLOCK_T1, helpers.GCS_ID, 0,
+                             wire.ZERO_HASH, txs, backend.digest224)
+    return [wire.encode_transaction(txs[0]), wire.encode_transaction(txs[1]),
+            wire.encode_block(block)]
+
+
+_VALID_ENCODINGS = _valid_encodings()
+
+
+@st.composite
+def hostile_bytes(draw):
+    """Arbitrary bytes, or a valid encoding with bytes overwritten and cut."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=400))
+    data = bytearray(draw(st.sampled_from(_VALID_ENCODINGS)))
+    for _ in range(draw(st.integers(1, 4))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data[:draw(st.integers(0, len(data)))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(hostile_bytes())
+def test_decoders_raise_only_wire_error(data):
+    for decode in (wire.decode_transaction, wire.decode_block):
+        try:
+            decode(data)
+        except WireError:
+            pass
