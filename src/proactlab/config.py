@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-from pathlib import Path
 from typing import Dict, List, Tuple
 
 from .sim.scenario import ConfigError, ScenarioConfig
@@ -79,32 +78,3 @@ def load_scenarios(path) -> List[ScenarioConfig]:
         cfg.validate()
     return configs
 
-
-def write_example(path) -> None:
-    Path(path).write_text(EXAMPLE_CONFIG)
-
-
-EXAMPLE_CONFIG = """\
-# Desk-scale scenario. Any ScenarioConfig field may appear in any section;
-# comma-separated numeric values declare a sweep axis (cross-product).
-
-[topology]
-n_ca = 1
-gcs_per_ca = 5
-tgcs_per_ca = 2
-uavn_per_gcs = 4
-uav_per_uavn = 10
-
-[workload]
-data_tx_size = 10240
-t3_interval_s = 2.0
-
-[attack]
-malicious_fraction = 0.2
-attack_interval_s = 10.0
-
-[run]
-sim_duration_s = 30.0
-mode = parallel
-hash_backend = simulated
-"""

@@ -1,6 +1,6 @@
-"""Consensus state machines: trust accounting for miner eligibility, the
-block-orderer window that hands out sequential block ids, the parallel
-miner pipeline, quorum commit arithmetic, and void/renumber recovery.
+"""Consensus state machines: the block-orderer window that hands out
+sequential block ids, the parallel miner pipeline, vote tallies with the
+quorum commit rule, and void/renumber recovery.
 
 Every structure here is a single-owner state machine advanced by its agent;
 cross-agent interaction happens through the message types at the bottom of
@@ -13,9 +13,9 @@ import random
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from . import wire
+from . import ledger, wire
 from .crypto import HashBackend
 from .wire import Block, BlockHeader, BlockTarget, TAEntry, Transaction
 
@@ -32,6 +32,12 @@ def _unpack_from(fmt: str, data: bytes, offset: int = 0) -> tuple:
         raise ConsensusError(f"message truncated at offset {offset}") from None
 
 
+def _check_consumed(data: bytes, offset: int) -> None:
+    """Variable-length messages are canonical: nothing may follow them."""
+    if offset != len(data):
+        raise ConsensusError(f"{len(data) - offset} trailing bytes after the message")
+
+
 def _unpack(fmt: str, data: bytes) -> tuple:
     """struct.unpack of a whole fixed-size message, as a ConsensusError."""
     try:
@@ -41,97 +47,7 @@ def _unpack(fmt: str, data: bytes) -> tuple:
                              f"got {len(data)}") from None
 
 
-# --- trust accounting -------------------------------------------------------
-
-
-class TrustEvent(Enum):
-    VALID_BLOCK_PARTICIPATION = "valid_block_participation"
-    VALID_FORWARD = "valid_forward"
-    INVALID_BLOCK = "invalid_block"
-    FALSE_ACK = "false_ack"
-    MALICIOUS_INCIDENT = "malicious_incident"
-
-
-#: default trust-point weights; legitimate events earn, malicious ones cost
-DEFAULT_TRUST_WEIGHTS = {
-    TrustEvent.VALID_BLOCK_PARTICIPATION: 1.0,
-    TrustEvent.VALID_FORWARD: 1.0,
-    TrustEvent.INVALID_BLOCK: -10.0,
-    TrustEvent.FALSE_ACK: -10.0,
-    TrustEvent.MALICIOUS_INCIDENT: -10.0,
-}
-
-
-@dataclass(frozen=True)
-class TrustParams:
-    t_tn_s: float = 600.0   # eligibility window
-    m_sub_s: float = 60.0   # subperiod length
-    th_tn: float = 300.0    # window threshold
-    th_m: float = 10.0      # per-subperiod threshold
-
-    def __post_init__(self) -> None:
-        if self.m_sub_s <= 0 or self.t_tn_s <= 0:
-            raise ConsensusError("trust periods must be positive")
-        n = self.t_tn_s / self.m_sub_s
-        if abs(n - round(n)) > 1e-9:
-            raise ConsensusError("window must be an integer multiple of the subperiod")
-        if self.th_tn < 0 or self.th_m < 0:
-            raise ConsensusError("thresholds must be non-negative")
-
-    @property
-    def subperiods(self) -> int:
-        return round(self.t_tn_s / self.m_sub_s)
-
-
-class TrustRecord:
-    """Per-subperiod trust-point totals for one ground station."""
-
-    def __init__(self, start_time_s: float = 0.0):
-        self.start_time_s = start_time_s
-        self.buckets: Dict[int, float] = {}
-
-    def add(self, points: float, now_s: float, params: TrustParams) -> None:
-        bucket = int(now_s // params.m_sub_s)
-        self.buckets[bucket] = self.buckets.get(bucket, 0.0) + points
-
-    def subperiod_totals(self, now_s: float, params: TrustParams) -> Optional[List[float]]:
-        """Totals for the fully elapsed subperiods of the window ending at
-        ``now``; None when the record does not span a full window."""
-        end_bucket = int(now_s // params.m_sub_s)
-        start_bucket = end_bucket - params.subperiods
-        if start_bucket < int(self.start_time_s // params.m_sub_s) or start_bucket < 0:
-            return None
-        return [self.buckets.get(b, 0.0) for b in range(start_bucket, end_bucket)]
-
-
-def trust_update(record: TrustRecord, event: TrustEvent, now_s: float,
-                 params: TrustParams,
-                 weights: Optional[Dict[TrustEvent, float]] = None) -> TrustRecord:
-    table = weights if weights is not None else DEFAULT_TRUST_WEIGHTS
-    record.add(table[event], now_s, params)
-    return record
-
-
-def poat_eligible(record: TrustRecord, params: TrustParams, now_s: float) -> bool:
-    """Miner eligibility: the window total must beat the window threshold
-    AND every subperiod must beat the per-subperiod threshold.  Without a
-    full window of history the answer is a conservative no."""
-    totals = record.subperiod_totals(now_s, params)
-    if totals is None:
-        return False
-    if sum(totals) <= params.th_tn:
-        return False
-    return all(total > params.th_m for total in totals)
-
-
-# --- miner-set sizing and assignment ----------------------------------------
-
-
-def compute_th_ca(max_tn: int, n_ca: int) -> int:
-    """Per-authority miner budget: Max_TN divided among the CAs, at least 1."""
-    if n_ca < 1:
-        raise ConsensusError("need at least one control authority")
-    return max(1, max_tn // n_ca)
+# --- miner assignment -------------------------------------------------------
 
 
 def assign_gcs_to_tgcs(gcc_ids: Sequence[int], tgcs_ids: Sequence[int],
@@ -162,7 +78,7 @@ def assign_gcs_to_tgcs(gcc_ids: Sequence[int], tgcs_ids: Sequence[int],
     return assignment
 
 
-# --- quorum and rotation ----------------------------------------------------
+# --- quorum, vote tallies and rotation --------------------------------------
 
 
 class CommitVerdict(Enum):
@@ -186,31 +102,47 @@ def commit_check(acks: int, errors: int, n_tgcs: int) -> CommitVerdict:
     return CommitVerdict.PENDING
 
 
+@dataclass
+class Tally:
+    """Distinct miner votes on one block id.  The block's own miner counts
+    as one implicit acknowledgment once it is known."""
+
+    miner: Optional[int] = None
+    block: Optional[Block] = None
+    acks: Set[int] = field(default_factory=set)
+    errors: Set[int] = field(default_factory=set)
+    committed: bool = False
+
+    def propose(self, block: Block) -> None:
+        """Attach the candidate block; its miner acknowledges it."""
+        self.block = block
+        self.miner = block.header.miner
+        self.acks.add(self.miner)
+
+    def vote(self, voter: int, is_ack: bool) -> None:
+        (self.acks if is_ack else self.errors).add(voter)
+        if self.miner is not None:
+            self.acks.add(self.miner)
+
+    def verdict(self, n_tgcs: int) -> CommitVerdict:
+        return commit_check(len(self.acks), len(self.errors), n_tgcs)
+
+
+def renumber_tallies(tallies: Dict[int, Tally], voided_id: int) -> Dict[int, Tally]:
+    """The tallies after a void: each uncommitted tally above the voided id
+    moves down one id, as the orderer renumbers the surviving assignments."""
+    renumbered = dict(tallies)
+    for block_id in sorted(tallies):
+        if block_id > voided_id and not tallies[block_id].committed:
+            renumbered[block_id - 1] = renumbered.pop(block_id)
+    return renumbered
+
+
 def rotate_bo(ca_ids: Sequence[int], now_s: float, t_bo_s: float) -> int:
     """Round-robin orderer duty among the control authorities."""
     if not ca_ids:
         raise ConsensusError("no control authorities")
     return ca_ids[int(now_s // t_bo_s) % len(ca_ids)]
-
-
-@dataclass(frozen=True)
-class ConsensusConfig:
-    max_tn: int = 4
-    n_ca: int = 1
-    t_bis_s: float = 0.050
-    t_blk_s: float = 5.0
-    t_bo_s: float = 600.0
-    trust: TrustParams = field(default_factory=TrustParams)
-
-    def __post_init__(self) -> None:
-        if self.th_ca < 1:
-            raise ConsensusError("per-CA miner budget must be at least 1")
-        if not self.t_bis_s < self.t_blk_s:
-            raise ConsensusError("the id window must be shorter than the finalize timeout")
-
-    @property
-    def th_ca(self) -> int:
-        return compute_th_ca(self.max_tn, self.n_ca)
 
 
 # --- block orderer ----------------------------------------------------------
@@ -244,20 +176,11 @@ class OrderingState:
         self.assignments: Dict[int, int] = {}
         self.committed_watermark = next_block_id - 1
 
-    def set_sequential(self, flag: bool) -> None:
-        if self.pending or self.assignments or \
-                self.next_block_id != self.committed_watermark + 1:
-            raise ConsensusError("cannot switch ordering mode mid-run")
-        self.sequential = flag
-
     def receive_nbr(self, nbr: "NbrMessage") -> None:
         if nbr.request_count < 1:
             raise ConsensusError("new-block requests must ask for at least one id")
         self.pending.append(_QueuedRequest(nbr.tgcs_id, nbr.timestamp_us,
                                            nbr.request_count))
-
-    def outstanding(self) -> int:
-        return len(self.assignments)
 
     def window_close(self) -> List[Assignment]:
         """Order the buffered requests by send timestamp (ties by station
@@ -266,7 +189,7 @@ class OrderingState:
         self.pending.sort(key=lambda r: (r.timestamp_us, r.tgcs_id))
         issued: List[Assignment] = []
         if self.sequential:
-            if self.outstanding() == 0 and self.pending:
+            if not self.assignments and self.pending:
                 head = self.pending[0]
                 issued.append(self._issue(head.tgcs_id))
                 head.remaining -= 1
@@ -336,6 +259,7 @@ class OrderingState:
             block_id, tgcs = _unpack_from("<QI", data, offset)
             offset += struct.calcsize("<QI")
             state.assignments[block_id] = tgcs
+        _check_consumed(data, offset)
         return state
 
 
@@ -390,10 +314,9 @@ def miner_assemble(miner: int, transactions: Sequence[Transaction], now_us: int,
         group = tuple(tx for tx in transactions if tx.block_target is target)
         if not group:
             continue
-        leaves = [backend.digest224(wire.encode_transaction(tx)) for tx in group]
         pending.append(PendingBlock(
             miner=miner, block_type=target, transactions=group,
-            merkle_root=wire.merkle_root(leaves, backend.digest224),
+            merkle_root=wire.body_root(group, backend.digest224),
             ta_list=wire.ta_list_for(group), assembled_at_us=now_us))
     return pending
 
@@ -415,27 +338,11 @@ def miner_finalize(pending: PendingBlock, predecessor: Block,
     return Block(header, pending.transactions)
 
 
-def genesis_prev_hash() -> bytes:
-    return wire.ZERO_HASH
-
-
-def finalize_genesis(pending: PendingBlock) -> Block:
-    """The orderer's first block chains from the zero digest."""
-    if pending.block_id != 0:
-        raise ConsensusError("only block 0 may chain from the zero digest")
-    header = BlockHeader(wire.WIRE_VERSION, 0, pending.block_type, pending.miner,
-                         pending.assembled_at_us, genesis_prev_hash(),
-                         pending.merkle_root, pending.ta_list)
-    pending.advance(BlockState.BROADCAST)
-    return Block(header, pending.transactions)
-
-
 # --- message wire formats ---------------------------------------------------
 
 
-ERROR_CODES = {code: i + 1 for i, code in enumerate(
-    ("block_id", "prev_hash", "merkle_root", "signature",
-     "ta_fidelity", "access_enc", "block_type", "duplicate_tx"))}
+#: Block ERROR codes on the wire: the validation issue codes, numbered from 1
+ERROR_CODES = {code: i + 1 for i, code in enumerate(ledger.CHECK_ORDER)}
 
 
 @dataclass(frozen=True)
@@ -470,6 +377,7 @@ class AssignMessage:
             block_id, tgcs = _unpack_from("<QI", data, offset)
             offset += 12
             entries.append(Assignment(block_id, tgcs))
+        _check_consumed(data, offset)
         return cls(tuple(entries))
 
 
@@ -510,15 +418,3 @@ class VoidMessage:
     @classmethod
     def decode(cls, data: bytes) -> "VoidMessage":
         return cls(*_unpack("<Q", data))
-
-
-@dataclass(frozen=True)
-class HandoffMessage:
-    state_bytes: bytes
-
-    def encode(self) -> bytes:
-        return self.state_bytes
-
-    @classmethod
-    def decode(cls, data: bytes) -> "HandoffMessage":
-        return cls(data)

@@ -56,10 +56,7 @@ def validate_block(expected_id: int, tip_digest: bytes, block: Block,
         issues.append(ValidationIssue("prev_hash", "does not match the tip digest"))
 
     try:
-        leaf_digests = [backend.digest224(wire.encode_transaction(tx))
-                        for tx in block.transactions]
-        recomputed = wire.merkle_root(leaf_digests, backend.digest224)
-        if recomputed != header.merkle_root:
+        if wire.body_root(block.transactions, backend.digest224) != header.merkle_root:
             issues.append(ValidationIssue("merkle_root", "does not recompute"))
     except WireError as exc:
         issues.append(ValidationIssue("merkle_root", f"body unencodable: {exc}"))
@@ -72,13 +69,12 @@ def validate_block(expected_id: int, tip_digest: bytes, block: Block,
             elif not txbuild.verify_transaction(tx, registry, backend):
                 issues.append(ValidationIssue("signature", f"tx {i}: bad signature"))
 
-    if len(header.ta_list) != len(block.transactions):
+    differing = wire.ta_mismatches(header, block.transactions)
+    if differing is None:
         issues.append(ValidationIssue("ta_fidelity", "entry count mismatch"))
     else:
-        for i, (entry, tx) in enumerate(zip(header.ta_list, block.transactions)):
-            if (entry.tx_index != i or entry.access_class is not tx.access_class
-                    or entry.owners != tx.owners):
-                issues.append(ValidationIssue("ta_fidelity", f"entry {i} differs"))
+        issues.extend(ValidationIssue("ta_fidelity", f"entry {i} differs")
+                      for i in differing)
 
     for i, tx in enumerate(block.transactions):
         try:
@@ -86,9 +82,9 @@ def validate_block(expected_id: int, tip_digest: bytes, block: Block,
         except WireError as exc:
             issues.append(ValidationIssue("access_enc", f"tx {i}: {exc}"))
 
-    for i, tx in enumerate(block.transactions):
-        if tx.block_target is not header.block_type:
-            issues.append(ValidationIssue("block_type", f"tx {i} targets {tx.block_target.name}"))
+    for i in wire.type_mismatches(header, block.transactions):
+        issues.append(ValidationIssue(
+            "block_type", f"tx {i} targets {block.transactions[i].block_target.name}"))
 
     keys_in_block: Set[Tuple[int, int]] = set()
     for i, tx in enumerate(block.transactions):
@@ -146,10 +142,8 @@ class FullLedger:
                 raise LedgerError("gap", f"id {block.block_id} at height {expected_id}")
             if block.header.prev_hash != digest:
                 raise LedgerError("prev_hash", f"broken link at block {expected_id}")
-            leaves = [self._backend.digest224(wire.encode_transaction(tx))
-                      for tx in block.transactions]
-            if block.transactions and wire.merkle_root(leaves, self._backend.digest224) \
-                    != block.header.merkle_root:
+            if block.transactions and wire.body_root(
+                    block.transactions, self._backend.digest224) != block.header.merkle_root:
                 raise LedgerError("merkle_root", f"bad root at block {expected_id}")
             digest = wire.block_hash(wire.encode_header(block.header),
                                      self._backend.digest224)

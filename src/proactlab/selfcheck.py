@@ -122,8 +122,8 @@ def check_overhead_fixtures() -> List[CheckResult]:
     registry = _fixture_registry()
     command = _command_fixture(registry)
     data = _data_fixture(registry)
-    bto_cmd = txbuild.transaction_overhead(command)
-    bto_data = txbuild.transaction_overhead(data)
+    bto_cmd = wire.tx_overhead(command)
+    bto_data = wire.tx_overhead(data)
     return [
         CheckResult("bto:command-0.99", abs(bto_cmd - 0.99) < 1e-12,
                     "" if abs(bto_cmd - 0.99) < 1e-12 else f"got {bto_cmd}"),

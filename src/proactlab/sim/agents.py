@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import consensus, crypto, ledger, txbuild, wire
@@ -20,16 +20,14 @@ from ..consensus import (
     BlockErrorMessage,
     BlockState,
     CommitVerdict,
-    HandoffMessage,
     NbrMessage,
     OrderingState,
-    TrustEvent,
+    Tally,
     VoidMessage,
-    commit_check,
     miner_assemble,
     miner_finalize,
+    renumber_tallies,
     rotate_bo,
-    trust_update,
 )
 from ..crypto import SUITE_S1
 from ..ledger import BraPolicy, DroneLedger, FullLedger, Verdict, check_access
@@ -101,7 +99,6 @@ class World:
         self.agents: Dict[int, object] = {}
         self.malicious: Set[int] = set()
         self.uavn_suite: Dict[int, crypto.CryptoSuite] = {}
-        self.uavn_mission_s: Dict[int, float] = {}
         self.gcs_to_tgcs: Dict[int, int] = {}
         self.sim_end_us = to_us(cfg.sim_duration_s)
         self.n_tgcs = len(topo.tgcs_ids)
@@ -116,8 +113,12 @@ class World:
                                     cfg.p_flight_w, cfg.initial_energy_j)
         return EnergyState(coeffs, self.sim_end_us)
 
-    def node_roster(self) -> List[Tuple[int, str, str]]:
-        return self.roster
+    def run(self) -> None:
+        """Start every agent in ascending id order, then run the engine
+        through the workload and the drain limit."""
+        for node_id in sorted(self.agents):
+            self.agents[node_id].start()
+        self.sim.run(horizon_us=self.sim_end_us + to_us(self.cfg.drain_limit_s))
 
     def is_drone(self, node_id: int) -> bool:
         return node_id in self.topo.drone_uavn
@@ -146,31 +147,25 @@ class World:
         if self.is_drone(src) or self.is_drone(dst):
             self._send_wireless(packet, total, on_expired)
         else:
-            self._send_on_link(self.net.wired(src, dst), packet, total,
-                               on_expired, src_drone=False, dst_drone=False)
+            self._send_on_link(self.net.wired(src, dst), total,
+                               lambda: self.agents[dst].on_packet(packet), on_expired)
 
     def _wireless_hops(self, src: int, dst: int) -> Optional[List[Tuple[Link, int]]]:
         """Hop plan as (link, receiver) pairs, shortest-hop over the current
         link graph; None when no path exists."""
         topo, cfg, now = self.topo, self.cfg, self.sim.now_us
-        if self.is_drone(src) and not self.is_drone(dst):
-            gcs = dst
-            if topo.distance(src, gcs, now) <= cfg.gcs_range_m:
-                return [(self.net.links[f"up:{gcs}"], gcs)]
-            relay = self._relay_for(src, gcs)
+        if self.is_drone(src) != self.is_drone(dst):
+            # one station cell, bridged by one swarm peer when out of range
+            uplink = self.is_drone(src)
+            drone, gcs = (src, dst) if uplink else (dst, src)
+            cell = self.net.links[f"up:{gcs}" if uplink else f"down:{gcs}"]
+            if topo.distance(drone, gcs, now) <= cfg.gcs_range_m:
+                return [(cell, dst)]
+            relay = self._relay_for(drone, gcs)
             if relay is None:
                 return None
-            mesh = self.net.links[f"mesh:{topo.drone_uavn[src]}"]
-            return [(mesh, relay), (self.net.links[f"up:{gcs}"], gcs)]
-        if not self.is_drone(src) and self.is_drone(dst):
-            gcs = src
-            if topo.distance(gcs, dst, now) <= cfg.gcs_range_m:
-                return [(self.net.links[f"down:{gcs}"], dst)]
-            relay = self._relay_for(dst, gcs)
-            if relay is None:
-                return None
-            mesh = self.net.links[f"mesh:{topo.drone_uavn[dst]}"]
-            return [(self.net.links[f"down:{gcs}"], relay), (mesh, dst)]
+            mesh = self.net.links[f"mesh:{topo.drone_uavn[drone]}"]
+            return [(mesh, relay), (cell, gcs)] if uplink else [(cell, relay), (mesh, drone)]
         # drone to drone within one swarm
         uavn = topo.drone_uavn[src]
         mesh = self.net.links[f"mesh:{uavn}"]
@@ -240,16 +235,11 @@ class World:
                 # the relay pays its transmit cost as the next hop's sender
                 self._send_hop(packet, size, hops, index + 1, on_expired)
 
-        self._send_on_link(link, packet, size, on_expired,
-                           src_drone=self.is_drone(sender),
-                           dst_drone=self.is_drone(receiver),
-                           deliver_override=deliver,
+        self._send_on_link(link, size, deliver, on_expired,
                            energy_payer=sender if self.is_drone(sender) else None)
 
-    def _send_on_link(self, link: Link, packet: Packet, size: int, on_expired,
-                      src_drone: bool, dst_drone: bool,
-                      deliver_override=None, energy_payer: Optional[int] = None,
-                      attempt: int = 0) -> None:
+    def _send_on_link(self, link: Link, size: int, deliver, on_expired,
+                      energy_payer: Optional[int] = None, attempt: int = 0) -> None:
         if energy_payer is not None:
             payer = self.agents[energy_payer]
             payer.energy.account_tx(size, self.sim.now_us)
@@ -257,27 +247,19 @@ class World:
                 if on_expired is not None:
                     on_expired()
                 return
-
-        def deliver() -> None:
-            if deliver_override is not None:
-                deliver_override()
-                return
-            self.agents[packet.dst].on_packet(packet)
-
         if link.send(self.sim, size, deliver):
             return
         if attempt + 1 <= self.cfg.max_retries:
             delay = to_us(self.cfg.retry_backoff_s * (2 ** attempt))
             self.sim.schedule_in(delay, lambda: self._send_on_link(
-                link, packet, size, on_expired, src_drone, dst_drone,
-                deliver_override, energy_payer, attempt + 1))
+                link, size, deliver, on_expired, energy_payer, attempt + 1))
         elif on_expired is not None:
             on_expired()
 
     def broadcast_tgcs(self, src: int, kind: str, payload: object, size: int,
-                       include_bo: bool = False, exclude_self: bool = True) -> None:
+                       include_bo: bool = False) -> None:
         for tgcs in self.topo.tgcs_ids:
-            if exclude_self and tgcs == src:
+            if tgcs == src:
                 continue
             self.send(src, tgcs, kind, payload, size)
         if include_bo:
@@ -527,20 +509,10 @@ class DroneAgent:
 class ReportRecord:
     created_us: int
     arrived_us: int
-    sender: int
     x: float
     y: float
     claims: Tuple[int, ...]
     legit: bool
-
-
-@dataclass
-class Tally:
-    miner: Optional[int] = None
-    block: Optional[Block] = None
-    acks: Set[int] = field(default_factory=set)
-    errors: Set[int] = field(default_factory=set)
-    committed: bool = False
 
 
 class GcsAgent:
@@ -549,7 +521,6 @@ class GcsAgent:
         self.id = gcs_id
         self.ca_id = world.topo.gcs_ca[gcs_id]
         self.ledger = FullLedger(world.backend)
-        self.trust = consensus.TrustRecord(0.0)
         self.seq = 0
         self.recent_reports: Deque[ReportRecord] = deque()  # ascending arrived_us
         self._buffered: Dict[int, Block] = {}
@@ -557,10 +528,6 @@ class GcsAgent:
     def _next_seq(self) -> int:
         self.seq += 1
         return self.seq
-
-    @property
-    def is_tgcs(self) -> bool:
-        return self.id in self.w.topo.tgcs_ids
 
     def start(self) -> None:
         cfg, sim = self.w.cfg, self.w.sim
@@ -624,14 +591,10 @@ class GcsAgent:
     def on_packet(self, packet: Packet) -> None:
         if packet.kind == "tx":
             self._on_transaction(packet)
-        elif packet.kind == "committed-block":
-            self.absorb_committed(packet.payload)
-        elif packet.kind == "genesis":
+        elif packet.kind in ("committed-block", "genesis"):
             self.absorb_committed(packet.payload)
         elif packet.kind == "fetch-req":
             self._serve_fetch(packet)
-        elif packet.kind == "fetch-resp":
-            pass
 
     def _on_transaction(self, packet: Packet) -> None:
         tx: Transaction = packet.payload
@@ -640,8 +603,8 @@ class GcsAgent:
         report: Optional[ReportMeta] = meta.get("report")
         if report is not None:
             legit = packet.src not in self.w.malicious
-            record = ReportRecord(tx.created_at_us, now, packet.src,
-                                  report.x, report.y, report.claims, legit)
+            record = ReportRecord(tx.created_at_us, now, report.x, report.y,
+                                  report.claims, legit)
             self._prune_reports(now)
             self.recent_reports.append(record)
             if report.fabricated is not None and \
@@ -654,9 +617,6 @@ class GcsAgent:
         attack_id = meta.get("incident_attack_id")
         if attack_id is not None:
             self.w.metrics.attack_detected(attack_id)
-        if packet.src in self.w.topo.ca_ids:
-            trust_update(self.trust, TrustEvent.VALID_FORWARD, now / 1e6,
-                         self.w.cfg.trust_params)
         self.intake_tx(tx)
 
     def _prune_reports(self, now: int) -> None:
@@ -844,10 +804,7 @@ class TgcsAgent(GcsAgent):
         block = miner_finalize(pending, predecessor, self.w.backend)
         size = block.encoded_size
         self.w.broadcast_tgcs(self.id, "block", block, size)
-        tally = self.tallies.setdefault(block.block_id, Tally())
-        tally.miner = self.id
-        tally.block = block
-        tally.acks.add(self.id)  # the miner's implicit acknowledgment
+        self.tallies.setdefault(block.block_id, Tally()).propose(block)
         # the orderer tracks commits through the vote stream; the miner's
         # own vote must reach it even when no other validators exist
         ack = BlockAckMessage(block.block_id, self.id)
@@ -860,10 +817,7 @@ class TgcsAgent(GcsAgent):
         if block.block_id < self.ledger.next_block_id:
             return
         self._blocks_buffered[block.block_id] = block
-        tally = self.tallies.setdefault(block.block_id, Tally())
-        tally.block = block
-        tally.miner = block.header.miner
-        tally.acks.add(block.header.miner)
+        self.tallies.setdefault(block.block_id, Tally()).propose(block)
         self._vote_ready()
         self._check_quorums()
 
@@ -880,20 +834,16 @@ class TgcsAgent(GcsAgent):
             vote = BlockErrorMessage(next_id, self.id,
                                      consensus.ERROR_CODES[issues[0].code])
             kind = "block-error"
-            self.tallies.setdefault(next_id, Tally()).errors.add(self.id)
         else:
             vote = BlockAckMessage(next_id, self.id)
             kind = "ack"
-            self.tallies.setdefault(next_id, Tally()).acks.add(self.id)
+        self.tallies.setdefault(next_id, Tally()).vote(self.id, is_ack=not issues)
         self.w.broadcast_tgcs(self.id, kind, vote, len(vote.encode()),
                               include_bo=True)
         self._check_quorums()
 
     def _on_vote(self, message, is_ack: bool) -> None:
-        tally = self.tallies.setdefault(message.block_id, Tally())
-        (tally.acks if is_ack else tally.errors).add(message.tgcs_id)
-        if tally.miner is not None:
-            tally.acks.add(tally.miner)
+        self.tallies.setdefault(message.block_id, Tally()).vote(message.tgcs_id, is_ack)
         self._check_quorums()
 
     def _check_quorums(self) -> None:
@@ -902,8 +852,7 @@ class TgcsAgent(GcsAgent):
             tally = self.tallies.get(next_id)
             if tally is None or tally.committed or tally.block is None:
                 return
-            verdict = commit_check(len(tally.acks), len(tally.errors), self.w.n_tgcs)
-            if verdict is CommitVerdict.COMMITTED:
+            if tally.verdict(self.w.n_tgcs) is CommitVerdict.COMMITTED:
                 self._commit(next_id, tally)
             else:
                 return
@@ -917,8 +866,6 @@ class TgcsAgent(GcsAgent):
                        f"txs={len(block.transactions)}")
         self.ledger.append_block(block)
         self._blocks_buffered.pop(block_id, None)
-        trust_update(self.trust, TrustEvent.VALID_BLOCK_PARTICIPATION, now / 1e6,
-                     self.w.cfg.trust_params)
         if block.header.miner == self.id:
             self.w.metrics.block_committed()
             for tx in block.transactions:
@@ -954,9 +901,7 @@ class TgcsAgent(GcsAgent):
             else:
                 renumbered[bid] = pending
         self.pending_assigned = renumbered
-        for bid in sorted(self.tallies):
-            if bid > message.block_id and not self.tallies[bid].committed:
-                self.tallies[bid - 1] = self.tallies.pop(bid)
+        self.tallies = renumber_tallies(self.tallies, message.block_id)
         self._try_finalize()
 
 
@@ -995,7 +940,7 @@ class CaAgent:
 
     def _emit_genesis(self) -> None:
         txs = []
-        for node_id, role, real in self.w.node_roster():
+        for node_id, role, real in self.w.roster:
             public = self.w.registry.public_key(node_id)
             payload = txbuild.registration_payload(node_id, role, real, public)
             txs.append(txbuild.build_transaction(
@@ -1004,7 +949,7 @@ class CaAgent:
                 block_target=BlockTarget.BLOCK_T2, plaintext=payload,
                 registry=self.w.registry, backend=self.w.backend))
         genesis = wire.build_block(0, BlockTarget.BLOCK_T2, self.id, 0,
-                                   consensus.genesis_prev_hash(), txs,
+                                   wire.ZERO_HASH, txs,
                                    self.w.backend.digest224)
         size = genesis.encoded_size
         for gcs in self.w.topo.gcs_ids:
@@ -1067,7 +1012,7 @@ class CaAgent:
         elif packet.kind == "block-error":
             self._on_vote(packet.payload, is_ack=False)
         elif packet.kind == "bo-handoff":
-            self.ordering = OrderingState.decode(packet.payload.state_bytes)
+            self.ordering = OrderingState.decode(packet.payload)
             for nbr in self._nbr_stash:
                 self.ordering.receive_nbr(nbr)
             self._nbr_stash.clear()
@@ -1075,12 +1020,10 @@ class CaAgent:
 
     def _on_vote(self, message, is_ack: bool) -> None:
         tally = self.tallies.setdefault(message.block_id, Tally())
-        (tally.acks if is_ack else tally.errors).add(message.tgcs_id)
-        if tally.miner is not None:
-            tally.acks.add(tally.miner)
+        tally.vote(message.tgcs_id, is_ack)
         if tally.committed:
             return
-        verdict = commit_check(len(tally.acks), len(tally.errors), self.w.n_tgcs)
+        verdict = tally.verdict(self.w.n_tgcs)
         if verdict is CommitVerdict.COMMITTED:
             tally.committed = True
             if self.ordering is not None:
@@ -1118,9 +1061,7 @@ class CaAgent:
         message = VoidMessage(block_id)
         for tgcs in self.w.topo.tgcs_ids:
             self.w.send(self.id, tgcs, "void", message, len(message.encode()))
-        for bid in sorted(self.tallies):
-            if bid > block_id and not self.tallies[bid].committed:
-                self.tallies[bid - 1] = self.tallies.pop(bid)
+        self.tallies = renumber_tallies(self.tallies, block_id)
         self._arm_window()
 
     # --- rotation ---
@@ -1129,9 +1070,8 @@ class CaAgent:
         now_s = self.w.sim.now_us / 1e6
         acting = self.w.acting_bo()
         if self.ordering is not None and acting != self.id:
-            handoff = HandoffMessage(self.ordering.encode())
-            self.w.send(self.id, acting, "bo-handoff", handoff,
-                        len(handoff.encode()))
+            state = self.ordering.encode()
+            self.w.send(self.id, acting, "bo-handoff", state, len(state))
             self.ordering = None
         if self.w.workload_open():
             next_boundary = (int(now_s // self.w.cfg.t_bo_s) + 1) * self.w.cfg.t_bo_s

@@ -26,7 +26,6 @@ class LinkClass(Enum):
     UAV_UAV = "uav_uav"
     UAV_GCS = "uav_gcs"
     GCS_CA = "gcs_ca"
-    CA_CA = "ca_ca"
 
 
 @dataclass(frozen=True)
@@ -35,7 +34,6 @@ class LinkModel:
     base_latency_s: float
     bandwidth_bps: float          # bytes per second
     queue_limit_bytes: int = 0    # 0 = unbounded
-    range_m: float = 0.0          # 0 = wired
 
 
 class Link:
@@ -66,8 +64,7 @@ class Link:
 
 
 class Network:
-    def __init__(self, sim: Simulator, wired: LinkModel):
-        self.sim = sim
+    def __init__(self, wired: LinkModel):
         self._wired_model = wired
         self.links: Dict[str, Link] = {}
         self.packets_dropped = 0
@@ -128,19 +125,11 @@ class GroundTruth:
     def __init__(self, sites: List[EventSite], sensing_range_m: float):
         self.sites = sites
         self.sensing_range_m = sensing_range_m
-        self._by_id = {s.site_id: s for s in sites}
 
     def observed_from(self, x: float, y: float) -> Tuple[int, ...]:
         reach = self.sensing_range_m
         return tuple(s.site_id for s in self.sites
                      if math.hypot(s.x - x, s.y - y) <= reach)
-
-    def is_real(self, site_id: int) -> bool:
-        return site_id in self._by_id
-
-    def dump(self) -> str:
-        lines = [f"site id={s.site_id} x={s.x:.1f} y={s.y:.1f}" for s in self.sites]
-        return "\n".join(lines)
 
 
 class Topology:

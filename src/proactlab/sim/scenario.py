@@ -11,15 +11,14 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, TextIO
+from typing import List, Optional, TextIO
 
 from .. import consensus, crypto
 from ..crypto import KeyRegistry, SecurityLevel, select_suite
 from ..ledger import BraPolicy
-from ..wire import NodeId, Role
 
 from .agents import CaAgent, DroneAgent, GcsAgent, TgcsAgent, World
-from .engine import Simulator, to_us
+from .engine import Simulator
 from .metrics import MetricsCollector, MetricsRecord
 from .netmodel import LinkClass, LinkModel, Network, place_topology
 
@@ -98,19 +97,10 @@ class ScenarioConfig:
     max_txs_per_block: int = 128
     max_block_bytes: int = 512 * 1024
     max_pending_blocks: int = 4
-    trust_t_tn_s: float = 600.0
-    trust_m_sub_s: float = 60.0
-    trust_th_tn: float = 300.0
-    trust_th_m: float = 10.0
 
     @property
     def n_uav(self) -> int:
         return self.n_ca * self.gcs_per_ca * self.uavn_per_gcs * self.uav_per_uavn
-
-    @property
-    def trust_params(self) -> consensus.TrustParams:
-        return consensus.TrustParams(self.trust_t_tn_s, self.trust_m_sub_s,
-                                     self.trust_th_tn, self.trust_th_m)
 
     def validate(self) -> None:
         problems: List[str] = []
@@ -168,14 +158,12 @@ def build_world(cfg: ScenarioConfig, event_log: Optional[TextIO] = None) -> Worl
 
     sim = Simulator(event_log)
     wireless = LinkModel(LinkClass.UAV_GCS, cfg.wireless_latency_s,
-                         cfg.wireless_bw_bps, cfg.wireless_queue_bytes,
-                         cfg.gcs_range_m)
+                         cfg.wireless_bw_bps, cfg.wireless_queue_bytes)
     mesh_model = LinkModel(LinkClass.UAV_UAV, cfg.wireless_latency_s,
-                           cfg.wireless_bw_bps, cfg.wireless_queue_bytes,
-                           cfg.uav_range_m)
+                           cfg.wireless_bw_bps, cfg.wireless_queue_bytes)
     wired = LinkModel(LinkClass.GCS_CA, cfg.wired_latency_s, cfg.wired_bw_bps,
                       cfg.wired_queue_bytes)
-    net = Network(sim, wired)
+    net = Network(wired)
     for gcs in topo.gcs_ids:
         net.add_link(f"up:{gcs}", wireless)
         net.add_link(f"down:{gcs}", wireless)
@@ -187,26 +175,20 @@ def build_world(cfg: ScenarioConfig, event_log: Optional[TextIO] = None) -> Worl
     metrics = MetricsCollector()
     world = World(cfg, sim, net, topo, registry, backend, metrics, rngs)
 
-    directory: Dict[int, NodeId] = {}
     for ca in topo.ca_ids:
         registry.register_node(ca, is_ca=True)
-        directory[ca] = NodeId(ca, Role.CA)
         world.roster.append((ca, "ca", f"authority-{ca}"))
     for gcs in topo.gcs_ids:
         registry.register_node(gcs)
-        role = Role.TGCS if gcs in topo.tgcs_ids else Role.GCS
-        directory[gcs] = NodeId(gcs, role)
-        world.roster.append((gcs, role.name.lower(), f"station-{gcs}"))
+        role = "tgcs" if gcs in topo.tgcs_ids else "gcs"
+        world.roster.append((gcs, role, f"station-{gcs}"))
     drone_ids = sorted(topo.drone_uavn)
     for drone in drone_ids:
         registry.register_node(drone)
-        directory[drone] = NodeId(drone, Role.UAV, owner_real_id=f"owner-{drone}")
         world.roster.append((drone, "uav", f"owner-{drone}"))
-    world.directory = directory
 
     for uavn in topo.uavns:
         duration = rngs["missions"].uniform(cfg.mission_min_s, cfg.mission_max_s)
-        world.uavn_mission_s[uavn.uavn_id] = duration
         world.uavn_suite[uavn.uavn_id] = select_suite(SecurityLevel.S2, duration)
 
     n_malicious = round(cfg.malicious_fraction * len(drone_ids))
@@ -235,10 +217,7 @@ def run(cfg: ScenarioConfig, event_log: Optional[TextIO] = None) -> MetricsRecor
     """Execute one scenario: genesis, workload, attacks, consensus, drain,
     and metric extraction."""
     world = build_world(cfg, event_log)
-    for node_id in sorted(world.agents):
-        world.agents[node_id].start()
-    horizon = world.sim_end_us + to_us(cfg.drain_limit_s)
-    world.sim.run(horizon_us=horizon)
+    world.run()
 
     drones = [world.agents[d] for d in sorted(world.topo.drone_uavn)]
     for drone in drones:

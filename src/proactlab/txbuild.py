@@ -66,20 +66,6 @@ def verify_transaction(tx: Transaction, registry: KeyRegistry,
                          tx.signature, backend.digest224)
 
 
-def open_transaction(tx: Transaction, agent_id: int, registry: KeyRegistry) -> bytes:
-    """Recover the plaintext for an agent that holds the right key; the
-    registry enforces possession and tag integrity."""
-    if tx.access_class is AccessClass.PUBLIC:
-        return tx.payload
-    suite = crypto.suite_for_class(tx.security_class)
-    return registry.open_for(agent_id, suite, tx.owners, tx.payload)
-
-
-def transaction_overhead(tx: Transaction) -> float:
-    """Blockchain size overhead of one transaction: (S_TB - S_TO) / S_TO."""
-    return wire.tx_overhead(tx)
-
-
 def registration_payload(node_id: int, role: str, real_id: str,
                          public_key: bytes) -> bytes:
     """Body of a node-registration transaction (genesis and add-UAV)."""

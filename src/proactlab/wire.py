@@ -24,7 +24,7 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .crypto import (
     DIGEST_LEN,
@@ -49,14 +49,6 @@ class WireError(Exception):
     """Raised for any malformed, inconsistent, or truncated encoding."""
 
 
-class Role(IntEnum):
-    CA = 1
-    GCS = 2
-    TGCS = 3
-    UAV = 4
-    BO = 5
-
-
 class AccessClass(IntEnum):
     """Who may read a transaction: everyone, one owner, or a group."""
 
@@ -71,21 +63,6 @@ class BlockTarget(IntEnum):
 
     BLOCK_T1 = 1
     BLOCK_T2 = 2
-
-
-@dataclass(frozen=True)
-class NodeId:
-    """Registered network identity; numeric_id is what goes on the wire."""
-
-    numeric_id: int
-    role: Role
-    owner_real_id: str = ""
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.numeric_id <= 0xFFFFFFFF:
-            raise WireError(f"numeric_id {self.numeric_id} out of 32-bit range")
-        if self.role is Role.UAV and not self.owner_real_id:
-            raise WireError("UAV identities must carry a real owner id")
 
 
 @dataclass(frozen=True)
@@ -242,9 +219,10 @@ def encode_transaction(tx: Transaction) -> bytes:
 
 
 def encoded_tx_size(tx: Transaction) -> int:
-    """Wire size without materializing the encoding."""
+    """Wire size without materializing the encoding; the metadata strings
+    count in UTF-8 bytes, as they are written."""
     return (TX_FIXED_LEN + 4 * len(tx.owners)
-            + 2 + len(tx.enc_par) + 2 + len(tx.hash_par)
+            + 2 + len(tx.enc_par.encode()) + 2 + len(tx.hash_par.encode())
             + 4 + len(tx.payload) + 1 + len(tx.signature))
 
 
@@ -347,16 +325,31 @@ def encoded_block_size(block: Block) -> int:
             + sum(encoded_tx_size(tx) for tx in block.transactions))
 
 
-def _check_ta(header: BlockHeader, transactions: Sequence[Transaction]) -> None:
+def ta_mismatches(header: BlockHeader,
+                  transactions: Sequence[Transaction]) -> Optional[List[int]]:
+    """Indices of the access-list entries that do not mirror their
+    transaction; None when the list and the body differ in length."""
     if len(header.ta_list) != len(transactions):
+        return None
+    return [i for i, (entry, tx) in enumerate(zip(header.ta_list, transactions))
+            if entry.tx_index != i or entry.access_class is not tx.access_class
+            or entry.owners != tx.owners]
+
+
+def type_mismatches(header: BlockHeader, transactions: Sequence[Transaction]) -> List[int]:
+    """Indices of the transactions whose target differs from the block type."""
+    return [i for i, tx in enumerate(transactions)
+            if tx.block_target is not header.block_type]
+
+
+def _check_ta(header: BlockHeader, transactions: Sequence[Transaction]) -> None:
+    differing = ta_mismatches(header, transactions)
+    if differing is None:
         raise WireError("access list length does not match transaction count")
-    for i, (entry, tx) in enumerate(zip(header.ta_list, transactions)):
-        if (entry.tx_index != i or entry.access_class is not tx.access_class
-                or entry.owners != tx.owners):
-            raise WireError(f"access list entry {i} does not mirror its transaction")
-    for tx in transactions:
-        if tx.block_target is not header.block_type:
-            raise WireError("transaction block target differs from the block type")
+    if differing:
+        raise WireError(f"access list entry {differing[0]} does not mirror its transaction")
+    if type_mismatches(header, transactions):
+        raise WireError("transaction block target differs from the block type")
 
 
 def encode_block(block: Block) -> bytes:
@@ -418,6 +411,13 @@ def merkle_root(tx_digests: Sequence[bytes], digest224: DigestFn = spongent224) 
     return level[0]
 
 
+def body_root(transactions: Sequence[Transaction],
+              digest224: DigestFn = spongent224) -> bytes:
+    """The header's Merkle root: the tree over each transaction's digest."""
+    return merkle_root([digest224(encode_transaction(tx)) for tx in transactions],
+                       digest224)
+
+
 def block_hash(header_bytes: bytes, digest224: DigestFn = spongent224) -> bytes:
     """Chain digest of a block: the header bytes only (the Merkle root
     already commits to the body)."""
@@ -429,46 +429,7 @@ def build_block(block_id: int, block_type: BlockTarget, miner: int, timestamp_us
                 digest224: DigestFn = spongent224) -> Block:
     """Assemble a block with its access list and Merkle root computed."""
     txs = tuple(transactions)
-    root = merkle_root([digest224(encode_transaction(tx)) for tx in txs], digest224)
     header = BlockHeader(WIRE_VERSION, block_id, block_type, miner, timestamp_us,
-                         prev_hash, root, ta_list_for(txs))
+                         prev_hash, body_root(txs, digest224), ta_list_for(txs))
     return Block(header, txs)
 
-
-def dump_transaction(tx: Transaction) -> str:
-    """Debug rendering: one name=value line per field."""
-    lines = [
-        f"creator={tx.creator}",
-        f"tx_seq={tx.tx_seq}",
-        f"created_at_us={tx.created_at_us}",
-        f"topic={tx.topic}",
-        f"access_class={tx.access_class.name}",
-        f"owners={','.join(str(o) for o in tx.owners) or '-'}",
-        f"security_class={tx.security_class.name}",
-        f"block_target={tx.block_target.name}",
-        f"enc_id={tx.enc_id}",
-        f"hash_id={tx.hash_id}",
-        f"enc_par={tx.enc_par or '-'}",
-        f"hash_par={tx.hash_par}",
-        f"payload_len={len(tx.payload)}",
-        f"sig_len={len(tx.signature)}",
-    ]
-    return "\n".join(lines)
-
-
-def dump_block(block: Block) -> str:
-    h = block.header
-    lines = [
-        f"version={h.version}",
-        f"block_id={h.block_id}",
-        f"block_type={h.block_type.name}",
-        f"miner={h.miner}",
-        f"timestamp_us={h.timestamp_us}",
-        f"prev_hash={h.prev_hash.hex()}",
-        f"merkle_root={h.merkle_root.hex()}",
-        f"tx_count={len(block.transactions)}",
-    ]
-    for i, tx in enumerate(block.transactions):
-        lines.append(f"-- tx[{i}]")
-        lines.append(dump_transaction(tx))
-    return "\n".join(lines)

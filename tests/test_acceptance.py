@@ -15,7 +15,6 @@ from proactlab.consensus import Assignment, CommitVerdict, NbrMessage, OrderingS
 from proactlab.crypto import HashVariant, spongent
 from proactlab.selfcheck import PINNED_VECTORS
 from proactlab.sim import default_config, run
-from proactlab.sim.engine import to_us
 from proactlab.sim.scenario import build_world
 from proactlab.wire import BlockTarget
 
@@ -91,8 +90,8 @@ def test_criterion_04_bto_arithmetic():
     size_data = len(wire.encode_transaction(data))
     oracle_cmd = _field_sum(1, len("key_bits=64"), len("rounds=45"), 119, 16)
     oracle_data = _field_sum(0, 0, len("rounds=120"), 10240, 64)
-    bto_cmd = txbuild.transaction_overhead(command)
-    bto_data = txbuild.transaction_overhead(data)
+    bto_cmd = wire.tx_overhead(command)
+    bto_data = wire.tx_overhead(data)
     ok = (size_cmd == oracle_cmd == 199 and size_data == oracle_data == 10354
           and abs(bto_cmd - 0.99) < 1e-12
           and abs(bto_data - 114 / 10240) < 1e-12)
@@ -216,9 +215,7 @@ def test_criterion_09_safety_liveness():
                 _orig(block_id, tally)
 
             agent._commit = spy
-        for node_id in sorted(world.agents):
-            world.agents[node_id].start()
-        world.sim.run(horizon_us=world.sim_end_us + to_us(cfg.drain_limit_s))
+        world.run()
 
         quorum_ok = quorum_ok and bool(commits) and \
             all(acks >= q for acks, q in commits)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from proactlab import cli
-from proactlab.config import EXAMPLE_CONFIG, load_scenarios
+from proactlab.config import load_scenarios
 
 FAST_CONFIG = """\
 [topology]
@@ -166,8 +166,3 @@ def test_example_config_loads():
     path = Path(__file__).resolve().parent.parent / "configs" / "desk.ini"
     (cfg,) = load_scenarios(path)
     assert cfg.n_uav == 200
-
-
-def test_example_config_text_matches_shipped():
-    path = Path(__file__).resolve().parent.parent / "configs" / "desk.ini"
-    assert path.read_text() == EXAMPLE_CONFIG

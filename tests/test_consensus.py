@@ -1,4 +1,5 @@
-"""Trust eligibility, ordering windows, quorum, voids, and the miner pipeline."""
+"""Ordering windows, quorum and vote tallies, voids, the miner pipeline,
+and the message formats."""
 
 import random
 
@@ -13,73 +14,19 @@ from proactlab.consensus import (
     ConsensusError,
     NbrMessage,
     OrderingState,
-    TrustEvent,
-    TrustParams,
-    TrustRecord,
+    Tally,
     assign_gcs_to_tgcs,
     commit_check,
-    compute_th_ca,
     miner_assemble,
     miner_finalize,
-    poat_eligible,
+    renumber_tallies,
     rotate_bo,
-    trust_update,
 )
 from proactlab.wire import BlockTarget
 
 import helpers
 
 BACKEND = crypto.SIMULATED_BACKEND
-
-PARAMS = TrustParams(t_tn_s=500, m_sub_s=100, th_tn=150, th_m=10)
-
-
-def _record(per_subperiod):
-    record = TrustRecord(start_time_s=0)
-    for bucket, points in enumerate(per_subperiod):
-        record.add(points, bucket * 100 + 50, PARAMS)
-    return record
-
-
-def test_poat_eligible_when_both_conditions_hold():
-    assert poat_eligible(_record([40, 40, 40, 40, 40]), PARAMS, now_s=500)
-
-
-def test_poat_rejects_weak_subperiod():
-    assert not poat_eligible(_record([40, 40, 5, 40, 40]), PARAMS, now_s=500)
-
-
-def test_poat_rejects_weak_window_total():
-    # every subperiod clears TH_m but the sum stays at the threshold
-    assert not poat_eligible(_record([30, 30, 30, 30, 30]), PARAMS, now_s=500)
-
-
-def test_poat_conservative_without_history():
-    assert not poat_eligible(TrustRecord(start_time_s=0), PARAMS, now_s=500)
-    late = TrustRecord(start_time_s=300)
-    late.add(1000, 350, PARAMS)
-    assert not poat_eligible(late, PARAMS, now_s=500)
-
-
-def test_trust_update_weights():
-    record = TrustRecord(0)
-    for _ in range(5):
-        trust_update(record, TrustEvent.VALID_BLOCK_PARTICIPATION, 50, PARAMS)
-    assert sum(record.buckets.values()) == 5
-    trust_update(record, TrustEvent.INVALID_BLOCK, 60, PARAMS)
-    assert sum(record.buckets.values()) == -5
-    custom = {event: 2.0 for event in TrustEvent}
-    trust_update(record, TrustEvent.VALID_FORWARD, 70, PARAMS, weights=custom)
-    assert sum(record.buckets.values()) == -3
-
-
-def test_compute_th_ca():
-    assert compute_th_ca(20, 5) == 4
-    assert compute_th_ca(1, 1) == 1
-    assert compute_th_ca(7, 3) == 2
-    assert compute_th_ca(1, 5) == 1  # floor would be 0; minimum applies
-    with pytest.raises(ConsensusError):
-        compute_th_ca(10, 0)
 
 
 def test_assignment_partitions_all_stations():
@@ -209,6 +156,28 @@ def test_two_consecutive_voids_compose():
     assert state.next_block_id == 12
 
 
+def test_tally_counts_the_miner_as_an_implicit_ack():
+    tally = Tally(miner=7)
+    tally.vote(3, is_ack=True)
+    assert tally.acks == {3, 7}
+    tally.vote(4, is_ack=False)
+    tally.vote(4, is_ack=False)  # a repeated vote counts once
+    assert tally.errors == {4}
+    assert tally.verdict(3) is CommitVerdict.COMMITTED
+    assert tally.verdict(5) is CommitVerdict.PENDING
+
+
+def test_void_renumbers_uncommitted_tallies_above_it():
+    done, voided, later, last = Tally(committed=True), Tally(), Tally(), Tally()
+    tallies = {10: done, 11: voided, 12: later, 13: last}
+    renumbered = renumber_tallies(tallies, 11)
+    assert renumbered == {10: done, 11: later, 12: last}
+    assert renumbered[11] is later and renumbered[12] is last
+    assert tallies == {10: done, 11: voided, 12: later, 13: last}  # input untouched
+    # a void at the top leaves the lower ids alone
+    assert renumber_tallies(tallies, 13) == tallies
+
+
 def test_sequential_mode_single_outstanding_grant():
     state = OrderingState(next_block_id=0, sequential=True)
     state.receive_nbr(NbrMessage(1, 100, 1))
@@ -217,14 +186,6 @@ def test_sequential_mode_single_outstanding_grant():
     assert state.window_close() == []  # still outstanding
     state.on_commit(0)
     assert state.window_close() == [Assignment(1, 2)]
-
-
-def test_sequential_toggle_rejected_mid_run():
-    state = OrderingState(next_block_id=0)
-    state.receive_nbr(NbrMessage(1, 1, 1))
-    state.window_close()
-    with pytest.raises(ConsensusError):
-        state.set_sequential(True)
 
 
 def test_ordering_state_handoff_roundtrip():
@@ -345,16 +306,25 @@ def test_pending_block_state_is_monotone(registry):
         pending.advance(BlockState.AWAITING_ID)
 
 
-def test_consensus_config_invariants():
-    cfg = consensus.ConsensusConfig(max_tn=20, n_ca=5)
-    assert cfg.th_ca == 4
-    with pytest.raises(ConsensusError):
-        consensus.ConsensusConfig(t_bis_s=6.0, t_blk_s=5.0)
+def _ordering_state():
+    state = OrderingState(next_block_id=20)
+    state.receive_nbr(NbrMessage(1, 111, 1))
+    state.window_close()
+    state.receive_nbr(NbrMessage(2, 222, 2))
+    return state
 
 
-_DECODERS = (NbrMessage.decode, consensus.AssignMessage.decode, OrderingState.decode,
-             consensus.BlockAckMessage.decode, consensus.BlockErrorMessage.decode,
-             consensus.VoidMessage.decode)
+# one valid encoding for each message decoder
+_VALID_ENCODINGS = (
+    (NbrMessage.decode, NbrMessage(4, 123456, 2).encode()),
+    (consensus.AssignMessage.decode,
+     consensus.AssignMessage((Assignment(44, 1), Assignment(45, 2))).encode()),
+    (OrderingState.decode, _ordering_state().encode()),
+    (consensus.BlockAckMessage.decode, consensus.BlockAckMessage(44, 9).encode()),
+    (consensus.BlockErrorMessage.decode, consensus.BlockErrorMessage(44, 9, 3).encode()),
+    (consensus.VoidMessage.decode, consensus.VoidMessage(45).encode()),
+)
+_DECODERS = tuple(decode for decode, _ in _VALID_ENCODINGS)
 
 
 def test_decoders_reject_short_input_with_consensus_error():
@@ -369,10 +339,15 @@ def test_decoders_reject_short_input_with_consensus_error():
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.binary(max_size=64))
-def test_decoders_raise_only_consensus_error(data):
+@given(st.binary(max_size=64), st.integers(0, 255))
+def test_decoders_raise_only_consensus_error(data, extra):
     for decode in _DECODERS:
         try:
             decode(data)
         except ConsensusError:
             pass
+    # the formats are canonical: a valid encoding plus one byte is rejected
+    for decode, encoding in _VALID_ENCODINGS:
+        decode(encoding)
+        with pytest.raises(ConsensusError):
+            decode(encoding + bytes([extra]))

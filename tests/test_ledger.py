@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from proactlab import crypto, txbuild, wire
+from proactlab import crypto, wire
 from proactlab.ledger import (
     AccessDecision,
     BraPolicy,
@@ -369,7 +369,7 @@ def test_block_facts_equal_a_fresh_recomputation(registry):
     block = _block(registry, 6, wire.ZERO_HASH, txs)
     assert block.encoded_size == wire.encoded_block_size(block) \
         == len(wire.encode_block(block))
-    assert block.tx_overheads == tuple(txbuild.transaction_overhead(tx) for tx in txs)
+    assert block.tx_overheads == tuple(wire.tx_overhead(tx) for tx in txs)
     ta_owners = {o for entry in block.header.ta_list for o in entry.owners}
     assert set(block.owner_index) == ta_owners
     for owner, indices in block.owner_index.items():
@@ -387,7 +387,7 @@ def test_tampered_copy_derives_its_own_facts(registry):
     tampered = dataclasses.replace(block, transactions=(forged_tx,))
     assert tampered.encoded_size == wire.encoded_block_size(tampered) \
         != block.encoded_size
-    assert tampered.tx_overheads == (txbuild.transaction_overhead(forged_tx),)
+    assert tampered.tx_overheads == (wire.tx_overhead(forged_tx),)
     assert set(tampered.owner_index) == {helpers.DRONE_B}
     assert tampered.tx_locations == {forged_tx.key(): (7, 0)}
     # the cache does not take part in equality or hashing

@@ -125,7 +125,7 @@ def test_placement_rejects_oversized_disc():
                        sensing_range_m=300, rng=random.Random(0))
 
 
-def test_ground_truth_observation_and_dump():
+def test_ground_truth_observation():
     rng = random.Random(1)
     topo = place_topology(n_ca=1, gcs_per_ca=1, tgcs_per_ca=1, uavn_per_gcs=1,
                           uav_per_uavn=3, gcs_range_m=1000, disc_radius_m=100,
@@ -135,9 +135,6 @@ def test_ground_truth_observation_and_dump():
     site = truth.sites[0]
     assert site.site_id in truth.observed_from(site.x, site.y)
     assert truth.observed_from(site.x + 10_000, site.y) == ()
-    assert truth.is_real(site.site_id) and not truth.is_real(999_999)
-    dump = truth.dump()
-    assert f"site id={site.site_id}" in dump
 
 
 # --- energy ---
@@ -522,9 +519,7 @@ def test_fetch_unknown_network_wide_not_found():
 def test_small_run_conserves_and_chains(registry):
     cfg = default_config(**{**TINY, "malicious_fraction": 0.25, "seed": 11})
     world = build_world(cfg)
-    for node_id in sorted(world.agents):
-        world.agents[node_id].start()
-    world.sim.run(horizon_us=world.sim_end_us + to_us(cfg.drain_limit_s))
+    world.run()
     metrics = world.metrics
     counters = metrics.counters
     settled = (counters["txs_committed"] + counters["txs_rejected_invalid"]
@@ -634,9 +629,7 @@ def test_void_recovery_after_transient_miner_failure():
         original(self)
 
     victim._try_finalize = muted.__get__(victim)
-    for node_id in sorted(world.agents):
-        world.agents[node_id].start()
-    world.sim.run(horizon_us=world.sim_end_us + to_us(cfg.drain_limit_s))
+    world.run()
 
     assert world.metrics.counters["blocks_voided"] >= 1
     counters = world.metrics.counters

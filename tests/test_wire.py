@@ -12,8 +12,6 @@ from proactlab.wire import (
     Block,
     BlockHeader,
     BlockTarget,
-    NodeId,
-    Role,
     TAEntry,
     WireError,
 )
@@ -191,24 +189,6 @@ def test_block_hash_deterministic_and_sensitive(registry, sim_backend):
     assert wire.block_hash(bytes(flipped)) != digest
 
 
-def test_node_id_invariants():
-    NodeId(1, Role.CA)
-    NodeId(2, Role.UAV, owner_real_id="ssn-1")
-    with pytest.raises(WireError):
-        NodeId(3, Role.UAV)  # drones must link to a real owner id
-    with pytest.raises(WireError):
-        NodeId(2**32, Role.GCS)
-
-
-def test_dump_renders_name_value_lines(registry, sim_backend):
-    tx = helpers.make_t1_command(registry, sim_backend)
-    text = wire.dump_transaction(tx)
-    assert "creator=10" in text and "enc_par=key_bits=64" in text
-    block = wire.build_block(5, BlockTarget.BLOCK_T1, helpers.GCS_ID, 0,
-                             wire.ZERO_HASH, [tx], sim_backend.digest224)
-    assert "block_id=5" in wire.dump_block(block)
-
-
 _payloads = st.binary(min_size=1, max_size=300)
 
 
@@ -246,6 +226,13 @@ def test_round_trip_and_size_arithmetic_property(tx):
     assert len(encoded) == field_sum_size(len(tx.owners), len(tx.enc_par),
                                           len(tx.hash_par), payload_wire,
                                           len(tx.signature))
+
+
+def test_encoded_size_counts_utf8_bytes_of_metadata(registry, sim_backend):
+    tx = helpers.make_t1_command(registry, sim_backend)
+    for changes in ({"hash_par": tx.hash_par + "\u00e9"}, {"enc_par": tx.enc_par + "\u20ac"}):
+        altered = dataclasses.replace(tx, **changes)
+        assert wire.encoded_tx_size(altered) == len(wire.encode_transaction(altered))
 
 
 def test_decode_rejects_non_utf8_metadata(registry, sim_backend):
