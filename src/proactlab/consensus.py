@@ -13,11 +13,14 @@ import random
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from . import ledger, wire
 from .crypto import HashBackend
 from .wire import Block, BlockHeader, BlockTarget, TAEntry, Transaction
+
+
+V = TypeVar("V")
 
 
 class ConsensusError(Exception):
@@ -128,13 +131,18 @@ class Tally:
         return commit_check(len(self.acks), len(self.errors), n_tgcs)
 
 
-def renumber_tallies(tallies: Dict[int, Tally], voided_id: int) -> Dict[int, Tally]:
-    """The tallies after a void: each uncommitted tally above the voided id
-    moves down one id, as the orderer renumbers the surviving assignments."""
-    renumbered = dict(tallies)
-    for block_id in sorted(tallies):
-        if block_id > voided_id and not tallies[block_id].committed:
-            renumbered[block_id - 1] = renumbered.pop(block_id)
+def renumber_after_void(entries: Dict[int, V], voided_id: int,
+                        stays: Optional[Callable[[V], bool]] = None) -> Dict[int, V]:
+    """The one void rule: the entry at the voided id is dropped and every
+    entry above it moves down one id, except those ``stays`` keeps in place.
+    The orderer, the miners and every tally apply it alike."""
+    renumbered: Dict[int, V] = {}
+    for block_id in sorted(entries):
+        entry = entries[block_id]
+        if block_id < voided_id or (stays is not None and stays(entry)):
+            renumbered[block_id] = entry
+        elif block_id > voided_id:
+            renumbered[block_id - 1] = entry
     return renumbered
 
 
@@ -213,21 +221,14 @@ class OrderingState:
         if block_id > self.committed_watermark:
             self.committed_watermark = block_id
 
-    def apply_void(self, block_id: int) -> Optional[Dict[int, int]]:
-        """Drop a timed-out assignment and renumber everything above it.
-
-        Returns the old→new id mapping for the surviving assignments, or
-        None when the void is ignored (unknown or already-committed id).
-        All parties apply the same deterministic renumbering.
-        """
+    def apply_void(self, block_id: int) -> bool:
+        """Drop a timed-out assignment and renumber everything above it;
+        False when the void is ignored (unknown or already-committed id)."""
         if block_id <= self.committed_watermark or block_id not in self.assignments:
-            return None
-        del self.assignments[block_id]
-        renumber = {old: old - 1 for old in sorted(self.assignments) if old > block_id}
-        self.assignments = {renumber.get(old, old): tgcs
-                            for old, tgcs in self.assignments.items()}
+            return False
+        self.assignments = renumber_after_void(self.assignments, block_id)
         self.next_block_id -= 1
-        return renumber
+        return True
 
     # Handoff serialization: next_id(8) watermark(8, signed) sequential(1)
     # pending_count(2) [tgcs(4) ts(8) remaining(1)]* assign_count(2)
@@ -270,12 +271,6 @@ class BlockState(Enum):
     AWAITING_ID = "awaiting_id"
     AWAITING_PREDECESSOR = "awaiting_predecessor"
     BROADCAST = "broadcast"
-    COMMITTED = "committed"
-    VOIDED = "voided"
-
-
-_STATE_ORDER = [BlockState.AWAITING_ID, BlockState.AWAITING_PREDECESSOR,
-                BlockState.BROADCAST, BlockState.COMMITTED, BlockState.VOIDED]
 
 
 @dataclass
@@ -291,17 +286,11 @@ class PendingBlock:
     state: BlockState = BlockState.AWAITING_ID
     block_id: Optional[int] = None
 
-    def advance(self, new_state: BlockState) -> None:
-        if _STATE_ORDER.index(new_state) < _STATE_ORDER.index(self.state):
-            raise ConsensusError(
-                f"pending block cannot move {self.state.value} -> {new_state.value}")
-        self.state = new_state
-
     def assign_id(self, block_id: int) -> None:
         if self.state is not BlockState.AWAITING_ID:
             raise ConsensusError("block already has an id")
         self.block_id = block_id
-        self.advance(BlockState.AWAITING_PREDECESSOR)
+        self.state = BlockState.AWAITING_PREDECESSOR
 
 
 def miner_assemble(miner: int, transactions: Sequence[Transaction], now_us: int,
@@ -334,7 +323,7 @@ def miner_finalize(pending: PendingBlock, predecessor: Block,
     header = BlockHeader(wire.WIRE_VERSION, pending.block_id, pending.block_type,
                          pending.miner, pending.assembled_at_us, prev_hash,
                          pending.merkle_root, pending.ta_list)
-    pending.advance(BlockState.BROADCAST)
+    pending.state = BlockState.BROADCAST
     return Block(header, pending.transactions)
 
 

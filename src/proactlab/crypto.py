@@ -23,15 +23,11 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 
 class CryptoError(Exception):
     """Base class for crypto-layer failures."""
-
-
-class AccessDeniedError(CryptoError):
-    """Caller lacks possession of the key needed to open a payload."""
 
 
 class TamperedError(CryptoError):
@@ -104,7 +100,6 @@ class Spongent:
 
     def __init__(self, variant: HashVariant, sbox: Sequence[int] = SBOX):
         bits, rate, digest_bits, rounds, lw, lt, ls = _SPONGENT_PARAMS[variant]
-        self.variant = variant
         self.state_bytes = bits // 8
         self.rate_bytes = rate // 8
         self.digest_bytes = digest_bits // 8
@@ -349,10 +344,6 @@ def open_sealed(suite: CryptoSuite, recipient_public: bytes, sealed: bytes,
     return bytes(c ^ s for c, s in zip(ciphertext, stream))
 
 
-def sealed_len(suite: CryptoSuite, plaintext_len: int) -> int:
-    return NONCE_LEN + plaintext_len + suite.tag_len
-
-
 def _keystream(public: bytes, nonce: bytes, length: int, digest224: DigestFn) -> bytes:
     out = bytearray()
     counter = 0
@@ -362,7 +353,6 @@ def _keystream(public: bytes, nonce: bytes, length: int, digest224: DigestFn) ->
     return bytes(out[:length])
 
 
-PUBLIC_KEY_LEN = 28
 PRIVATE_SEED_LEN = 32
 
 
@@ -381,12 +371,11 @@ class GroupKey:
 
 
 class KeyRegistry:
-    """Key pairs plus the possession lists that gate open().
+    """Key pairs plus the possession lists that say who may open a payload.
 
     A single-owner payload is openable only by its owner and a CA; a group
     payload only by the group's members and a CA.  Attacker capability is a
-    simulation parameter: agents without possession simply may not invoke
-    open_for().
+    simulation parameter: an agent without possession never opens.
     """
 
     def __init__(self, digest224: DigestFn = spongent224, key_seed: bytes = b""):
@@ -429,9 +418,6 @@ class KeyRegistry:
         except KeyError:
             raise CryptoError(f"node {node_id} has no registered key") from None
 
-    def key_pair(self, node_id: int) -> KeyPair:
-        return self._nodes[node_id]
-
     def group_keygen(self, ca_id: int, members: Iterable[int]) -> GroupKey:
         """CA-issued group key pair; every member and the CA may open."""
         member_set = frozenset(members)
@@ -448,9 +434,6 @@ class KeyRegistry:
         self._groups[member_set] = group
         return group
 
-    def group_key(self, members: Iterable[int]) -> Optional[GroupKey]:
-        return self._groups.get(frozenset(members))
-
     def sealing_key(self, owners: Sequence[int]) -> KeyPair:
         """Key pair a creator seals to: the owner's for single ownership,
         the group's for shared ownership."""
@@ -465,12 +448,3 @@ class KeyRegistry:
         if not owners:
             return True  # public payloads are not sealed
         return agent_id in owners or agent_id in self._cas
-
-    def open_for(self, agent_id: int, suite: CryptoSuite, owners: Sequence[int],
-                 sealed: bytes) -> bytes:
-        if not self.may_open(agent_id, owners):
-            raise AccessDeniedError(
-                f"node {agent_id} lacks possession of the key for owners {sorted(owners)}"
-            )
-        return open_sealed(suite, self.sealing_key(tuple(owners)).public_key,
-                           sealed, self._digest224)

@@ -39,8 +39,8 @@ CHECK_ORDER = (
 
 def validate_block(expected_id: int, tip_digest: bytes, block: Block,
                    registry: KeyRegistry, backend: HashBackend,
-                   seen_tx: Optional[Callable[[Tuple[int, int]], bool]] = None,
-                   verify_signatures: bool = True) -> List[ValidationIssue]:
+                   seen_tx: Optional[Callable[[Tuple[int, int]], bool]] = None
+                   ) -> List[ValidationIssue]:
     """Run the full acceptance checklist for a candidate successor block.
 
     Returns an empty list when the block is valid; otherwise one issue per
@@ -61,13 +61,12 @@ def validate_block(expected_id: int, tip_digest: bytes, block: Block,
     except WireError as exc:
         issues.append(ValidationIssue("merkle_root", f"body unencodable: {exc}"))
 
-    if verify_signatures:
-        for i, tx in enumerate(block.transactions):
-            if not registry.has_node(tx.creator):
-                issues.append(ValidationIssue(
-                    "signature", f"tx {i}: unknown creator {tx.creator}"))
-            elif not txbuild.verify_transaction(tx, registry, backend):
-                issues.append(ValidationIssue("signature", f"tx {i}: bad signature"))
+    for i, tx in enumerate(block.transactions):
+        if not registry.has_node(tx.creator):
+            issues.append(ValidationIssue(
+                "signature", f"tx {i}: unknown creator {tx.creator}"))
+        elif not txbuild.verify_transaction(tx, registry, backend):
+            issues.append(ValidationIssue("signature", f"tx {i}: bad signature"))
 
     differing = wire.ta_mismatches(header, block.transactions)
     if differing is None:
@@ -109,10 +108,6 @@ class FullLedger:
     def next_block_id(self) -> int:
         return len(self.blocks)
 
-    @property
-    def tip_id(self) -> Optional[int]:
-        return self.blocks[-1].block_id if self.blocks else None
-
     def append_block(self, block: Block) -> None:
         expected = self.next_block_id
         if block.block_id < expected:
@@ -127,7 +122,7 @@ class FullLedger:
     def has_tx(self, key: Tuple[int, int]) -> bool:
         return key in self._tx_index
 
-    def get_tx(self, key: Tuple[int, int]) -> Optional[Transaction]:
+    def find_transaction(self, key: Tuple[int, int]) -> Optional[Transaction]:
         loc = self._tx_index.get(key)
         if loc is None:
             return None
@@ -147,33 +142,6 @@ class FullLedger:
                 raise LedgerError("merkle_root", f"bad root at block {expected_id}")
             digest = wire.block_hash(wire.encode_header(block.header),
                                      self._backend.digest224)
-
-    def export_file(self, path) -> None:
-        with open(path, "wb") as handle:
-            for block in self.blocks:
-                handle.write(wire.encode_block(block))
-
-    @classmethod
-    def import_file(cls, path, backend: HashBackend,
-                    registry: Optional[KeyRegistry] = None) -> "FullLedger":
-        """Load a chain file, validating structure (and signatures when a
-        registry is supplied)."""
-        ledger = cls(backend)
-        with open(path, "rb") as handle:
-            data = handle.read()
-        offset = 0
-        while offset < len(data):
-            block, consumed = wire.decode_block_prefix(data[offset:])
-            offset += consumed
-            expected = ledger.next_block_id
-            issues = validate_block(expected, ledger.tip_digest, block,
-                                    registry, backend, seen_tx=ledger.has_tx,
-                                    verify_signatures=registry is not None)
-            if issues:
-                raise LedgerError(issues[0].code,
-                                  f"import failed at block {expected}: {issues[0].detail}")
-            ledger.append_block(block)
-        return ledger
 
 
 class Verdict(Enum):
@@ -217,6 +185,15 @@ def sign_access_request(requester: int, creator: int, tx_seq: int,
                        backend.digest224)
 
 
+def request_is_genuine(requester: int, creator: int, tx_seq: int, signature: bytes,
+                       registry: KeyRegistry, backend: HashBackend) -> bool:
+    """Whether a registered requester signed this access request."""
+    digest = backend.digest224(access_request_bytes(requester, creator, tx_seq))
+    return registry.has_node(requester) and crypto.verify(
+        crypto.SUITE_S1, registry.public_key(requester), digest,
+        signature, backend.digest224)
+
+
 def check_access(requester: int, request_signature: bytes, tx: Transaction,
                  registry: KeyRegistry, backend: HashBackend) -> AccessDecision:
     """Access-control decision for one transaction request.
@@ -224,11 +201,8 @@ def check_access(requester: int, request_signature: bytes, tx: Transaction,
     The request signature is verified before any disclosure; a denial
     always carries a security-incident draft naming the requester.
     """
-    digest = backend.digest224(access_request_bytes(requester, tx.creator, tx.tx_seq))
-    genuine = registry.has_node(requester) and crypto.verify(
-        crypto.SUITE_S1, registry.public_key(requester), digest,
-        request_signature, backend.digest224)
-    if not genuine:
+    if not request_is_genuine(requester, tx.creator, tx.tx_seq, request_signature,
+                              registry, backend):
         return AccessDecision(Verdict.DENY, IncidentDraft(requester, "forgery", tx.key()))
     if (tx.access_class is AccessClass.PUBLIC or requester in tx.owners
             or registry.is_ca(requester)):
@@ -352,5 +326,3 @@ class DroneLedger:
             return None
         return self.blocks[index].transactions[loc[1]]
 
-    def block_ids(self) -> List[int]:
-        return list(self._ids)

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from operator import attrgetter
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import consensus, crypto, ledger, txbuild, wire
 from ..consensus import (
@@ -26,11 +27,12 @@ from ..consensus import (
     VoidMessage,
     miner_assemble,
     miner_finalize,
-    renumber_tallies,
+    renumber_after_void,
     rotate_bo,
 )
 from ..crypto import SUITE_S1
-from ..ledger import BraPolicy, DroneLedger, FullLedger, Verdict, check_access
+from ..ledger import (BraPolicy, DroneLedger, FullLedger, IncidentDraft, Verdict,
+                      check_access)
 from ..wire import AccessClass, Block, BlockTarget, Transaction
 
 from .energy import EnergyCoefficients, EnergyState
@@ -38,6 +40,8 @@ from .engine import to_us
 from .netmodel import Link, next_leg
 
 TxKey = Tuple[int, int]
+
+_committed = attrgetter("committed")  # committed tallies keep their id on a void
 
 
 @dataclass
@@ -84,6 +88,22 @@ def report_payload(drone_id: int, x: float, y: float, claims: Sequence[int],
     return prefix + bytes(size - len(prefix))
 
 
+FetchReply = Tuple[FetchResponse, int, Optional[IncidentDraft]]
+
+
+def answer_fetch(request: FetchRequest, tx: Optional[Transaction],
+                 registry: crypto.KeyRegistry, backend: crypto.HashBackend) -> FetchReply:
+    """The reply to a keyed fetch for the transaction held under its key
+    (None when none is): the response, its size, and the incident a denial
+    raises.  What to do with the incident is the server's choice."""
+    if tx is None:
+        return FetchResponse(request.key, None, "not-found"), 64, None
+    decision = check_access(request.requester, request.signature, tx, registry, backend)
+    if decision.verdict is Verdict.ALLOW:
+        return FetchResponse(tx.key(), tx, "ok"), wire.encoded_tx_size(tx), None
+    return FetchResponse(tx.key(), None, "denied"), 64, decision.incident
+
+
 class World:
     """Shared wiring: engine, links, topology, registry, metrics, rng streams."""
 
@@ -119,6 +139,18 @@ class World:
         for node_id in sorted(self.agents):
             self.agents[node_id].start()
         self.sim.run(horizon_us=self.sim_end_us + to_us(self.cfg.drain_limit_s))
+
+    def every(self, first_s: float, interval_s: float, action: Callable[[], None],
+              alive: Optional[Callable[[], bool]] = None) -> None:
+        """Run ``action`` after ``first_s`` and then every ``interval_s``,
+        until the workload closes or ``alive`` turns false."""
+        def tick() -> None:
+            if not self.workload_open() or (alive is not None and not alive()):
+                return
+            action()
+            self.sim.schedule_in(to_us(interval_s), tick)
+
+        self.sim.schedule_in(to_us(first_s), tick)
 
     def is_drone(self, node_id: int) -> bool:
         return node_id in self.topo.drone_uavn
@@ -266,10 +298,32 @@ class World:
             self.send(src, self.acting_bo(), kind, payload, size)
 
 
-class DroneAgent:
-    def __init__(self, world: World, drone_id: int):
+class Agent:
+    """What every agent has: the world, its node id, and the sequence
+    number of the last transaction it created."""
+
+    def __init__(self, world: World, node_id: int):
         self.w = world
-        self.id = drone_id
+        self.id = node_id
+        self.seq = 0
+
+    def new_tx(self, suite: crypto.CryptoSuite, access_class: AccessClass,
+               owners: Sequence[int], target: BlockTarget,
+               plaintext: bytes) -> Transaction:
+        """This node's next transaction, stamped now and counted as generated."""
+        self.seq += 1
+        now = self.w.sim.now_us
+        tx = txbuild.build_transaction(
+            creator=self.id, tx_seq=self.seq, created_at_us=now, suite=suite,
+            access_class=access_class, owners=owners, block_target=target,
+            plaintext=plaintext, registry=self.w.registry, backend=self.w.backend)
+        self.w.metrics.tx_generated(tx.key(), now)
+        return tx
+
+
+class DroneAgent(Agent):
+    def __init__(self, world: World, drone_id: int):
+        super().__init__(world, drone_id)
         cfg = world.cfg
         self.uavn_id = world.topo.drone_uavn[drone_id]
         self.gcs_id = world.topo.gcs_of_drone(drone_id)
@@ -277,7 +331,6 @@ class DroneAgent:
         self.ledger = DroneLedger(drone_id, cfg.drone_capacity_bytes,
                                   BraPolicy(cfg.bra_policy))
         self.energy = world.energy_for_drone()
-        self.seq = 0
         self.known_refs: List[TxKey] = []
         self._known_set: Set[TxKey] = set()
 
@@ -285,21 +338,21 @@ class DroneAgent:
     def suite(self) -> crypto.CryptoSuite:
         return self.w.suite_for_uavn(self.uavn_id)
 
-    def _next_seq(self) -> int:
-        self.seq += 1
-        return self.seq
-
     def start(self) -> None:
-        cfg, sim = self.w.cfg, self.w.sim
+        cfg, every = self.w.cfg, self.w.every
         rng = self.w.rngs["workload"]
-        sim.schedule_in(to_us(rng.uniform(0, cfg.t3_interval_s)), self._t3_tick)
+
+        def alive() -> bool:
+            return self.energy.active
+
+        every(rng.uniform(0, cfg.t3_interval_s), cfg.t3_interval_s,
+              self._send_report, alive)
         if self.malicious:
-            atk = self.w.rngs["attack"]
-            sim.schedule_in(to_us(atk.uniform(0, cfg.attack_interval_s)),
-                            self._attack_tick)
+            every(self.w.rngs["attack"].uniform(0, cfg.attack_interval_s),
+                  cfg.attack_interval_s, self._attack, alive)
         if cfg.fetch_interval_s > 0:
-            sim.schedule_in(to_us(rng.uniform(0, cfg.fetch_interval_s)),
-                            self._fetch_tick)
+            every(rng.uniform(0, cfg.fetch_interval_s), cfg.fetch_interval_s,
+                  self._fetch_known, alive)
         self._movement_tick()
 
     # --- movement ---
@@ -315,13 +368,7 @@ class DroneAgent:
 
     # --- data reports ---
 
-    def _t3_tick(self) -> None:
-        if not self.w.workload_open() or not self.energy.active:
-            return
-        self._send_report(fabricated=None, attack_id=None)
-        self.w.sim.schedule_in(to_us(self.w.cfg.t3_interval_s), self._t3_tick)
-
-    def _send_report(self, fabricated, attack_id) -> None:
+    def _send_report(self, fabricated=None, attack_id=None) -> None:
         cfg = self.w.cfg
         now = self.w.sim.now_us
         x, y = self.w.topo.position(self.id, now)
@@ -329,22 +376,15 @@ class DroneAgent:
         if fabricated is not None:
             claims.append(fabricated[0])
         payload = report_payload(self.id, x, y, claims, cfg.data_tx_size)
-        tx = txbuild.build_transaction(
-            creator=self.id, tx_seq=self._next_seq(), created_at_us=now,
-            suite=SUITE_S1, access_class=AccessClass.PUBLIC, owners=(),
-            block_target=BlockTarget.BLOCK_T2, plaintext=payload,
-            registry=self.w.registry, backend=self.w.backend)
+        tx = self.new_tx(SUITE_S1, AccessClass.PUBLIC, (), BlockTarget.BLOCK_T2, payload)
         self.energy.account_crypto(SUITE_S1, wire.encoded_tx_size(tx), now)
-        self.w.metrics.tx_generated(tx.key(), now)
         meta = {"report": ReportMeta(x, y, tuple(claims), fabricated, attack_id)}
         self.w.send(self.id, self.gcs_id, "tx", tx, wire.encoded_tx_size(tx),
                     meta=meta, on_expired=lambda: self.w.metrics.tx_dropped(tx.key()))
 
     # --- attacks ---
 
-    def _attack_tick(self) -> None:
-        if not self.w.workload_open() or not self.energy.active:
-            return
+    def _attack(self) -> None:
         rng = self.w.rngs["attack"]
         peers = self.w.topo.peers_of_drone(self.id)
         if rng.random() < 0.5 and peers:
@@ -362,18 +402,12 @@ class DroneAgent:
             x, y = self.w.topo.position(self.id, now)
             fabricated = (1_000_000 + attack_id, x, y)
             self._send_report(fabricated=fabricated, attack_id=attack_id)
-        self.w.sim.schedule_in(to_us(self.w.cfg.attack_interval_s), self._attack_tick)
 
     # --- stored-chain workload ---
 
-    def _fetch_tick(self) -> None:
-        if not self.w.workload_open() or not self.energy.active:
-            return
-        rng = self.w.rngs["fetch"]
+    def _fetch_known(self) -> None:
         if self.known_refs:
-            key = rng.choice(self.known_refs)
-            self.fetch_transaction(key)
-        self.w.sim.schedule_in(to_us(self.w.cfg.fetch_interval_s), self._fetch_tick)
+            self.fetch_transaction(self.w.rngs["fetch"].choice(self.known_refs))
 
     def fetch_transaction(self, key: TxKey) -> None:
         """Serve locally when stored; otherwise ask an in-range neighbor that
@@ -430,48 +464,30 @@ class DroneAgent:
     def _serve_fetch(self, packet: Packet) -> None:
         request: FetchRequest = packet.payload
         if request.key is None:
-            self._serve_private_probe(packet, request)
-            return
-        tx = self.ledger.find_transaction(request.key)
-        if tx is None:
-            self._respond_fetch(packet.src, FetchResponse(request.key, None, "not-found"))
-            return
-        decision = check_access(request.requester, request.signature, tx,
-                                self.w.registry, self.w.backend)
-        if decision.verdict is Verdict.ALLOW:
-            self._respond_fetch(packet.src,
-                                FetchResponse(tx.key(), tx, "ok"),
-                                size=wire.encoded_tx_size(tx))
+            response, size, incident = self._answer_probe(request)
         else:
-            if not self.malicious:
-                self._emit_incident(decision.incident, request.attack_id)
-            self._respond_fetch(packet.src, FetchResponse(tx.key(), None, "denied"))
+            response, size, incident = answer_fetch(
+                request, self.ledger.find_transaction(request.key),
+                self.w.registry, self.w.backend)
+        if incident is not None and not self.malicious:
+            self._emit_incident(incident, request.attack_id)
+        self.w.send(self.id, packet.src, "fetch-resp", response, size)
 
-    def _serve_private_probe(self, packet: Packet, request: FetchRequest) -> None:
+    def _answer_probe(self, request: FetchRequest) -> FetchReply:
         """A keyless request asks for this drone's private data; the access
         decision follows ownership, not whether a matching transaction
         happens to be stored right now."""
-        registry, backend = self.w.registry, self.w.backend
-        digest = backend.digest224(
-            ledger.access_request_bytes(request.requester, 0, 0))
-        genuine = registry.has_node(request.requester) and crypto.verify(
-            crypto.SUITE_S1, registry.public_key(request.requester), digest,
-            request.signature, backend.digest224)
-        allowed = genuine and (request.requester == self.id
-                               or registry.is_ca(request.requester))
-        if allowed:
+        registry = self.w.registry
+        genuine = ledger.request_is_genuine(request.requester, 0, 0, request.signature,
+                                            registry, self.w.backend)
+        if genuine and (request.requester == self.id or registry.is_ca(request.requester)):
             tx = self._newest_private_tx()
             if tx is None:
-                self._respond_fetch(packet.src, FetchResponse(None, None, "not-found"))
-            else:
-                self._respond_fetch(packet.src, FetchResponse(tx.key(), tx, "ok"),
-                                    size=wire.encoded_tx_size(tx))
-            return
+                return FetchResponse(None, None, "not-found"), 64, None
+            return FetchResponse(tx.key(), tx, "ok"), wire.encoded_tx_size(tx), None
         reason = "unauthorized-access" if genuine else "forgery"
-        incident = ledger.IncidentDraft(request.requester, reason, (self.id, 0))
-        if not self.malicious:
-            self._emit_incident(incident, request.attack_id)
-        self._respond_fetch(packet.src, FetchResponse(None, None, "denied"))
+        return (FetchResponse(None, None, "denied"), 64,
+                IncidentDraft(request.requester, reason, (self.id, 0)))
 
     def _newest_private_tx(self) -> Optional[Transaction]:
         newest: Optional[Transaction] = None
@@ -483,23 +499,13 @@ class DroneAgent:
                         newest = tx
         return newest
 
-    def _respond_fetch(self, dst: int, response: FetchResponse, size: int = 64) -> None:
-        self.w.send(self.id, dst, "fetch-resp", response, size)
-
-    def _emit_incident(self, incident: ledger.IncidentDraft,
-                       attack_id: Optional[int]) -> None:
+    def _emit_incident(self, incident: IncidentDraft, attack_id: Optional[int]) -> None:
         """Security-incident transaction sealed to this drone's station."""
-        cfg = self.w.cfg
-        now = self.w.sim.now_us
         body = incident.payload()
-        plaintext = body + bytes(max(0, cfg.t4_payload_bytes - len(body)))
-        tx = txbuild.build_transaction(
-            creator=self.id, tx_seq=self._next_seq(), created_at_us=now,
-            suite=self.suite, access_class=AccessClass.SINGLE,
-            owners=(self.gcs_id,), block_target=BlockTarget.BLOCK_T1,
-            plaintext=plaintext, registry=self.w.registry, backend=self.w.backend)
-        self.energy.account_crypto(self.suite, wire.encoded_tx_size(tx), now)
-        self.w.metrics.tx_generated(tx.key(), now)
+        plaintext = body + bytes(max(0, self.w.cfg.t4_payload_bytes - len(body)))
+        tx = self.new_tx(self.suite, AccessClass.SINGLE, (self.gcs_id,),
+                         BlockTarget.BLOCK_T1, plaintext)
+        self.energy.account_crypto(self.suite, wire.encoded_tx_size(tx), self.w.sim.now_us)
         self.w.send(self.id, self.gcs_id, "tx", tx, wire.encoded_tx_size(tx),
                     meta={"incident_attack_id": attack_id},
                     on_expired=lambda: self.w.metrics.tx_dropped(tx.key()))
@@ -515,52 +521,36 @@ class ReportRecord:
     legit: bool
 
 
-class GcsAgent:
+class GcsAgent(Agent):
     def __init__(self, world: World, gcs_id: int):
-        self.w = world
-        self.id = gcs_id
+        super().__init__(world, gcs_id)
         self.ca_id = world.topo.gcs_ca[gcs_id]
         self.ledger = FullLedger(world.backend)
-        self.seq = 0
         self.recent_reports: Deque[ReportRecord] = deque()  # ascending arrived_us
         self._buffered: Dict[int, Block] = {}
 
-    def _next_seq(self) -> int:
-        self.seq += 1
-        return self.seq
-
     def start(self) -> None:
-        cfg, sim = self.w.cfg, self.w.sim
+        cfg = self.w.cfg
         rng = self.w.rngs["workload"]
-        sim.schedule_in(to_us(rng.uniform(0, cfg.t1_interval_s)), self._t1_tick)
-        sim.schedule_in(to_us(rng.uniform(0, cfg.t2_interval_s)), self._t2_tick)
+        self.w.every(rng.uniform(0, cfg.t1_interval_s), cfg.t1_interval_s,
+                     self._command_drones)
+        self.w.every(rng.uniform(0, cfg.t2_interval_s), cfg.t2_interval_s,
+                     self._command_group)
 
     # --- workload generation ---
 
-    def _t1_tick(self) -> None:
-        if not self.w.workload_open():
-            return
-        now = self.w.sim.now_us
+    def _command_drones(self) -> None:
         for drone in self.w.topo.drones_of_gcs(self.id):
             if not self.w.agents[drone].energy.active:
                 continue
             suite = self.w.suite_for_uavn(self.w.topo.drone_uavn[drone])
-            tx = txbuild.build_transaction(
-                creator=self.id, tx_seq=self._next_seq(), created_at_us=now,
-                suite=suite, access_class=AccessClass.SINGLE, owners=(drone,),
-                block_target=BlockTarget.BLOCK_T1,
-                plaintext=bytes(self.w.cfg.command_payload_bytes),
-                registry=self.w.registry, backend=self.w.backend)
-            self.w.metrics.tx_generated(tx.key(), now)
-            self.intake_tx(tx)
-        self.w.sim.schedule_in(to_us(self.w.cfg.t1_interval_s), self._t1_tick)
+            self.intake_tx(self.new_tx(suite, AccessClass.SINGLE, (drone,),
+                                       BlockTarget.BLOCK_T1,
+                                       bytes(self.w.cfg.command_payload_bytes)))
 
-    def _t2_tick(self) -> None:
-        if not self.w.workload_open():
-            return
+    def _command_group(self) -> None:
         cfg = self.w.cfg
         rng = self.w.rngs["groups"]
-        now = self.w.sim.now_us
         my_uavns = [u for u in self.w.topo.uavns if u.gcs_id == self.id]
         if my_uavns:
             uavn = rng.choice(my_uavns)
@@ -569,15 +559,9 @@ class GcsAgent:
                 members = tuple(sorted(rng.sample(uavn.drone_ids, size)))
                 self.w.registry.group_keygen(self.ca_id, members)
                 suite = self.w.suite_for_uavn(uavn.uavn_id)
-                tx = txbuild.build_transaction(
-                    creator=self.id, tx_seq=self._next_seq(), created_at_us=now,
-                    suite=suite, access_class=AccessClass.GROUP, owners=members,
-                    block_target=BlockTarget.BLOCK_T1,
-                    plaintext=bytes(cfg.command_payload_bytes),
-                    registry=self.w.registry, backend=self.w.backend)
-                self.w.metrics.tx_generated(tx.key(), now)
-                self.intake_tx(tx)
-        self.w.sim.schedule_in(to_us(cfg.t2_interval_s), self._t2_tick)
+                self.intake_tx(self.new_tx(suite, AccessClass.GROUP, members,
+                                           BlockTarget.BLOCK_T1,
+                                           bytes(cfg.command_payload_bytes)))
 
     # --- transaction intake and detection ---
 
@@ -647,20 +631,11 @@ class GcsAgent:
         return False
 
     def _serve_fetch(self, packet: Packet) -> None:
+        """Stations answer from the full chain and raise no incident on a denial."""
         request: FetchRequest = packet.payload
-        if request.key is None or not self.ledger.has_tx(request.key):
-            self.w.send(self.id, packet.src, "fetch-resp",
-                        FetchResponse(request.key, None, "not-found"), 64)
-            return
-        tx = self.ledger.get_tx(request.key)
-        decision = check_access(request.requester, request.signature, tx,
-                                self.w.registry, self.w.backend)
-        if decision.verdict is Verdict.ALLOW:
-            self.w.send(self.id, packet.src, "fetch-resp",
-                        FetchResponse(tx.key(), tx, "ok"), wire.encoded_tx_size(tx))
-        else:
-            self.w.send(self.id, packet.src, "fetch-resp",
-                        FetchResponse(tx.key(), None, "denied"), 64)
+        tx = None if request.key is None else self.ledger.find_transaction(request.key)
+        response, size, _ = answer_fetch(request, tx, self.w.registry, self.w.backend)
+        self.w.send(self.id, packet.src, "fetch-resp", response, size)
 
     # --- chain intake ---
 
@@ -884,41 +859,29 @@ class TgcsAgent(GcsAgent):
     def _on_void(self, message: VoidMessage) -> None:
         if message.block_id < self.ledger.next_block_id:
             return  # stale: that id already committed here
-        voided = self.pending_assigned.pop(message.block_id, None)
+        voided = self.pending_assigned.get(message.block_id)
         if voided is not None:
-            voided.advance(BlockState.VOIDED)
             # the transactions must be re-requested under a fresh id
             for tx in voided.transactions:
                 if tx.key() not in self._intake_keys and not self.ledger.has_tx(tx.key()):
                     self._intake_keys.add(tx.key())
                     self.intake.append(tx)
             self._arm_assembly(0.0)
-        renumbered: Dict[int, consensus.PendingBlock] = {}
-        for bid, pending in sorted(self.pending_assigned.items()):
-            if bid > message.block_id:
-                pending.block_id = bid - 1
-                renumbered[bid - 1] = pending
-            else:
-                renumbered[bid] = pending
-        self.pending_assigned = renumbered
-        self.tallies = renumber_tallies(self.tallies, message.block_id)
+        self.pending_assigned = renumber_after_void(self.pending_assigned, message.block_id)
+        for block_id, pending in self.pending_assigned.items():
+            pending.block_id = block_id
+        self.tallies = renumber_after_void(self.tallies, message.block_id, _committed)
         self._try_finalize()
 
 
-class CaAgent:
+class CaAgent(Agent):
     def __init__(self, world: World, ca_id: int):
-        self.w = world
-        self.id = ca_id
-        self.seq = 0
+        super().__init__(world, ca_id)
         self.ordering: Optional[OrderingState] = None
         self.tallies: Dict[int, Tally] = {}
         self._window_armed = False
         self._void_armed: Set[int] = set()
         self._nbr_stash: List[NbrMessage] = []  # requests awaiting handoff
-
-    def _next_seq(self) -> int:
-        self.seq += 1
-        return self.seq
 
     @property
     def my_gcs_ids(self) -> List[int]:
@@ -926,8 +889,8 @@ class CaAgent:
 
     def start(self) -> None:
         cfg, sim = self.w.cfg, self.w.sim
-        sim.schedule_in(to_us(self.w.rngs["workload"].uniform(0, cfg.t5_interval_s)),
-                        self._t5_tick)
+        self.w.every(self.w.rngs["workload"].uniform(0, cfg.t5_interval_s),
+                     cfg.t5_interval_s, self._command_stations)
         if self.w.acting_bo() == self.id:
             self.ordering = OrderingState(next_block_id=1,
                                           sequential=cfg.mode == "sequential")
@@ -943,8 +906,9 @@ class CaAgent:
         for node_id, role, real in self.w.roster:
             public = self.w.registry.public_key(node_id)
             payload = txbuild.registration_payload(node_id, role, real, public)
+            self.seq += 1  # genesis transactions are not counted as generated
             txs.append(txbuild.build_transaction(
-                creator=self.id, tx_seq=self._next_seq(), created_at_us=0,
+                creator=self.id, tx_seq=self.seq, created_at_us=0,
                 suite=SUITE_S1, access_class=AccessClass.PUBLIC, owners=(),
                 block_target=BlockTarget.BLOCK_T2, plaintext=payload,
                 registry=self.w.registry, backend=self.w.backend))
@@ -957,20 +921,11 @@ class CaAgent:
 
     # --- authority commands ---
 
-    def _t5_tick(self) -> None:
-        if not self.w.workload_open():
-            return
-        now = self.w.sim.now_us
+    def _command_stations(self) -> None:
         for gcs in self.my_gcs_ids:
-            tx = txbuild.build_transaction(
-                creator=self.id, tx_seq=self._next_seq(), created_at_us=now,
-                suite=SUITE_S1, access_class=AccessClass.SINGLE, owners=(gcs,),
-                block_target=BlockTarget.BLOCK_T2,
-                plaintext=bytes(self.w.cfg.command_payload_bytes),
-                registry=self.w.registry, backend=self.w.backend)
-            self.w.metrics.tx_generated(tx.key(), now)
+            tx = self.new_tx(SUITE_S1, AccessClass.SINGLE, (gcs,), BlockTarget.BLOCK_T2,
+                             bytes(self.w.cfg.command_payload_bytes))
             self.w.send(self.id, gcs, "tx", tx, wire.encoded_tx_size(tx))
-        self.w.sim.schedule_in(to_us(self.w.cfg.t5_interval_s), self._t5_tick)
 
     # --- orderer duty ---
 
@@ -1055,13 +1010,15 @@ class CaAgent:
             self._void(block_id)
 
     def _void(self, block_id: int) -> None:
-        if self.ordering.apply_void(block_id) is None:
+        if not self.ordering.apply_void(block_id):
             return
         self.w.metrics.block_voided()
         message = VoidMessage(block_id)
         for tgcs in self.w.topo.tgcs_ids:
             self.w.send(self.id, tgcs, "void", message, len(message.encode()))
-        self.tallies = renumber_tallies(self.tallies, block_id)
+        self.tallies = renumber_after_void(self.tallies, block_id, _committed)
+        # the assignment that moved into the voided id must commit in time too
+        self._maybe_arm_void(block_id)
         self._arm_window()
 
     # --- rotation ---

@@ -215,7 +215,7 @@ def build_world(cfg: ScenarioConfig, event_log: Optional[TextIO] = None) -> Worl
 
 def run(cfg: ScenarioConfig, event_log: Optional[TextIO] = None) -> MetricsRecord:
     """Execute one scenario: genesis, workload, attacks, consensus, drain,
-    and metric extraction."""
+    metric extraction, and the transaction-conservation check."""
     world = build_world(cfg, event_log)
     world.run()
 
@@ -223,9 +223,12 @@ def run(cfg: ScenarioConfig, event_log: Optional[TextIO] = None) -> MetricsRecor
     for drone in drones:
         drone.energy.update_flight(world.sim_end_us)
     consumed = [drone.energy.consumed_j for drone in drones]
-    return world.metrics.finalize(
+    record = world.metrics.finalize(
         seed=cfg.seed, mode=cfg.mode, n_uav=cfg.n_uav,
         malicious_fraction=cfg.malicious_fraction,
         data_tx_size=cfg.data_tx_size,
         consumed_j_per_drone=consumed,
         packets_dropped=world.net.total_dropped())
+    if not world.metrics.conservation_ok():
+        raise RuntimeError(f"transaction conservation broken: {record.counters}")
+    return record

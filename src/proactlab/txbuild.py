@@ -70,10 +70,3 @@ def registration_payload(node_id: int, role: str, real_id: str,
                          public_key: bytes) -> bytes:
     """Body of a node-registration transaction (genesis and add-UAV)."""
     return f"reg|{role}|{node_id}|{real_id}|{public_key.hex()}".encode()
-
-
-def parse_registration(payload: bytes) -> tuple[str, int, str, bytes]:
-    tag, role, node_id, real_id, public_hex = payload.decode().split("|")
-    if tag != "reg":
-        raise ValueError("not a registration payload")
-    return role, int(node_id), real_id, bytes.fromhex(public_hex)

@@ -24,17 +24,16 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .crypto import (
     DIGEST_LEN,
+    DigestFn,
     HashVariant,
     SecurityClass,
     spongent224,
     suite_for_class,
 )
-
-DigestFn = Callable[[bytes], bytes]
 
 HASH_LEN = DIGEST_LEN[HashVariant.SPONGENT_224]
 ZERO_HASH = bytes(HASH_LEN)
@@ -360,15 +359,6 @@ def encode_block(block: Block) -> bytes:
 
 
 def decode_block(data: bytes) -> Block:
-    block, consumed = decode_block_prefix(data)
-    if consumed != len(data):
-        raise WireError("trailing bytes after block body")
-    return block
-
-
-def decode_block_prefix(data: bytes) -> Tuple[Block, int]:
-    """Decode one block from the head of a buffer (blocks are
-    self-delimiting, so chain files are plain concatenations)."""
     reader = _Reader(data)
     version, block_id, type_raw, miner, timestamp = reader.unpack("<BQBIQ")
     try:
@@ -390,9 +380,10 @@ def decode_block_prefix(data: bytes) -> Tuple[Block, int]:
     transactions = tuple(_decode_transaction(reader) for _ in range(tx_count))
     header = BlockHeader(version, block_id, block_type, miner, timestamp,
                          prev_hash, merkle, tuple(ta_entries))
-    block = Block(header, transactions)
     _check_ta(header, transactions)
-    return block, reader.pos
+    if not reader.done():
+        raise WireError("trailing bytes after block body")
+    return Block(header, transactions)
 
 
 def merkle_root(tx_digests: Sequence[bytes], digest224: DigestFn = spongent224) -> bytes:

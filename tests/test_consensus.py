@@ -19,7 +19,7 @@ from proactlab.consensus import (
     commit_check,
     miner_assemble,
     miner_finalize,
-    renumber_tallies,
+    renumber_after_void,
     rotate_bo,
 )
 from proactlab.wire import BlockTarget
@@ -130,8 +130,7 @@ def test_void_renumbers_later_assignments():
     for tgcs in (1, 2, 3):
         state.receive_nbr(NbrMessage(tgcs, tgcs * 100, 1))
     state.window_close()  # 44->1, 45->2, 46->3
-    renumber = state.apply_void(45)
-    assert renumber == {46: 45}
+    assert state.apply_void(45) is True
     assert state.assignments == {44: 1, 45: 3}
     assert state.next_block_id == 46
 
@@ -141,8 +140,8 @@ def test_void_of_committed_id_is_ignored():
     state.receive_nbr(NbrMessage(1, 100, 1))
     state.window_close()
     state.on_commit(44)
-    assert state.apply_void(44) is None
-    assert state.apply_void(99) is None
+    assert state.apply_void(44) is False
+    assert state.apply_void(99) is False
 
 
 def test_two_consecutive_voids_compose():
@@ -170,12 +169,17 @@ def test_tally_counts_the_miner_as_an_implicit_ack():
 def test_void_renumbers_uncommitted_tallies_above_it():
     done, voided, later, last = Tally(committed=True), Tally(), Tally(), Tally()
     tallies = {10: done, 11: voided, 12: later, 13: last}
-    renumbered = renumber_tallies(tallies, 11)
+    committed = lambda tally: tally.committed  # noqa: E731
+    renumbered = renumber_after_void(tallies, 11, committed)
     assert renumbered == {10: done, 11: later, 12: last}
     assert renumbered[11] is later and renumbered[12] is last
     assert tallies == {10: done, 11: voided, 12: later, 13: last}  # input untouched
-    # a void at the top leaves the lower ids alone
-    assert renumber_tallies(tallies, 13) == tallies
+    # a void at the top drops only the voided tally, so a re-issued id
+    # starts from an empty one
+    assert renumber_after_void(tallies, 13, committed) == {10: done, 11: voided, 12: later}
+    # a committed tally above the void keeps its id
+    assert renumber_after_void({11: voided, 12: done, 14: last}, 11, committed) == \
+        {12: done, 13: last}
 
 
 def test_sequential_mode_single_outstanding_grant():
@@ -286,24 +290,17 @@ def test_finalize_requires_immediate_predecessor(registry):
     assert pending.state is BlockState.AWAITING_PREDECESSOR
 
 
-def test_voided_block_never_finalizes(registry):
+def test_finalize_requires_an_assigned_id(registry):
     (pending,) = miner_assemble(helpers.GCS_ID,
                                 [helpers.make_t1_command(registry, BACKEND, seq=97)],
                                 700, BACKEND)
-    pending.assign_id(45)
-    pending.advance(BlockState.VOIDED)
     with pytest.raises(ConsensusError):
         miner_finalize(pending, _committed_block(registry, 44), BACKEND)
-
-
-def test_pending_block_state_is_monotone(registry):
-    (pending,) = miner_assemble(helpers.GCS_ID,
-                                [helpers.make_t1_command(registry, BACKEND, seq=96)],
-                                700, BACKEND)
-    pending.assign_id(1)
-    pending.advance(BlockState.BROADCAST)
+    assert pending.state is BlockState.AWAITING_ID
+    pending.assign_id(45)
+    miner_finalize(pending, _committed_block(registry, 44), BACKEND)
     with pytest.raises(ConsensusError):
-        pending.advance(BlockState.AWAITING_ID)
+        pending.assign_id(46)  # an id is given once
 
 
 def _ordering_state():

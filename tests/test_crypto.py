@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from proactlab import crypto
 from proactlab.crypto import (
-    AccessDeniedError,
     HashVariant,
     SecurityClass,
     SecurityLevel,
@@ -105,7 +104,7 @@ def test_seal_open_roundtrip(suite, length, registry):
     public = registry.public_key(helpers.DRONE_A)
     plaintext = bytes((i * 13) % 256 for i in range(length))
     sealed = crypto.seal(suite, public, bytes(8), plaintext, BACKEND.digest224)
-    assert len(sealed) == crypto.sealed_len(suite, length)
+    assert len(sealed) == crypto.NONCE_LEN + length + suite.tag_len
     assert crypto.open_sealed(suite, public, sealed, BACKEND.digest224) == plaintext
 
 
@@ -128,24 +127,28 @@ def test_any_single_byte_corruption_is_detected(data, corrupt_at):
         crypto.open_sealed(suite, public, bytes(sealed), BACKEND.digest224)
 
 
+def _open(registry, suite, owners, sealed):
+    """Open a payload with the key it was sealed to."""
+    return crypto.open_sealed(suite, registry.sealing_key(owners).public_key, sealed,
+                              BACKEND.digest224)
+
+
 def test_group_key_openable_by_all_members(registry):
     members = helpers.GROUP_MEMBERS
     group = registry.group_keygen(helpers.CA_ID, members)
     suite = crypto.SUITE_S2_C1
     sealed = crypto.seal(suite, group.pair.public_key, bytes(8), b"task", BACKEND.digest224)
+    assert registry.sealing_key(members) == group.pair
     for member in members:
-        assert registry.open_for(member, suite, members, sealed) == b"task"
+        assert registry.may_open(member, members)
+    assert _open(registry, suite, members, sealed) == b"task"
 
 
 def test_non_member_is_denied(registry):
     members = helpers.GROUP_MEMBERS[:5]
     registry.group_keygen(helpers.CA_ID, members)
-    suite = crypto.SUITE_S2_C1
-    group = registry.group_keygen(helpers.CA_ID, members)
-    sealed = crypto.seal(suite, group.pair.public_key, bytes(8), b"task", BACKEND.digest224)
     outsider = helpers.GROUP_MEMBERS[6]
-    with pytest.raises(AccessDeniedError):
-        registry.open_for(outsider, suite, members, sealed)
+    assert not registry.may_open(outsider, members)
 
 
 def test_ca_can_open_any_group_payload(registry):
@@ -153,7 +156,8 @@ def test_ca_can_open_any_group_payload(registry):
     group = registry.group_keygen(helpers.CA_ID, members)
     suite = crypto.SUITE_S2_C2
     sealed = crypto.seal(suite, group.pair.public_key, bytes(8), b"secret", BACKEND.digest224)
-    assert registry.open_for(helpers.CA_ID, suite, members, sealed) == b"secret"
+    assert registry.may_open(helpers.CA_ID, members)
+    assert _open(registry, suite, members, sealed) == b"secret"
 
 
 def test_single_owner_payload_only_owner_and_ca(registry):
@@ -161,10 +165,10 @@ def test_single_owner_payload_only_owner_and_ca(registry):
     public = registry.public_key(helpers.DRONE_A)
     sealed = crypto.seal(suite, public, bytes(8), b"private", BACKEND.digest224)
     owners = (helpers.DRONE_A,)
-    assert registry.open_for(helpers.DRONE_A, suite, owners, sealed) == b"private"
-    assert registry.open_for(helpers.CA_ID, suite, owners, sealed) == b"private"
-    with pytest.raises(AccessDeniedError):
-        registry.open_for(helpers.DRONE_B, suite, owners, sealed)
+    assert registry.may_open(helpers.DRONE_A, owners)
+    assert registry.may_open(helpers.CA_ID, owners)
+    assert not registry.may_open(helpers.DRONE_B, owners)
+    assert _open(registry, suite, owners, sealed) == b"private"
 
 
 def test_group_keygen_rejects_empty_members(registry):
@@ -178,9 +182,10 @@ def test_group_keygen_requires_ca(registry):
 
 
 def test_public_key_derived_from_seed(registry):
-    pair = registry.key_pair(helpers.DRONE_A)
+    pair = registry.sealing_key((helpers.DRONE_A,))
     assert pair.public_key == BACKEND.digest224(pair.private_seed)
-    assert len(pair.public_key) == crypto.PUBLIC_KEY_LEN
+    assert pair.public_key == registry.public_key(helpers.DRONE_A)
+    assert len(pair.public_key) == 28
 
 
 def test_registry_rejects_duplicate_registration(registry):

@@ -103,11 +103,11 @@ def test_validate_flags_duplicate_tx(registry):
 
 def test_append_advances_tip(registry):
     full = _chain(registry, n_blocks=44)
-    assert full.tip_id == 43
+    assert full.blocks[-1].block_id == 43
     tx = helpers.make_t1_command(registry, BACKEND, seq=100)
     full.append_block(_block(registry, 44, full.tip_digest, [tx]))
-    assert full.tip_id == 44
-    assert full.get_tx(tx.key()) == tx
+    assert full.blocks[-1].block_id == 44
+    assert full.find_transaction(tx.key()) == tx
 
 
 def test_append_rejects_gap_and_duplicate(registry):
@@ -119,28 +119,6 @@ def test_append_rejects_gap_and_duplicate(registry):
     with pytest.raises(LedgerError) as err:
         full.append_block(_block(registry, 44, full.tip_digest, [tx]))
     assert err.value.code == "duplicate"
-
-
-def test_chain_integrity_roundtrip_through_file(registry, tmp_path):
-    full = _chain(registry, n_blocks=5)
-    full.verify_chain()
-    path = tmp_path / "chain.bin"
-    full.export_file(path)
-    loaded = FullLedger.import_file(path, BACKEND, registry)
-    assert [b.block_id for b in loaded.blocks] == [0, 1, 2, 3, 4]
-    assert loaded.tip_digest == full.tip_digest
-    loaded.verify_chain()
-
-
-def test_import_rejects_corrupted_chain(registry, tmp_path):
-    full = _chain(registry, n_blocks=3)
-    path = tmp_path / "chain.bin"
-    full.export_file(path)
-    data = bytearray(path.read_bytes())
-    data[60] ^= 0xFF  # flip a byte inside block 0's merkle root
-    path.write_bytes(bytes(data))
-    with pytest.raises(LedgerError):
-        FullLedger.import_file(path, BACKEND, registry)
 
 
 # --- access control ---
@@ -212,7 +190,7 @@ def test_store_without_eviction(registry):
     block = _drone_block(registry, 1, seqs=[1])
     assert dl.store_block(block) == []
     assert dl.current_bytes == wire.encoded_block_size(block)
-    assert dl.block_ids() == [1]
+    assert [b.block_id for b in dl.blocks] == [1]
 
 
 def test_oldest_first_eviction_frees_enough_space(registry):
@@ -224,7 +202,7 @@ def test_oldest_first_eviction_frees_enough_space(registry):
         assert dl.store_block(b) == []
     evicted = dl.store_block(blocks[4])
     assert evicted == [0]
-    assert dl.block_ids() == [1, 2, 3, 4]
+    assert [b.block_id for b in dl.blocks] == [1, 2, 3, 4]
     assert dl.current_bytes <= dl.capacity_bytes
     assert dl.current_bytes == sum(wire.encoded_block_size(b) for b in blocks[1:])
 
@@ -235,7 +213,7 @@ def test_block_larger_than_capacity_rejected(registry):
     with pytest.raises(LedgerError) as err:
         dl.store_block(big)
     assert err.value.code == "block_too_large"
-    assert dl.block_ids() == []
+    assert [b.block_id for b in dl.blocks] == []
 
 
 def test_outdated_first_prefers_superseded_topics(registry):
@@ -256,7 +234,7 @@ def test_outdated_first_prefers_superseded_topics(registry):
                             created_base=400)
     evicted = dl.store_block(incoming)
     assert evicted == [1]  # outdated block evicted, not the oldest-surviving b2
-    assert dl.block_ids() == [2, 3, 4]
+    assert [b.block_id for b in dl.blocks] == [2, 3, 4]
 
 
 def test_outdated_first_falls_back_to_oldest(registry):
@@ -312,7 +290,6 @@ def test_out_of_order_arrivals_are_stored_ascending(registry):
     blocks = {i: _drone_block(registry, i, seqs=[i]) for i in (3, 1, 2)}
     for block_id in (3, 1, 2):
         assert dl.store_block(blocks[block_id]) == []
-    assert dl.block_ids() == [1, 2, 3]
     assert [b.block_id for b in dl.blocks] == [1, 2, 3]
     for block in blocks.values():
         key = block.transactions[0].key()
@@ -326,7 +303,7 @@ def test_resent_block_is_a_no_op(registry):
     held = dl.current_bytes
     assert dl.store_block(block) == []
     assert dl.store_block(dataclasses.replace(block)) == []  # equal copy, same id
-    assert dl.block_ids() == [4]
+    assert [b.block_id for b in dl.blocks] == [4]
     assert dl.current_bytes == held == wire.encoded_block_size(block)
 
 
@@ -338,7 +315,7 @@ def test_mixed_owner_block_stored_for_owners_only(registry):
     with pytest.raises(LedgerError) as err:
         stranger.store_block(block)
     assert err.value.code == "not_owner"
-    assert stranger.block_ids() == [] and not stranger.has_tx(mine.key())
+    assert stranger.blocks == [] and not stranger.has_tx(mine.key())
     for owner in (helpers.DRONE_A, helpers.DRONE_B):
         dl = DroneLedger(owner)
         dl.store_block(block)
@@ -353,7 +330,7 @@ def test_find_transaction_after_eviction(registry):
                            payload=bytes(1000)) for i in range(5)]
     for b in blocks:
         dl.store_block(b)
-    assert dl.block_ids() == [1, 2, 3, 4]
+    assert [b.block_id for b in dl.blocks] == [1, 2, 3, 4]
     for tx in blocks[0].transactions:
         assert not dl.has_tx(tx.key())
         assert dl.find_transaction(tx.key()) is None
