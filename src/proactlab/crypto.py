@@ -14,11 +14,16 @@ interface.
 
 Digest computation is pluggable (`HashBackend`): the `spongent` backend is
 the protocol definition; the `simulated` backend produces size-identical
-digests at simulation speed for large scenario runs.
+digests at simulation speed for large scenario runs.  SPONGENT digests are
+memoized by message content, bounded at 1,024 entries per process, so equal
+bytes are hashed once while they stay among the most recently used; the
+simulated backend is not memoized, because blake2b costs about as much as a
+lookup.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from dataclasses import dataclass
@@ -153,12 +158,22 @@ class Spongent:
 _INSTANCES: Dict[HashVariant, Spongent] = {}
 
 
-def spongent(variant: HashVariant, message: bytes) -> bytes:
-    """SPONGENT digest of ``message`` under the given variant."""
+# Miners re-verify the same transactions, leaves and headers, and a
+# signature check re-expands the creator's own signing message, so a run
+# asks for many digests of equal bytes.  Keys compare the full message.
+@functools.lru_cache(maxsize=1024)
+def _spongent_memo(variant: HashVariant, message: bytes) -> bytes:
     inst = _INSTANCES.get(variant)
     if inst is None:
         inst = _INSTANCES[variant] = Spongent(variant)
     return inst.digest(message)
+
+
+def spongent(variant: HashVariant, message: bytes) -> bytes:
+    """SPONGENT digest of ``message`` under the given variant, memoized by
+    content.  ``bytes()`` makes ``bytearray`` and ``memoryview`` input
+    hashable, and returns ``bytes`` input itself without a copy."""
+    return _spongent_memo(variant, bytes(message))
 
 
 def spongent224(message: bytes) -> bytes:

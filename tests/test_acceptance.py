@@ -219,7 +219,16 @@ def test_criterion_09_safety_liveness():
 
         quorum_ok = quorum_ok and bool(commits) and \
             all(acks >= q for acks, q in commits)
-        counters = world.metrics.counters
+        # finalize() is what counts the transactions still pending.
+        drones = [world.agents[d] for d in sorted(world.topo.drone_uavn)]
+        for drone in drones:
+            drone.energy.update_flight(world.sim_end_us)
+        counters = world.metrics.finalize(
+            seed=cfg.seed, mode=cfg.mode, n_uav=cfg.n_uav,
+            malicious_fraction=cfg.malicious_fraction,
+            data_tx_size=cfg.data_tx_size,
+            consumed_j_per_drone=[drone.energy.consumed_j for drone in drones],
+            packets_dropped=world.net.total_dropped()).counters
         liveness_ok = liveness_ok and counters["blocks_voided"] == 0 and \
             counters["txs_dropped_expired"] == 0 and \
             counters["txs_pending_at_end"] == 0 and \

@@ -1,5 +1,6 @@
 """Engine, network/energy models, agent behaviors, and scenario properties."""
 
+import collections
 import dataclasses
 import io
 
@@ -638,7 +639,18 @@ def test_tiny_metrics_row_is_pinned(overrides, row, bto_mean):
     assert record.bto_mean == bto_mean
 
 
-def test_run_with_real_spongent_backend():
+def test_run_with_real_spongent_backend(monkeypatch):
+    # Every distinct (variant, message) is computed once: the content memo
+    # under crypto.spongent absorbs the miners' repeated checks.
+    crypto._spongent_memo.cache_clear()
+    computed = collections.Counter()
+    original = crypto.Spongent.digest
+
+    def counting(self, message):
+        computed[(self.digest_bytes, message)] += 1
+        return original(self, message)
+
+    monkeypatch.setattr(crypto.Spongent, "digest", counting)
     cfg = default_config(n_ca=1, gcs_per_ca=2, tgcs_per_ca=2, uavn_per_gcs=1,
                          uav_per_uavn=2, sim_duration_s=1.0, data_tx_size=256,
                          t5_interval_s=0.5, fetch_interval_s=0.0,
@@ -646,6 +658,7 @@ def test_run_with_real_spongent_backend():
     record = run(cfg)
     assert record.counters["txs_committed"] > 0
     assert record.counters["txs_committed"] == record.counters["txs_generated"]
+    assert computed and max(computed.values()) == 1
 
 
 def test_event_log_export():

@@ -5,14 +5,17 @@ spongent_oracle.py before the production implementation was written; the
 oracle and the production code share no code paths.
 """
 
+import dataclasses
 import random
 
 import pytest
 
-from proactlab import crypto
+from proactlab import crypto, txbuild
 from proactlab.crypto import HashVariant, Spongent, spongent
 
 from spongent_oracle import PARAMS, lfsr_sequence, spongent_oracle
+
+import helpers
 
 PATTERN_1000 = bytes(i % 251 for i in range(1000))
 
@@ -89,3 +92,34 @@ def test_simulated_backend_is_size_faithful_and_distinct():
         assert digest == sim.digest(variant, b"abc")
         assert digest != spongent(variant, b"abc")
     assert sim.digest(HashVariant.SPONGENT_88, b"a") != sim.digest(HashVariant.SPONGENT_88, b"b")
+
+
+@pytest.mark.parametrize("variant", list(HashVariant))
+@pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+def test_memo_matches_fresh_digest_for_any_bytes_like(variant, wrap):
+    crypto._spongent_memo.cache_clear()
+    message = b"memo check " + bytes(range(20))
+    expected = Spongent(variant).digest(message)
+    assert spongent(variant, wrap(message)) == expected  # computed
+    assert spongent(variant, wrap(message)) == expected  # from the memo
+    assert crypto._spongent_memo.cache_info().hits == 1
+
+
+def test_memo_key_includes_the_variant():
+    crypto._spongent_memo.cache_clear()
+    message = b"same bytes, two variants"
+    short = spongent(HashVariant.SPONGENT_88, message)
+    long = spongent(HashVariant.SPONGENT_224, message)
+    assert short == Spongent(HashVariant.SPONGENT_88).digest(message)
+    assert long == Spongent(HashVariant.SPONGENT_224).digest(message)
+
+
+def test_memo_does_not_accept_a_tampered_copy():
+    backend = crypto.SPONGENT_BACKEND
+    registry = helpers.make_registry(backend)
+    tx = helpers.make_t1_command(registry, backend)
+    assert txbuild.verify_transaction(tx, registry, backend)
+    payload = bytearray(tx.payload)
+    payload[0] ^= 1
+    tampered = dataclasses.replace(tx, payload=bytes(payload))
+    assert not txbuild.verify_transaction(tampered, registry, backend)
