@@ -639,9 +639,15 @@ def test_tiny_metrics_row_is_pinned(overrides, row, bto_mean):
     assert record.bto_mean == bto_mean
 
 
-def test_run_with_real_spongent_backend(monkeypatch):
-    # Every distinct (variant, message) is computed once: the content memo
-    # under crypto.spongent absorbs the miners' repeated checks.
+SPONGENT_RUN = dict(n_ca=1, gcs_per_ca=2, tgcs_per_ca=2, uavn_per_gcs=1,
+                    uav_per_uavn=2, sim_duration_s=1.0, data_tx_size=256,
+                    t5_interval_s=0.5, fetch_interval_s=0.0, malicious_fraction=0.0)
+
+
+def _run_on_both_backends(monkeypatch, **overrides):
+    """Run on SPONGENT and on the simulated backend; both must give the same
+    metrics.  Every distinct (variant, message) is computed once: the content
+    memo under crypto.spongent absorbs the miners' repeated checks."""
     crypto._spongent_memo.cache_clear()
     computed = collections.Counter()
     original = crypto.Spongent.digest
@@ -651,14 +657,28 @@ def test_run_with_real_spongent_backend(monkeypatch):
         return original(self, message)
 
     monkeypatch.setattr(crypto.Spongent, "digest", counting)
-    cfg = default_config(n_ca=1, gcs_per_ca=2, tgcs_per_ca=2, uavn_per_gcs=1,
-                         uav_per_uavn=2, sim_duration_s=1.0, data_tx_size=256,
-                         t5_interval_s=0.5, fetch_interval_s=0.0,
-                         malicious_fraction=0.0, hash_backend="spongent")
+    cfg = default_config(**{**SPONGENT_RUN, **overrides}, hash_backend="spongent")
     record = run(cfg)
     assert record.counters["txs_committed"] > 0
     assert record.counters["txs_committed"] == record.counters["txs_generated"]
     assert computed and max(computed.values()) == 1
+    simulated = run(dataclasses.replace(cfg, hash_backend="simulated"))
+    assert simulated.csv_row() == record.csv_row()
+    assert simulated.counters == record.counters
+    assert simulated.committed_keys == record.committed_keys
+    return record
+
+
+def test_run_with_real_spongent_backend(monkeypatch):
+    _run_on_both_backends(monkeypatch)
+
+
+def test_backends_agree_with_groups_fetches_and_attacks(monkeypatch):
+    record = _run_on_both_backends(
+        monkeypatch, t2_interval_s=0.5, group_min=2, group_max=2,
+        fetch_interval_s=0.5, malicious_fraction=0.5, attack_interval_s=0.5)
+    assert record.counters["attacks_injected"] > 0
+    assert record.counters["fetch_local"] > 0
 
 
 def test_event_log_export():
