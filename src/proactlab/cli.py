@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence
 
 from . import crypto, selfcheck
 from .config import load_scenarios
-from .sim.metrics import CSV_COLUMNS, MetricsRecord
+from .sim.metrics import CSV_COLUMNS, MetricsRecord, _fmt
 from .sim.scenario import ConfigError, ScenarioConfig, default_config, run
 
 OUT_DIR_ENV = "PROACTLAB_OUT_DIR"
@@ -80,10 +80,6 @@ def _write_csv(path: Path, columns: Sequence[str], rows: List[Dict[str, str]]) -
         writer = csv.DictWriter(handle, fieldnames=list(columns))
         writer.writeheader()
         writer.writerows(rows)
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.6g}"
 
 
 def _mean_std(values: List[float]) -> str:

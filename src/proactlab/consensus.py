@@ -35,10 +35,25 @@ def _unpack_from(fmt: str, data: bytes, offset: int = 0) -> tuple:
         raise ConsensusError(f"message truncated at offset {offset}") from None
 
 
-def _check_consumed(data: bytes, offset: int) -> None:
-    """Variable-length messages are canonical: nothing may follow them."""
+def _encode_assignments(assignments: Sequence[Assignment]) -> bytes:
+    """count(2) [block_id(8) tgcs(4)]*: the list that ends the assignment
+    message and the orderer handoff."""
+    return struct.pack("<H", len(assignments)) + b"".join(
+        struct.pack("<QI", a.block_id, a.tgcs_id) for a in assignments)
+
+
+def _decode_assignments(data: bytes, offset: int) -> List[Assignment]:
+    """Inverse of _encode_assignments.  The list ends the message, and a
+    variable-length message is canonical: nothing may follow it."""
+    (count,) = _unpack_from("<H", data, offset)
+    offset += 2
+    entries = []
+    for _ in range(count):
+        entries.append(Assignment(*_unpack_from("<QI", data, offset)))
+        offset += 12
     if offset != len(data):
         raise ConsensusError(f"{len(data) - offset} trailing bytes after the message")
+    return entries
 
 
 def _unpack(fmt: str, data: bytes) -> tuple:
@@ -239,9 +254,8 @@ class OrderingState:
         for request in self.pending:
             parts.append(struct.pack("<IQB", request.tgcs_id, request.timestamp_us,
                                      request.remaining))
-        parts.append(struct.pack("<H", len(self.assignments)))
-        for block_id in sorted(self.assignments):
-            parts.append(struct.pack("<QI", block_id, self.assignments[block_id]))
+        parts.append(_encode_assignments(
+            [Assignment(b, self.assignments[b]) for b in sorted(self.assignments)]))
         return b"".join(parts)
 
     @classmethod
@@ -254,13 +268,8 @@ class OrderingState:
             tgcs, ts, remaining = _unpack_from("<IQB", data, offset)
             offset += struct.calcsize("<IQB")
             state.pending.append(_QueuedRequest(tgcs, ts, remaining))
-        (n_assign,) = _unpack_from("<H", data, offset)
-        offset += 2
-        for _ in range(n_assign):
-            block_id, tgcs = _unpack_from("<QI", data, offset)
-            offset += struct.calcsize("<QI")
-            state.assignments[block_id] = tgcs
-        _check_consumed(data, offset)
+        state.assignments = {a.block_id: a.tgcs_id
+                             for a in _decode_assignments(data, offset)}
         return state
 
 
@@ -305,7 +314,7 @@ def miner_assemble(miner: int, transactions: Sequence[Transaction], now_us: int,
             continue
         pending.append(PendingBlock(
             miner=miner, block_type=target, transactions=group,
-            merkle_root=wire.body_root(group, backend.digest224),
+            merkle_root=wire.body_root(group, backend),
             ta_list=wire.ta_list_for(group), assembled_at_us=now_us))
     return pending
 
@@ -318,8 +327,7 @@ def miner_finalize(pending: PendingBlock, predecessor: Block,
         raise ConsensusError(f"cannot finalize a block in state {pending.state.value}")
     if pending.block_id is None or predecessor.block_id != pending.block_id - 1:
         raise ConsensusError("predecessor does not immediately precede this block")
-    prev_hash = wire.block_hash(wire.encode_header(predecessor.header),
-                                backend.digest224)
+    prev_hash = wire.block_hash(predecessor.header, backend)
     header = BlockHeader(wire.WIRE_VERSION, pending.block_id, pending.block_type,
                          pending.miner, pending.assembled_at_us, prev_hash,
                          pending.merkle_root, pending.ta_list)
@@ -353,21 +361,11 @@ class AssignMessage:
     assignments: Tuple[Assignment, ...]
 
     def encode(self) -> bytes:
-        parts = [struct.pack("<H", len(self.assignments))]
-        parts += [struct.pack("<QI", a.block_id, a.tgcs_id) for a in self.assignments]
-        return b"".join(parts)
+        return _encode_assignments(self.assignments)
 
     @classmethod
     def decode(cls, data: bytes) -> "AssignMessage":
-        (count,) = _unpack_from("<H", data)
-        entries = []
-        offset = 2
-        for _ in range(count):
-            block_id, tgcs = _unpack_from("<QI", data, offset)
-            offset += 12
-            entries.append(Assignment(block_id, tgcs))
-        _check_consumed(data, offset)
-        return cls(tuple(entries))
+        return cls(tuple(_decode_assignments(data, 0)))
 
 
 @dataclass(frozen=True)

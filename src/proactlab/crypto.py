@@ -12,9 +12,10 @@ the key registry's possession lists rather than computational hardness.
 Real public-key primitives can be slotted in behind the same suite
 interface.
 
-Digest computation is pluggable (`HashBackend`): the `spongent` backend is
-the protocol definition; the `simulated` backend produces size-identical
-digests at simulation speed for large scenario runs.  SPONGENT digests are
+Digest computation is pluggable (`HashBackend`), and every function that
+hashes takes the backend object: the `spongent` backend is the protocol
+definition; the `simulated` backend produces size-identical digests at
+simulation speed for large scenario runs.  SPONGENT digests are
 memoized by message content, bounded at 1,024 entries per process, so equal
 bytes are hashed once while they stay among the most recently used; the
 simulated backend is not memoized, because blake2b costs about as much as a
@@ -28,7 +29,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 
 class CryptoError(Exception):
@@ -176,13 +177,6 @@ def spongent(variant: HashVariant, message: bytes) -> bytes:
     return _spongent_memo(variant, bytes(message))
 
 
-def spongent224(message: bytes) -> bytes:
-    return spongent(HashVariant.SPONGENT_224, message)
-
-
-DigestFn = Callable[[bytes], bytes]
-
-
 class HashBackend:
     """Pluggable digest provider; digests keep the variant's exact length."""
 
@@ -298,74 +292,66 @@ def suite_for_class(security_class: SecurityClass) -> CryptoSuite:
     return SUITES_BY_CLASS[security_class]
 
 
-def _expand(seed: bytes, length: int, digest224: DigestFn) -> bytes:
-    """Counter-mode expansion: block 0 is the plain digest, later blocks
-    append a 32-bit counter, so outputs up to one digest stay a plain
-    truncation."""
-    out = bytearray(digest224(seed))
-    counter = 1
+def _stream(backend: HashBackend, seed: bytes, length: int, counter: int = 0,
+            head: bytes = b"") -> bytes:
+    """Counter mode: ``head``, then the digests of ``seed`` followed by a
+    32-bit counter from ``counter`` up, cut to ``length`` bytes."""
+    out = bytearray(head)
     while len(out) < length:
-        out += digest224(seed + struct.pack("<I", counter))
+        out += backend.digest224(seed + struct.pack("<I", counter))
         counter += 1
     return bytes(out[:length])
 
 
 def sign(suite: CryptoSuite, creator_public: bytes, digest: bytes,
-         digest224: DigestFn = spongent224) -> bytes:
-    """Signature = first signature_len bytes of the keyed digest expansion.
+         backend: HashBackend) -> bytes:
+    """Signature = first signature_len bytes of the keyed digest expansion:
+    the plain digest, then counter blocks from 1, so a signature up to one
+    digest long is a plain truncation.
 
     ``digest`` must be the suite-variant hash of the signed content; any
     verifier recomputes with the claimed creator's registered public key.
     """
-    return _expand(creator_public + digest, suite.signature_len, digest224)
+    seed = creator_public + digest
+    return _stream(backend, seed, suite.signature_len, 1, backend.digest224(seed))
 
 
 def verify(suite: CryptoSuite, claimed_creator_public: bytes, digest: bytes,
-           signature: bytes, digest224: DigestFn = spongent224) -> bool:
+           signature: bytes, backend: HashBackend) -> bool:
     if len(signature) != suite.signature_len:
         return False
-    expected = sign(suite, claimed_creator_public, digest, digest224)
-    return expected == signature
+    return sign(suite, claimed_creator_public, digest, backend) == signature
 
 
 NONCE_LEN = 8
 
 
 def seal(suite: CryptoSuite, recipient_public: bytes, nonce: bytes, plaintext: bytes,
-         digest224: DigestFn = spongent224) -> bytes:
+         backend: HashBackend) -> bytes:
     """Seal ``plaintext`` to a public key: nonce || ciphertext || tag."""
     if not plaintext:
         raise CryptoError("cannot seal an empty payload")
     if len(nonce) != NONCE_LEN:
         raise CryptoError(f"nonce must be {NONCE_LEN} bytes")
-    stream = _keystream(recipient_public, nonce, len(plaintext), digest224)
+    stream = _stream(backend, recipient_public + nonce, len(plaintext))
     ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
-    tag = digest224(recipient_public + nonce + ciphertext)[: suite.tag_len]
+    tag = backend.digest224(recipient_public + nonce + ciphertext)[: suite.tag_len]
     return nonce + ciphertext + tag
 
 
 def open_sealed(suite: CryptoSuite, recipient_public: bytes, sealed: bytes,
-                digest224: DigestFn = spongent224) -> bytes:
+                backend: HashBackend) -> bytes:
     """Inverse of seal(); raises TamperedError if the tag does not match."""
     if len(sealed) < NONCE_LEN + 1 + suite.tag_len:
         raise TamperedError("sealed payload too short")
     nonce = sealed[:NONCE_LEN]
     ciphertext = sealed[NONCE_LEN:len(sealed) - suite.tag_len]
     tag = sealed[len(sealed) - suite.tag_len:]
-    expected = digest224(recipient_public + nonce + ciphertext)[: suite.tag_len]
+    expected = backend.digest224(recipient_public + nonce + ciphertext)[: suite.tag_len]
     if expected != tag:
         raise TamperedError("sealed payload failed its tag check")
-    stream = _keystream(recipient_public, nonce, len(ciphertext), digest224)
+    stream = _stream(backend, recipient_public + nonce, len(ciphertext))
     return bytes(c ^ s for c, s in zip(ciphertext, stream))
-
-
-def _keystream(public: bytes, nonce: bytes, length: int, digest224: DigestFn) -> bytes:
-    out = bytearray()
-    counter = 0
-    while len(out) < length:
-        out += digest224(public + nonce + struct.pack("<I", counter))
-        counter += 1
-    return bytes(out[:length])
 
 
 PRIVATE_SEED_LEN = 32
@@ -393,8 +379,8 @@ class KeyRegistry:
     simulation parameter: an agent without possession never opens.
     """
 
-    def __init__(self, digest224: DigestFn = spongent224, key_seed: bytes = b""):
-        self._digest224 = digest224
+    def __init__(self, backend: HashBackend, key_seed: bytes):
+        self._backend = backend
         self._key_seed = key_seed
         self._nodes: Dict[int, KeyPair] = {}
         self._cas: set[int] = set()
@@ -406,7 +392,7 @@ class KeyRegistry:
             self._key_seed + label + struct.pack("<Q", holder),
             digest_size=PRIVATE_SEED_LEN,
         ).digest()
-        return KeyPair(holder, seed, self._digest224(seed))
+        return KeyPair(holder, seed, self._backend.digest224(seed))
 
     def register_node(self, node_id: int, is_ca: bool = False) -> KeyPair:
         if node_id in self._nodes:

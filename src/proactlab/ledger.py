@@ -56,7 +56,7 @@ def validate_block(expected_id: int, tip_digest: bytes, block: Block,
         issues.append(ValidationIssue("prev_hash", "does not match the tip digest"))
 
     try:
-        if wire.body_root(block.transactions, backend.digest224) != header.merkle_root:
+        if wire.body_root(block.transactions, backend) != header.merkle_root:
             issues.append(ValidationIssue("merkle_root", "does not recompute"))
     except WireError as exc:
         issues.append(ValidationIssue("merkle_root", f"body unencodable: {exc}"))
@@ -115,8 +115,7 @@ class FullLedger:
         if block.block_id > expected:
             raise LedgerError("gap", f"block {block.block_id} leaves a gap at {expected}")
         self.blocks.append(block)
-        self.tip_digest = wire.block_hash(wire.encode_header(block.header),
-                                          self._backend.digest224)
+        self.tip_digest = wire.block_hash(block.header, self._backend)
         self._tx_index.update(block.tx_locations)
 
     def has_tx(self, key: Tuple[int, int]) -> bool:
@@ -138,10 +137,9 @@ class FullLedger:
             if block.header.prev_hash != digest:
                 raise LedgerError("prev_hash", f"broken link at block {expected_id}")
             if block.transactions and wire.body_root(
-                    block.transactions, self._backend.digest224) != block.header.merkle_root:
+                    block.transactions, self._backend) != block.header.merkle_root:
                 raise LedgerError("merkle_root", f"bad root at block {expected_id}")
-            digest = wire.block_hash(wire.encode_header(block.header),
-                                     self._backend.digest224)
+            digest = wire.block_hash(block.header, self._backend)
 
 
 class Verdict(Enum):
@@ -181,8 +179,7 @@ def sign_access_request(requester: int, creator: int, tx_seq: int,
                         registry: KeyRegistry, backend: HashBackend) -> bytes:
     """Requests are signed under the permanent-security suite rules."""
     digest = backend.digest224(access_request_bytes(requester, creator, tx_seq))
-    return crypto.sign(crypto.SUITE_S1, registry.public_key(requester), digest,
-                       backend.digest224)
+    return crypto.sign(crypto.SUITE_S1, registry.public_key(requester), digest, backend)
 
 
 def request_is_genuine(requester: int, creator: int, tx_seq: int, signature: bytes,
@@ -191,7 +188,7 @@ def request_is_genuine(requester: int, creator: int, tx_seq: int, signature: byt
     digest = backend.digest224(access_request_bytes(requester, creator, tx_seq))
     return registry.has_node(requester) and crypto.verify(
         crypto.SUITE_S1, registry.public_key(requester), digest,
-        signature, backend.digest224)
+        signature, backend)
 
 
 def check_access(requester: int, request_signature: bytes, tx: Transaction,

@@ -8,7 +8,7 @@ prove its build is sound without the test suite installed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Tuple
 
 from . import consensus, crypto, txbuild, wire
 from .consensus import Assignment, CommitVerdict, NbrMessage, OrderingState
@@ -40,27 +40,19 @@ class CheckResult:
     detail: str = ""
 
 
-def _check(name: str, got, expected) -> "CheckResult":
-    passed = got == expected
+def _check(name: str, got, expected, tolerance: float = 0.0) -> "CheckResult":
+    passed = abs(got - expected) < tolerance if tolerance else got == expected
     return CheckResult(name, passed, "" if passed else f"got {got}")
 
 
-DigestFn = Callable[[HashVariant, bytes], bytes]
-
-
-def check_vectors(digest: Optional[DigestFn] = None) -> List[CheckResult]:
-    digest = digest or crypto.spongent
-    results = []
-    for variant, label, message, expected in PINNED_VECTORS:
-        got = digest(variant, message).hex()
-        results.append(CheckResult(
-            f"spongent-{variant.name[-3:].lstrip('_')}:{label}",
-            got == expected, f"got {got}" if got != expected else ""))
-    return results
+def check_vectors() -> List[CheckResult]:
+    return [_check(f"spongent-{variant.name[-3:].lstrip('_')}:{label}",
+                   crypto.spongent(variant, message).hex(), expected)
+            for variant, label, message, expected in PINNED_VECTORS]
 
 
 def _fixture_registry() -> KeyRegistry:
-    registry = KeyRegistry(crypto.SIMULATED_BACKEND.digest224, key_seed=b"selftest")
+    registry = KeyRegistry(crypto.SIMULATED_BACKEND, b"selftest")
     registry.register_node(1, is_ca=True)
     registry.register_node(10)
     registry.register_node(100)
@@ -109,32 +101,27 @@ def check_ordering_example() -> List[CheckResult]:
 
 
 def check_quorum_example() -> List[CheckResult]:
-    results = [
-        CheckResult("quorum:50-needs-26",
-                    consensus.commit_check(26, 0, 50) is CommitVerdict.COMMITTED),
-        CheckResult("quorum:25-insufficient",
-                    consensus.commit_check(25, 0, 50) is CommitVerdict.PENDING),
+    return [
+        _check("quorum:50-needs-26", consensus.commit_check(26, 0, 50),
+               CommitVerdict.COMMITTED),
+        _check("quorum:25-insufficient", consensus.commit_check(25, 0, 50),
+               CommitVerdict.PENDING),
     ]
-    return results
 
 
 def check_overhead_fixtures() -> List[CheckResult]:
     registry = _fixture_registry()
     command = _command_fixture(registry)
     data = _data_fixture(registry)
-    bto_cmd = wire.tx_overhead(command)
-    bto_data = wire.tx_overhead(data)
     return [
-        CheckResult("bto:command-0.99", abs(bto_cmd - 0.99) < 1e-12,
-                    "" if abs(bto_cmd - 0.99) < 1e-12 else f"got {bto_cmd}"),
-        CheckResult("bto:data-0.01113", abs(bto_data - 114 / 10240) < 1e-12,
-                    "" if abs(bto_data - 114 / 10240) < 1e-12 else f"got {bto_data}"),
+        _check("bto:command-0.99", wire.tx_overhead(command), 0.99, 1e-12),
+        _check("bto:data-0.01113", wire.tx_overhead(data), 114 / 10240, 1e-12),
     ]
 
 
-def run_all(digest: Optional[DigestFn] = None) -> List[CheckResult]:
+def run_all() -> List[CheckResult]:
     results: List[CheckResult] = []
-    results.extend(check_vectors(digest))
+    results.extend(check_vectors())
     results.extend(check_wire_fixtures())
     results.extend(check_ordering_example())
     results.extend(check_quorum_example())

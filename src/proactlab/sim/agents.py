@@ -122,7 +122,6 @@ class World:
         self.gcs_to_tgcs: Dict[int, int] = {}
         self.sim_end_us = to_us(cfg.sim_duration_s)
         self.n_tgcs = len(topo.tgcs_ids)
-        self.quorum = consensus.quorum(self.n_tgcs)
         self.roster: List[Tuple[int, str, str]] = []  # (node_id, role, real id)
 
     # --- role helpers ---
@@ -377,10 +376,16 @@ class DroneAgent(Agent):
             claims.append(fabricated[0])
         payload = report_payload(self.id, x, y, claims, cfg.data_tx_size)
         tx = self.new_tx(SUITE_S1, AccessClass.PUBLIC, (), BlockTarget.BLOCK_T2, payload)
-        self.energy.account_crypto(SUITE_S1, wire.encoded_tx_size(tx), now)
-        meta = {"report": ReportMeta(x, y, tuple(claims), fabricated, attack_id)}
-        self.w.send(self.id, self.gcs_id, "tx", tx, wire.encoded_tx_size(tx),
-                    meta=meta, on_expired=lambda: self.w.metrics.tx_dropped(tx.key()))
+        self._send_own_tx(tx, SUITE_S1,
+                          {"report": ReportMeta(x, y, tuple(claims), fabricated, attack_id)})
+
+    def _send_own_tx(self, tx: Transaction, suite: crypto.CryptoSuite, meta: dict) -> None:
+        """Pay the signing energy and send this drone's transaction to its
+        station; it counts as dropped if the send expires."""
+        size = wire.encoded_tx_size(tx)
+        self.energy.account_crypto(suite, size, self.w.sim.now_us)
+        self.w.send(self.id, self.gcs_id, "tx", tx, size, meta=meta,
+                    on_expired=lambda: self.w.metrics.tx_dropped(tx.key()))
 
     # --- attacks ---
 
@@ -505,10 +510,7 @@ class DroneAgent(Agent):
         plaintext = body + bytes(max(0, self.w.cfg.t4_payload_bytes - len(body)))
         tx = self.new_tx(self.suite, AccessClass.SINGLE, (self.gcs_id,),
                          BlockTarget.BLOCK_T1, plaintext)
-        self.energy.account_crypto(self.suite, wire.encoded_tx_size(tx), self.w.sim.now_us)
-        self.w.send(self.id, self.gcs_id, "tx", tx, wire.encoded_tx_size(tx),
-                    meta={"incident_attack_id": attack_id},
-                    on_expired=lambda: self.w.metrics.tx_dropped(tx.key()))
+        self._send_own_tx(tx, self.suite, {"incident_attack_id": attack_id})
 
 
 @dataclass
@@ -862,11 +864,9 @@ class TgcsAgent(GcsAgent):
         voided = self.pending_assigned.get(message.block_id)
         if voided is not None:
             # the transactions must be re-requested under a fresh id
-            for tx in voided.transactions:
-                if tx.key() not in self._intake_keys and not self.ledger.has_tx(tx.key()):
-                    self._intake_keys.add(tx.key())
-                    self.intake.append(tx)
             self._arm_assembly(0.0)
+            for tx in voided.transactions:
+                self.miner_intake(tx)
         self.pending_assigned = renumber_after_void(self.pending_assigned, message.block_id)
         for block_id, pending in self.pending_assigned.items():
             pending.block_id = block_id
@@ -913,8 +913,7 @@ class CaAgent(Agent):
                 block_target=BlockTarget.BLOCK_T2, plaintext=payload,
                 registry=self.w.registry, backend=self.w.backend))
         genesis = wire.build_block(0, BlockTarget.BLOCK_T2, self.id, 0,
-                                   wire.ZERO_HASH, txs,
-                                   self.w.backend.digest224)
+                                   wire.ZERO_HASH, txs, self.w.backend)
         size = genesis.encoded_size
         for gcs in self.w.topo.gcs_ids:
             self.w.send(self.id, gcs, "genesis", genesis, size)
@@ -942,8 +941,7 @@ class CaAgent(Agent):
         assignments = self.ordering.window_close()
         if assignments:
             message = AssignMessage(tuple(assignments))
-            for tgcs in self.w.topo.tgcs_ids:
-                self.w.send(self.id, tgcs, "assign", message, len(message.encode()))
+            self.w.broadcast_tgcs(self.id, "assign", message, len(message.encode()))
             for assignment in assignments:
                 self.tallies.setdefault(assignment.block_id,
                                         Tally()).miner = assignment.tgcs_id
@@ -1014,8 +1012,7 @@ class CaAgent(Agent):
             return
         self.w.metrics.block_voided()
         message = VoidMessage(block_id)
-        for tgcs in self.w.topo.tgcs_ids:
-            self.w.send(self.id, tgcs, "void", message, len(message.encode()))
+        self.w.broadcast_tgcs(self.id, "void", message, len(message.encode()))
         self.tallies = renumber_after_void(self.tallies, block_id, _committed)
         # the assignment that moved into the voided id must commit in time too
         self._maybe_arm_void(block_id)

@@ -58,7 +58,6 @@ class EnergyState:
         self.update_flight(now_us)
         self._drain(self.coeffs.e_rx_uj_per_byte * n_bytes * 1e-6)
 
-    def account_crypto(self, suite: CryptoSuite, n_bytes: int, now_us: int,
-                       ops: int = 1) -> None:
+    def account_crypto(self, suite: CryptoSuite, n_bytes: int, now_us: int) -> None:
         self.update_flight(now_us)
-        self._drain((suite.cost.uj_per_op * ops + suite.cost.uj_per_byte * n_bytes) * 1e-6)
+        self._drain((suite.cost.uj_per_op + suite.cost.uj_per_byte * n_bytes) * 1e-6)

@@ -16,6 +16,11 @@ from .engine import US
 TxKey = Tuple[int, int]
 
 
+def _fmt(value: float) -> str:
+    """The one float format of every output file."""
+    return f"{value:.6g}"
+
+
 @dataclass
 class MetricsRecord:
     seed: int
@@ -33,19 +38,16 @@ class MetricsRecord:
     tbd_samples_s: List[float] = field(repr=False, default_factory=list)
 
     def csv_row(self) -> Dict[str, str]:
-        def fmt(value: float) -> str:
-            return f"{value:.6g}"
-
         return {
             "seed": str(self.seed),
             "mode": self.mode,
             "n_uav": str(self.n_uav),
-            "malicious_fraction": fmt(self.malicious_fraction),
+            "malicious_fraction": _fmt(self.malicious_fraction),
             "data_tx_size": str(self.data_tx_size),
-            "adr": "na" if self.adr is None else fmt(self.adr),
-            "tbd_mean_s": fmt(self.tbd_mean_s),
-            "dec_mean_kj": fmt(self.dec_mean_kj),
-            "bto_mean": fmt(self.bto_mean),
+            "adr": "na" if self.adr is None else _fmt(self.adr),
+            "tbd_mean_s": _fmt(self.tbd_mean_s),
+            "dec_mean_kj": _fmt(self.dec_mean_kj),
+            "bto_mean": _fmt(self.bto_mean),
             "blocks_committed": str(self.counters.get("blocks_committed", 0)),
             "blocks_voided": str(self.counters.get("blocks_voided", 0)),
             "packets_dropped": str(self.counters.get("packets_dropped", 0)),

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .engine import US, Simulator, to_us
@@ -22,15 +21,8 @@ class PlacementError(Exception):
     pass
 
 
-class LinkClass(Enum):
-    UAV_UAV = "uav_uav"
-    UAV_GCS = "uav_gcs"
-    GCS_CA = "gcs_ca"
-
-
 @dataclass(frozen=True)
 class LinkModel:
-    cls: LinkClass
     base_latency_s: float
     bandwidth_bps: float          # bytes per second
     queue_limit_bytes: int = 0    # 0 = unbounded

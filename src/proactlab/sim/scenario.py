@@ -20,7 +20,7 @@ from ..ledger import BraPolicy
 from .agents import CaAgent, DroneAgent, GcsAgent, TgcsAgent, World
 from .engine import Simulator
 from .metrics import MetricsCollector, MetricsRecord
-from .netmodel import LinkClass, LinkModel, Network, place_topology
+from .netmodel import LinkModel, Network, place_topology
 
 
 class ConfigError(Exception):
@@ -157,21 +157,17 @@ def build_world(cfg: ScenarioConfig, event_log: Optional[TextIO] = None) -> Worl
         sensing_range_m=cfg.r_detect_m, rng=rngs["place"])
 
     sim = Simulator(event_log)
-    wireless = LinkModel(LinkClass.UAV_GCS, cfg.wireless_latency_s,
-                         cfg.wireless_bw_bps, cfg.wireless_queue_bytes)
-    mesh_model = LinkModel(LinkClass.UAV_UAV, cfg.wireless_latency_s,
-                           cfg.wireless_bw_bps, cfg.wireless_queue_bytes)
-    wired = LinkModel(LinkClass.GCS_CA, cfg.wired_latency_s, cfg.wired_bw_bps,
-                      cfg.wired_queue_bytes)
+    wireless = LinkModel(cfg.wireless_latency_s, cfg.wireless_bw_bps,
+                         cfg.wireless_queue_bytes)
+    wired = LinkModel(cfg.wired_latency_s, cfg.wired_bw_bps, cfg.wired_queue_bytes)
     net = Network(wired)
     for gcs in topo.gcs_ids:
         net.add_link(f"up:{gcs}", wireless)
         net.add_link(f"down:{gcs}", wireless)
     for uavn in topo.uavns:
-        net.add_link(f"mesh:{uavn.uavn_id}", mesh_model)
+        net.add_link(f"mesh:{uavn.uavn_id}", wireless)
 
-    registry = KeyRegistry(backend.digest224,
-                           key_seed=f"scenario:{cfg.seed}".encode())
+    registry = KeyRegistry(backend, f"scenario:{cfg.seed}".encode())
     metrics = MetricsCollector()
     world = World(cfg, sim, net, topo, registry, backend, metrics, rngs)
 

@@ -35,7 +35,7 @@ def build_transaction(*, creator: int, tx_seq: int, created_at_us: int,
     else:
         sealed_to = registry.sealing_key(owners).public_key
         payload = crypto.seal(suite, sealed_to, deterministic_nonce(creator, tx_seq),
-                              plaintext, backend.digest224)
+                              plaintext, backend)
         enc_id, enc_par = suite.suite_id, suite.enc_par
 
     unsigned = Transaction(
@@ -47,8 +47,7 @@ def build_transaction(*, creator: int, tx_seq: int, created_at_us: int,
         payload=payload, signature=b"",
     )
     digest = backend.digest(suite.hash_variant, wire.signing_bytes(unsigned))
-    signature = crypto.sign(suite, registry.public_key(creator), digest,
-                            backend.digest224)
+    signature = crypto.sign(suite, registry.public_key(creator), digest, backend)
     tx = dataclasses.replace(unsigned, signature=signature)
     tx.validate()
     return tx
@@ -63,7 +62,7 @@ def verify_transaction(tx: Transaction, registry: KeyRegistry,
     suite = crypto.suite_for_class(tx.security_class)
     digest = backend.digest(suite.hash_variant, wire.signing_bytes(tx))
     return crypto.verify(suite, registry.public_key(tx.creator), digest,
-                         tx.signature, backend.digest224)
+                         tx.signature, backend)
 
 
 def registration_payload(node_id: int, role: str, real_id: str,

@@ -28,10 +28,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .crypto import (
     DIGEST_LEN,
-    DigestFn,
+    NONCE_LEN,
+    HashBackend,
     HashVariant,
     SecurityClass,
-    spongent224,
     suite_for_class,
 )
 
@@ -39,8 +39,16 @@ HASH_LEN = DIGEST_LEN[HashVariant.SPONGENT_224]
 ZERO_HASH = bytes(HASH_LEN)
 WIRE_VERSION = 1
 
-TX_FIXED_LEN = 31
-HEADER_FIXED_LEN = 80
+# The fixed-width runs of the layouts above; each encoder and its decoder
+# use these, and the sizes below are derived from them.
+_TX_HEAD = "<IQQIBH"     # creator .. owner_count
+_TX_SUITE = "<BBBB"      # security_class block_target enc_id hash_id
+_HEADER_HEAD = "<BQBIQ"  # version .. timestamp_us
+_TA_ENTRY_HEAD = "<HBH"  # tx_index access_class owner_count
+
+TX_FIXED_LEN = struct.calcsize(_TX_HEAD) + struct.calcsize(_TX_SUITE)
+HEADER_FIXED_LEN = struct.calcsize(_HEADER_HEAD) + 2 * HASH_LEN + struct.calcsize("<H")
+_TA_ENTRY_LEN = struct.calcsize(_TA_ENTRY_HEAD)
 MAX_SIGNATURE_LEN = 255
 
 
@@ -89,7 +97,7 @@ class Transaction:
         if self.access_class is AccessClass.PUBLIC:
             return len(self.payload)
         suite = suite_for_class(self.security_class)
-        return len(self.payload) - 8 - suite.tag_len
+        return len(self.payload) - NONCE_LEN - suite.tag_len
 
     def validate(self) -> None:
         n_owners = len(self.owners)
@@ -113,7 +121,7 @@ class Transaction:
                 raise WireError(
                     f"enc_id {self.enc_id} does not match suite {suite.suite_id}"
                 )
-            if len(self.payload) <= 8 + suite.tag_len:
+            if len(self.payload) <= NONCE_LEN + suite.tag_len:
                 raise WireError("sealed payload shorter than nonce plus tag")
         if self.hash_id != suite.hash_variant.value:
             raise WireError(f"hash_id {self.hash_id} does not match the suite")
@@ -191,10 +199,10 @@ def _signed_parts(tx: Transaction) -> List[bytes]:
     enc_par = tx.enc_par.encode()
     hash_par = tx.hash_par.encode()
     return [
-        struct.pack("<IQQIBH", tx.creator, tx.tx_seq, tx.created_at_us,
+        struct.pack(_TX_HEAD, tx.creator, tx.tx_seq, tx.created_at_us,
                     tx.topic, tx.access_class, len(tx.owners)),
         struct.pack(f"<{len(tx.owners)}I", *tx.owners),
-        struct.pack("<BBBB", tx.security_class, tx.block_target, tx.enc_id, tx.hash_id),
+        struct.pack(_TX_SUITE, tx.security_class, tx.block_target, tx.enc_id, tx.hash_id),
         struct.pack("<H", len(enc_par)), enc_par,
         struct.pack("<H", len(hash_par)), hash_par,
         struct.pack("<I", len(tx.payload)), tx.payload,
@@ -257,13 +265,13 @@ class _Reader:
 
 
 def _decode_transaction(reader: _Reader) -> Transaction:
-    creator, tx_seq, created, topic, access_raw, owner_count = reader.unpack("<IQQIBH")
+    creator, tx_seq, created, topic, access_raw, owner_count = reader.unpack(_TX_HEAD)
     try:
         access = AccessClass(access_raw)
     except ValueError:
         raise WireError(f"unknown access class {access_raw}") from None
     owners = reader.unpack(f"<{owner_count}I") if owner_count else ()
-    sec_raw, target_raw, enc_id, hash_id = reader.unpack("<BBBB")
+    sec_raw, target_raw, enc_id, hash_id = reader.unpack(_TX_SUITE)
     try:
         sec = SecurityClass(sec_raw)
         target = BlockTarget(target_raw)
@@ -302,21 +310,21 @@ def encode_header(header: BlockHeader) -> bytes:
     if len(header.prev_hash) != HASH_LEN or len(header.merkle_root) != HASH_LEN:
         raise WireError("header digests must be 28 bytes")
     parts = [
-        struct.pack("<BQBIQ", header.version, header.block_id, header.block_type,
+        struct.pack(_HEADER_HEAD, header.version, header.block_id, header.block_type,
                     header.miner, header.timestamp_us),
         header.prev_hash,
         header.merkle_root,
         struct.pack("<H", len(header.ta_list)),
     ]
     for entry in header.ta_list:
-        parts.append(struct.pack("<HBH", entry.tx_index, entry.access_class,
+        parts.append(struct.pack(_TA_ENTRY_HEAD, entry.tx_index, entry.access_class,
                                  len(entry.owners)))
         parts.append(struct.pack(f"<{len(entry.owners)}I", *entry.owners))
     return b"".join(parts)
 
 
 def encoded_header_size(ta_list: Sequence[TAEntry]) -> int:
-    return HEADER_FIXED_LEN + sum(5 + 4 * len(e.owners) for e in ta_list)
+    return HEADER_FIXED_LEN + sum(_TA_ENTRY_LEN + 4 * len(e.owners) for e in ta_list)
 
 
 def encoded_block_size(block: Block) -> int:
@@ -360,7 +368,7 @@ def encode_block(block: Block) -> bytes:
 
 def decode_block(data: bytes) -> Block:
     reader = _Reader(data)
-    version, block_id, type_raw, miner, timestamp = reader.unpack("<BQBIQ")
+    version, block_id, type_raw, miner, timestamp = reader.unpack(_HEADER_HEAD)
     try:
         block_type = BlockTarget(type_raw)
     except ValueError:
@@ -370,7 +378,7 @@ def decode_block(data: bytes) -> Block:
     (tx_count,) = reader.unpack("<H")
     ta_entries = []
     for _ in range(tx_count):
-        tx_index, access_raw, owner_count = reader.unpack("<HBH")
+        tx_index, access_raw, owner_count = reader.unpack(_TA_ENTRY_HEAD)
         try:
             access = AccessClass(access_raw)
         except ValueError:
@@ -386,7 +394,7 @@ def decode_block(data: bytes) -> Block:
     return Block(header, transactions)
 
 
-def merkle_root(tx_digests: Sequence[bytes], digest224: DigestFn = spongent224) -> bytes:
+def merkle_root(tx_digests: Sequence[bytes], backend: HashBackend) -> bytes:
     """Pairwise tree over transaction digests; odd levels duplicate their
     last digest; a single leaf is its own root."""
     if not tx_digests:
@@ -398,29 +406,29 @@ def merkle_root(tx_digests: Sequence[bytes], digest224: DigestFn = spongent224) 
     while len(level) > 1:
         if len(level) % 2:
             level.append(level[-1])
-        level = [digest224(level[i] + level[i + 1]) for i in range(0, len(level), 2)]
+        level = [backend.digest224(level[i] + level[i + 1])
+                 for i in range(0, len(level), 2)]
     return level[0]
 
 
-def body_root(transactions: Sequence[Transaction],
-              digest224: DigestFn = spongent224) -> bytes:
+def body_root(transactions: Sequence[Transaction], backend: HashBackend) -> bytes:
     """The header's Merkle root: the tree over each transaction's digest."""
-    return merkle_root([digest224(encode_transaction(tx)) for tx in transactions],
-                       digest224)
+    return merkle_root([backend.digest224(encode_transaction(tx)) for tx in transactions],
+                       backend)
 
 
-def block_hash(header_bytes: bytes, digest224: DigestFn = spongent224) -> bytes:
-    """Chain digest of a block: the header bytes only (the Merkle root
+def block_hash(header: BlockHeader, backend: HashBackend) -> bytes:
+    """Chain digest of a block: its encoded header only (the Merkle root
     already commits to the body)."""
-    return digest224(header_bytes)
+    return backend.digest224(encode_header(header))
 
 
 def build_block(block_id: int, block_type: BlockTarget, miner: int, timestamp_us: int,
                 prev_hash: bytes, transactions: Sequence[Transaction],
-                digest224: DigestFn = spongent224) -> Block:
+                backend: HashBackend) -> Block:
     """Assemble a block with its access list and Merkle root computed."""
     txs = tuple(transactions)
     header = BlockHeader(WIRE_VERSION, block_id, block_type, miner, timestamp_us,
-                         prev_hash, body_root(txs, digest224), ta_list_for(txs))
+                         prev_hash, body_root(txs, backend), ta_list_for(txs))
     return Block(header, txs)
 

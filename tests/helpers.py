@@ -16,7 +16,7 @@ GROUP_MEMBERS = tuple(range(100, 107))
 
 
 def make_registry(backend: HashBackend) -> KeyRegistry:
-    registry = KeyRegistry(backend.digest224, key_seed=b"test")
+    registry = KeyRegistry(backend, key_seed=b"test")
     registry.register_node(CA_ID, is_ca=True)
     registry.register_node(GCS_ID)
     registry.register_node(GCS2_ID)

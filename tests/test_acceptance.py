@@ -211,7 +211,7 @@ def test_criterion_09_safety_liveness():
             original = agent._commit
 
             def spy(block_id, tally, _orig=original):
-                commits.append((len(tally.acks), world.quorum))
+                commits.append((len(tally.acks), consensus.quorum(world.n_tgcs)))
                 _orig(block_id, tally)
 
             agent._commit = spy
@@ -271,7 +271,7 @@ def test_criterion_10_security_scenarios():
     rogue_registry.register_node(4242)
     rogue_tx = helpers.make_t1_command(rogue_registry, BACKEND, creator=4242)
     block = wire.build_block(0, BlockTarget.BLOCK_T1, 4242, 0, wire.ZERO_HASH,
-                             [rogue_tx], BACKEND.digest224)
+                             [rogue_tx], BACKEND)
     issues = ledger.validate_block(0, wire.ZERO_HASH, block, registry, BACKEND)
     isolated = any(issue.code == "signature" and "unknown creator" in issue.detail
                    for issue in issues)
@@ -281,7 +281,7 @@ def test_criterion_10_security_scenarios():
     tampered = dataclasses.replace(
         genuine, payload=bytes(len(genuine.payload)))  # breaks the signature
     bad_block = wire.build_block(0, BlockTarget.BLOCK_T1, 900, 0, wire.ZERO_HASH,
-                                 [tampered], BACKEND.digest224)
+                                 [tampered], BACKEND)
     honest_votes = ledger.validate_block(0, wire.ZERO_HASH, bad_block,
                                          registry, BACKEND)
     honest_reject = bool(honest_votes)

@@ -263,7 +263,7 @@ def test_assemble_single_transaction_block(registry):
 def _committed_block(registry, block_id):
     tx = helpers.make_t1_command(registry, BACKEND, seq=block_id)
     return wire.build_block(block_id, BlockTarget.BLOCK_T1, helpers.GCS_ID,
-                            0, wire.ZERO_HASH, [tx], BACKEND.digest224)
+                            0, wire.ZERO_HASH, [tx], BACKEND)
 
 
 def test_finalize_chains_to_predecessor(registry):
@@ -274,8 +274,7 @@ def test_finalize_chains_to_predecessor(registry):
     pending.assign_id(45)
     block = miner_finalize(pending, predecessor, BACKEND)
     assert block.block_id == 45
-    assert block.header.prev_hash == wire.block_hash(
-        wire.encode_header(predecessor.header), BACKEND.digest224)
+    assert block.header.prev_hash == wire.block_hash(predecessor.header, BACKEND)
     assert pending.state is BlockState.BROADCAST
 
 

@@ -68,9 +68,9 @@ def test_only_three_class_suites_exist():
 def test_sign_verify_roundtrip(suite, registry):
     digest = BACKEND.digest(suite.hash_variant, b"body bytes")
     public = registry.public_key(helpers.GCS_ID)
-    signature = crypto.sign(suite, public, digest, BACKEND.digest224)
+    signature = crypto.sign(suite, public, digest, BACKEND)
     assert len(signature) == suite.signature_len
-    assert crypto.verify(suite, public, digest, signature, BACKEND.digest224)
+    assert crypto.verify(suite, public, digest, signature, BACKEND)
 
 
 def test_verify_rejects_other_key(registry):
@@ -78,24 +78,24 @@ def test_verify_rejects_other_key(registry):
     digest = BACKEND.digest(suite.hash_variant, b"forged content")
     attacker_public = registry.public_key(helpers.DRONE_B)
     claimed_public = registry.public_key(helpers.GCS_ID)
-    signature = crypto.sign(suite, attacker_public, digest, BACKEND.digest224)
-    assert not crypto.verify(suite, claimed_public, digest, signature, BACKEND.digest224)
+    signature = crypto.sign(suite, attacker_public, digest, BACKEND)
+    assert not crypto.verify(suite, claimed_public, digest, signature, BACKEND)
 
 
 def test_verify_rejects_flipped_content(registry):
     suite = crypto.SUITE_S1
     public = registry.public_key(helpers.GCS_ID)
     digest = BACKEND.digest(suite.hash_variant, b"payload")
-    signature = crypto.sign(suite, public, digest, BACKEND.digest224)
+    signature = crypto.sign(suite, public, digest, BACKEND)
     tampered = BACKEND.digest(suite.hash_variant, b"paYload")
-    assert not crypto.verify(suite, public, tampered, signature, BACKEND.digest224)
+    assert not crypto.verify(suite, public, tampered, signature, BACKEND)
 
 
 def test_verify_rejects_wrong_length_signature(registry):
     suite = crypto.SUITE_S2_C1
     digest = BACKEND.digest(suite.hash_variant, b"x")
     public = registry.public_key(helpers.GCS_ID)
-    assert not crypto.verify(suite, public, digest, b"short", BACKEND.digest224)
+    assert not crypto.verify(suite, public, digest, b"short", BACKEND)
 
 
 @pytest.mark.parametrize("suite", [crypto.SUITE_S2_C1, crypto.SUITE_S2_C2, crypto.SUITE_S1])
@@ -103,15 +103,15 @@ def test_verify_rejects_wrong_length_signature(registry):
 def test_seal_open_roundtrip(suite, length, registry):
     public = registry.public_key(helpers.DRONE_A)
     plaintext = bytes((i * 13) % 256 for i in range(length))
-    sealed = crypto.seal(suite, public, bytes(8), plaintext, BACKEND.digest224)
+    sealed = crypto.seal(suite, public, bytes(8), plaintext, BACKEND)
     assert len(sealed) == crypto.NONCE_LEN + length + suite.tag_len
-    assert crypto.open_sealed(suite, public, sealed, BACKEND.digest224) == plaintext
+    assert crypto.open_sealed(suite, public, sealed, BACKEND) == plaintext
 
 
 def test_seal_rejects_empty_plaintext(registry):
     with pytest.raises(crypto.CryptoError):
         crypto.seal(crypto.SUITE_S1, registry.public_key(helpers.DRONE_A),
-                    bytes(8), b"", BACKEND.digest224)
+                    bytes(8), b"", BACKEND)
 
 
 @settings(max_examples=40, deadline=None)
@@ -120,24 +120,24 @@ def test_any_single_byte_corruption_is_detected(data, corrupt_at):
     registry = helpers.make_registry(BACKEND)
     suite = crypto.SUITE_S2_C2
     public = registry.public_key(helpers.DRONE_A)
-    sealed = bytearray(crypto.seal(suite, public, bytes(8), data, BACKEND.digest224))
+    sealed = bytearray(crypto.seal(suite, public, bytes(8), data, BACKEND))
     pos = 8 + corrupt_at % (len(sealed) - 8 - suite.tag_len)  # inside ciphertext
     sealed[pos] ^= 0x5A
     with pytest.raises(TamperedError):
-        crypto.open_sealed(suite, public, bytes(sealed), BACKEND.digest224)
+        crypto.open_sealed(suite, public, bytes(sealed), BACKEND)
 
 
 def _open(registry, suite, owners, sealed):
     """Open a payload with the key it was sealed to."""
     return crypto.open_sealed(suite, registry.sealing_key(owners).public_key, sealed,
-                              BACKEND.digest224)
+                              BACKEND)
 
 
 def test_group_key_openable_by_all_members(registry):
     members = helpers.GROUP_MEMBERS
     group = registry.group_keygen(helpers.CA_ID, members)
     suite = crypto.SUITE_S2_C1
-    sealed = crypto.seal(suite, group.pair.public_key, bytes(8), b"task", BACKEND.digest224)
+    sealed = crypto.seal(suite, group.pair.public_key, bytes(8), b"task", BACKEND)
     assert registry.sealing_key(members) == group.pair
     for member in members:
         assert registry.may_open(member, members)
@@ -155,7 +155,7 @@ def test_ca_can_open_any_group_payload(registry):
     members = helpers.GROUP_MEMBERS[:3]
     group = registry.group_keygen(helpers.CA_ID, members)
     suite = crypto.SUITE_S2_C2
-    sealed = crypto.seal(suite, group.pair.public_key, bytes(8), b"secret", BACKEND.digest224)
+    sealed = crypto.seal(suite, group.pair.public_key, bytes(8), b"secret", BACKEND)
     assert registry.may_open(helpers.CA_ID, members)
     assert _open(registry, suite, members, sealed) == b"secret"
 
@@ -163,7 +163,7 @@ def test_ca_can_open_any_group_payload(registry):
 def test_single_owner_payload_only_owner_and_ca(registry):
     suite = crypto.SUITE_S1
     public = registry.public_key(helpers.DRONE_A)
-    sealed = crypto.seal(suite, public, bytes(8), b"private", BACKEND.digest224)
+    sealed = crypto.seal(suite, public, bytes(8), b"private", BACKEND)
     owners = (helpers.DRONE_A,)
     assert registry.may_open(helpers.DRONE_A, owners)
     assert registry.may_open(helpers.CA_ID, owners)

@@ -26,7 +26,7 @@ BACKEND = crypto.SIMULATED_BACKEND
 def _block(registry, block_id, prev_hash, txs, block_type=BlockTarget.BLOCK_T1,
            miner=helpers.GCS_ID):
     return wire.build_block(block_id, block_type, miner, 1000 * block_id,
-                            prev_hash, txs, BACKEND.digest224)
+                            prev_hash, txs, BACKEND)
 
 
 def _chain(registry, n_blocks=3):
@@ -48,8 +48,7 @@ def test_validate_accepts_wellformed_successor(registry):
 
 def test_validate_flags_stale_prev_hash(registry):
     full = _chain(registry, n_blocks=3)
-    stale_tip = wire.block_hash(wire.encode_header(full.blocks[1].header),
-                                BACKEND.digest224)
+    stale_tip = wire.block_hash(full.blocks[1].header, BACKEND)
     tx = helpers.make_t1_command(registry, BACKEND, seq=60)
     block = _block(registry, full.next_block_id, stale_tip, [tx])
     issues = validate_block(full.next_block_id, full.tip_digest, block,

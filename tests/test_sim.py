@@ -15,7 +15,6 @@ from proactlab.sim.engine import US, Simulator, to_us
 from proactlab.sim.metrics import MetricsCollector
 from proactlab.sim.netmodel import (
     Link,
-    LinkClass,
     LinkModel,
     PlacementError,
     place_topology,
@@ -68,7 +67,7 @@ def test_event_log_lines():
 
 
 def _link(bw=1000.0, latency=0.01, limit=0):
-    return Link("l", LinkModel(LinkClass.GCS_CA, latency, bw, limit))
+    return Link("l", LinkModel(latency, bw, limit))
 
 
 def test_link_serialization_plus_latency():
@@ -426,7 +425,7 @@ def test_owner_probe_allowed():
             suite=SUITE_S2_C1, access_class=AccessClass.SINGLE, owners=(owner,),
             block_target=BlockTarget.BLOCK_T1, plaintext=bytes(50),
             registry=world.registry, backend=world.backend)],
-        world.backend.digest224)
+        world.backend)
     agent.ledger.store_block(block)
     sent = []
     world.send = lambda src, dst, kind, payload, size, meta=None, on_expired=None: \
@@ -449,7 +448,7 @@ def _committed_drone_block(world, gcs_id, owner, block_id, prev, seq,
         block_target=BlockTarget.BLOCK_T1, plaintext=payload,
         registry=world.registry, backend=world.backend)
     return wire.build_block(block_id, BlockTarget.BLOCK_T1, gcs_id, seq,
-                            prev, [tx], world.backend.digest224)
+                            prev, [tx], world.backend)
 
 
 def test_keyed_fetch_denial_raises_an_incident_only_at_a_drone():
@@ -495,8 +494,7 @@ def test_fetch_sources_local_then_gcs_after_eviction():
     keys = []
     for i in range(3):
         block = _committed_drone_block(world, gcs_id, drone_id, i, prev, i + 1)
-        prev = wire.block_hash(wire.encode_header(block.header),
-                               world.backend.digest224)
+        prev = wire.block_hash(block.header, world.backend)
         gcs.ledger.append_block(block)
         drone._store_copy(block)
         keys.append(block.transactions[0].key())
@@ -520,7 +518,7 @@ def test_fetch_from_neighbor_that_owns_it():
         block_target=BlockTarget.BLOCK_T1, plaintext=bytes(200),
         registry=world.registry, backend=world.backend)
     block = wire.build_block(0, BlockTarget.BLOCK_T1, gcs_id, 5, wire.ZERO_HASH,
-                             [shared], world.backend.digest224)
+                             [shared], world.backend)
     world.agents[b].ledger.store_block(block)  # only the neighbor kept it
     world.agents[a].fetch_transaction(shared.key())
     world.sim.run()

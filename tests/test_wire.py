@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from proactlab import crypto, txbuild, wire
-from proactlab.crypto import spongent224
+from proactlab.crypto import SPONGENT_BACKEND
 from proactlab.wire import (
     AccessClass,
     Block,
@@ -113,7 +113,7 @@ def test_empty_block_header_is_80_bytes():
 def test_single_owner_ta_entry_adds_9_bytes(registry, sim_backend):
     tx = helpers.make_t1_command(registry, sim_backend)
     block = wire.build_block(5, BlockTarget.BLOCK_T1, helpers.GCS_ID, 0,
-                             wire.ZERO_HASH, [tx], sim_backend.digest224)
+                             wire.ZERO_HASH, [tx], sim_backend)
     header_len = len(wire.encode_header(block.header))
     assert header_len == 80 + (2 + 1 + 2 + 4)
     assert len(wire.encode_block(block)) == header_len + 199
@@ -124,7 +124,7 @@ def test_block_round_trip(registry, sim_backend):
     txs = [helpers.make_t1_command(registry, sim_backend, seq=i) for i in range(3)]
     txs.append(helpers.make_group_command(registry, sim_backend, seq=9))
     block = wire.build_block(7, BlockTarget.BLOCK_T1, helpers.GCS_ID, 123456,
-                             wire.ZERO_HASH, txs, sim_backend.digest224)
+                             wire.ZERO_HASH, txs, sim_backend)
     assert wire.decode_block(wire.encode_block(block)) == block
 
 
@@ -143,50 +143,53 @@ def test_encode_block_rejects_target_mismatch(registry, sim_backend):
         wire.encode_block(Block(header, (tx,)))
 
 
+H = SPONGENT_BACKEND.digest224
+
+
 def test_merkle_single_leaf_is_identity():
-    leaf = spongent224(b"leaf")
-    assert wire.merkle_root([leaf]) == leaf
+    leaf = H(b"leaf")
+    assert wire.merkle_root([leaf], SPONGENT_BACKEND) == leaf
 
 
 def test_merkle_two_leaves():
-    d1, d2 = spongent224(b"1"), spongent224(b"2")
-    assert wire.merkle_root([d1, d2]) == spongent224(d1 + d2)
+    d1, d2 = H(b"1"), H(b"2")
+    assert wire.merkle_root([d1, d2], SPONGENT_BACKEND) == H(d1 + d2)
 
 
 def test_merkle_three_leaves_duplicates_last():
-    d1, d2, d3 = (spongent224(bytes([i])) for i in range(3))
-    left = spongent224(d1 + d2)
-    right = spongent224(d3 + d3)
-    assert wire.merkle_root([d1, d2, d3]) == spongent224(left + right)
+    d1, d2, d3 = (H(bytes([i])) for i in range(3))
+    left = H(d1 + d2)
+    right = H(d3 + d3)
+    assert wire.merkle_root([d1, d2, d3], SPONGENT_BACKEND) == H(left + right)
 
 
 def test_merkle_rejects_empty():
     with pytest.raises(WireError):
-        wire.merkle_root([])
+        wire.merkle_root([], SPONGENT_BACKEND)
 
 
 def test_merkle_root_changes_when_any_transaction_changes(registry, sim_backend):
     txs = [helpers.make_t1_command(registry, sim_backend, seq=i) for i in range(3)]
     original = wire.build_block(1, BlockTarget.BLOCK_T1, helpers.GCS_ID, 0,
-                                wire.ZERO_HASH, txs, sim_backend.digest224)
+                                wire.ZERO_HASH, txs, sim_backend)
     txs[1] = helpers.make_t1_command(registry, sim_backend, seq=1,
                                      plaintext=bytes(range(100)))
     altered = wire.build_block(1, BlockTarget.BLOCK_T1, helpers.GCS_ID, 0,
-                               wire.ZERO_HASH, txs, sim_backend.digest224)
+                               wire.ZERO_HASH, txs, sim_backend)
     assert original.header.merkle_root != altered.header.merkle_root
 
 
 def test_block_hash_deterministic_and_sensitive(registry, sim_backend):
     tx = helpers.make_t1_command(registry, sim_backend)
     block = wire.build_block(5, BlockTarget.BLOCK_T1, helpers.GCS_ID, 0,
-                             wire.ZERO_HASH, [tx], sim_backend.digest224)
-    header_bytes = wire.encode_header(block.header)
-    digest = wire.block_hash(header_bytes)
-    assert digest == wire.block_hash(header_bytes)
+                             wire.ZERO_HASH, [tx], sim_backend)
+    digest = wire.block_hash(block.header, SPONGENT_BACKEND)
+    assert digest == wire.block_hash(block.header, SPONGENT_BACKEND)
     assert len(digest) == 28
-    flipped = bytearray(header_bytes)
-    flipped[-1] ^= 0x01  # last TA owner byte
-    assert wire.block_hash(bytes(flipped)) != digest
+    (entry,) = block.header.ta_list
+    flipped = dataclasses.replace(entry, owners=(entry.owners[0] ^ 0x01,))
+    altered = dataclasses.replace(block.header, ta_list=(flipped,))
+    assert wire.block_hash(altered, SPONGENT_BACKEND) != digest
 
 
 _payloads = st.binary(min_size=1, max_size=300)
@@ -257,7 +260,7 @@ def _valid_encodings():
     txs = [helpers.make_t1_command(registry, backend, seq=1),
            helpers.make_group_command(registry, backend, seq=2)]
     block = wire.build_block(3, BlockTarget.BLOCK_T1, helpers.GCS_ID, 0,
-                             wire.ZERO_HASH, txs, backend.digest224)
+                             wire.ZERO_HASH, txs, backend)
     return [wire.encode_transaction(txs[0]), wire.encode_transaction(txs[1]),
             wire.encode_block(block)]
 
