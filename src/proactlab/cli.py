@@ -33,6 +33,9 @@ class RunManifest:
     emitted: List[str] = dataclasses.field(default_factory=list)
     force: bool = False
 
+    def __post_init__(self) -> None:
+        self.claim("manifest.txt")
+
     def claim(self, name: str) -> Path:
         """Register an output file, refusing to overwrite without --force."""
         path = self.out_dir / name

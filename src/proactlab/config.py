@@ -1,9 +1,10 @@
 """Scenario files: sectioned key=value text mapping onto ScenarioConfig.
 
-Section headers group related keys but any key may appear in any section;
-keys are exactly the ScenarioConfig field names.  A comma-separated value
-list on a numeric key declares a sweep axis; multiple axes expand to their
-cross-product in declaration order.
+Section headers group related keys; a key may appear in any section, but
+only once per file ([DEFAULT] is an ordinary section).  Keys are exactly the
+ScenarioConfig field names.  A comma-separated value list on a numeric key
+declares a sweep axis; multiple axes expand to their cross-product in
+declaration order.
 """
 
 from __future__ import annotations
@@ -41,19 +42,29 @@ def _parse_scalar(field: str, text: str):
 
 def load_scenarios(path) -> List[ScenarioConfig]:
     """Parse a scenario file into the cross-product of its sweep axes."""
-    parser = configparser.ConfigParser()
-    read = parser.read(str(path))
+    parser = configparser.ConfigParser(default_section="")
+    try:
+        read = parser.read(str(path))
+        sections = [(name, parser.items(name)) for name in parser.sections()]
+    except configparser.Error as exc:
+        detail = str(exc).replace("\n", " ")
+        raise ConfigError([f"cannot parse scenario file {path}: {detail}"]) from None
     if not read:
         raise ConfigError([f"cannot read scenario file {path}"])
 
     base: Dict[str, object] = {}
     sweeps: List[Tuple[str, List[object]]] = []
     problems: List[str] = []
-    for section in parser.sections():
-        for key, raw in parser.items(section):
+    section_of: Dict[str, str] = {}
+    for section, items in sections:
+        for key, raw in items:
             if key not in _FIELD_TYPES:
                 problems.append(f"unknown key {key!r} in section [{section}]")
                 continue
+            if key in section_of:
+                problems.append(f"key {key!r} is set in both [{section_of[key]}] and [{section}]")
+                continue
+            section_of[key] = section
             if "," in raw and _FIELD_TYPES[key] is not str:
                 values = [_parse_scalar(key, part) for part in raw.split(",") if part.strip()]
                 if not values:

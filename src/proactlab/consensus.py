@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from . import ledger, wire
 from .crypto import HashBackend
-from .wire import Block, BlockHeader, BlockTarget, TAEntry, Transaction
+from .wire import Block, BlockHeader, BlockTarget, TAEntry, Transaction, _Reader
 
 
 V = TypeVar("V")
@@ -27,14 +27,6 @@ class ConsensusError(Exception):
     pass
 
 
-def _unpack_from(fmt: str, data: bytes, offset: int = 0) -> tuple:
-    """struct.unpack_from that reports short input as a ConsensusError."""
-    try:
-        return struct.unpack_from(fmt, data, offset)
-    except struct.error:
-        raise ConsensusError(f"message truncated at offset {offset}") from None
-
-
 def _encode_assignments(assignments: Sequence[Assignment]) -> bytes:
     """count(2) [block_id(8) tgcs(4)]*: the list that ends the assignment
     message and the orderer handoff."""
@@ -42,27 +34,12 @@ def _encode_assignments(assignments: Sequence[Assignment]) -> bytes:
         struct.pack("<QI", a.block_id, a.tgcs_id) for a in assignments)
 
 
-def _decode_assignments(data: bytes, offset: int) -> List[Assignment]:
-    """Inverse of _encode_assignments.  The list ends the message, and a
-    variable-length message is canonical: nothing may follow it."""
-    (count,) = _unpack_from("<H", data, offset)
-    offset += 2
-    entries = []
-    for _ in range(count):
-        entries.append(Assignment(*_unpack_from("<QI", data, offset)))
-        offset += 12
-    if offset != len(data):
-        raise ConsensusError(f"{len(data) - offset} trailing bytes after the message")
+def _decode_assignments(reader: _Reader) -> List[Assignment]:
+    """Inverse of _encode_assignments; the list ends the message."""
+    (count,) = reader.unpack("<H")
+    entries = [Assignment(*reader.unpack("<QI")) for _ in range(count)]
+    reader.end()
     return entries
-
-
-def _unpack(fmt: str, data: bytes) -> tuple:
-    """struct.unpack of a whole fixed-size message, as a ConsensusError."""
-    try:
-        return struct.unpack(fmt, data)
-    except struct.error:
-        raise ConsensusError(f"expected {struct.calcsize(fmt)} bytes, "
-                             f"got {len(data)}") from None
 
 
 # --- miner assignment -------------------------------------------------------
@@ -260,16 +237,12 @@ class OrderingState:
 
     @classmethod
     def decode(cls, data: bytes) -> "OrderingState":
-        next_id, watermark, sequential, n_pending = _unpack_from("<QqBH", data)
+        reader = _Reader(data, ConsensusError)
+        next_id, watermark, sequential, n_pending = reader.unpack("<QqBH")
         state = cls(next_id, bool(sequential))
         state.committed_watermark = watermark
-        offset = struct.calcsize("<QqBH")
-        for _ in range(n_pending):
-            tgcs, ts, remaining = _unpack_from("<IQB", data, offset)
-            offset += struct.calcsize("<IQB")
-            state.pending.append(_QueuedRequest(tgcs, ts, remaining))
-        state.assignments = {a.block_id: a.tgcs_id
-                             for a in _decode_assignments(data, offset)}
+        state.pending = [_QueuedRequest(*reader.unpack("<IQB")) for _ in range(n_pending)]
+        state.assignments = {a.block_id: a.tgcs_id for a in _decode_assignments(reader)}
         return state
 
 
@@ -353,7 +326,7 @@ class NbrMessage:
 
     @classmethod
     def decode(cls, data: bytes) -> "NbrMessage":
-        return cls(*_unpack("<IQB", data))
+        return cls(*_Reader(data, ConsensusError).last("<IQB"))
 
 
 @dataclass(frozen=True)
@@ -365,7 +338,7 @@ class AssignMessage:
 
     @classmethod
     def decode(cls, data: bytes) -> "AssignMessage":
-        return cls(tuple(_decode_assignments(data, 0)))
+        return cls(tuple(_decode_assignments(_Reader(data, ConsensusError))))
 
 
 @dataclass(frozen=True)
@@ -378,7 +351,7 @@ class BlockAckMessage:
 
     @classmethod
     def decode(cls, data: bytes) -> "BlockAckMessage":
-        return cls(*_unpack("<QI", data))
+        return cls(*_Reader(data, ConsensusError).last("<QI"))
 
 
 @dataclass(frozen=True)
@@ -392,7 +365,7 @@ class BlockErrorMessage:
 
     @classmethod
     def decode(cls, data: bytes) -> "BlockErrorMessage":
-        return cls(*_unpack("<QIB", data))
+        return cls(*_Reader(data, ConsensusError).last("<QIB"))
 
 
 @dataclass(frozen=True)
@@ -404,4 +377,4 @@ class VoidMessage:
 
     @classmethod
     def decode(cls, data: bytes) -> "VoidMessage":
-        return cls(*_unpack("<Q", data))
+        return cls(*_Reader(data, ConsensusError).last("<Q"))

@@ -364,13 +364,6 @@ class KeyPair:
     public_key: bytes
 
 
-@dataclass
-class GroupKey:
-    group_id: int
-    members: FrozenSet[int]
-    pair: KeyPair
-
-
 class KeyRegistry:
     """Key pairs plus the possession lists that say who may open a payload.
 
@@ -384,8 +377,7 @@ class KeyRegistry:
         self._key_seed = key_seed
         self._nodes: Dict[int, KeyPair] = {}
         self._cas: set[int] = set()
-        self._groups: Dict[FrozenSet[int], GroupKey] = {}
-        self._next_group_id = 0x8000_0000
+        self._groups: Dict[FrozenSet[int], KeyPair] = {}
 
     def _derive_pair(self, holder: int, label: bytes) -> KeyPair:
         seed = hashlib.blake2b(
@@ -409,41 +401,34 @@ class KeyRegistry:
     def is_ca(self, node_id: int) -> bool:
         return node_id in self._cas
 
-    @property
-    def ca_ids(self) -> FrozenSet[int]:
-        return frozenset(self._cas)
-
     def public_key(self, node_id: int) -> bytes:
         try:
             return self._nodes[node_id].public_key
         except KeyError:
             raise CryptoError(f"node {node_id} has no registered key") from None
 
-    def group_keygen(self, ca_id: int, members: Iterable[int]) -> GroupKey:
-        """CA-issued group key pair; every member and the CA may open."""
+    def group_keygen(self, ca_id: int, members: Iterable[int]) -> KeyPair:
+        """CA-issued group key pair; every member and the CA may open.
+        Group ids count up from 0x8000_0000 in issue order."""
         member_set = frozenset(members)
         if not member_set:
             raise CryptoError("group must have at least one member")
         if ca_id not in self._cas:
             raise CryptoError(f"node {ca_id} is not a registered CA")
-        existing = self._groups.get(member_set)
-        if existing is not None:
-            return existing
-        group_id = self._next_group_id
-        self._next_group_id += 1
-        group = GroupKey(group_id, member_set, self._derive_pair(group_id, b"group"))
-        self._groups[member_set] = group
-        return group
+        if member_set not in self._groups:
+            group_id = 0x8000_0000 + len(self._groups)
+            self._groups[member_set] = self._derive_pair(group_id, b"group")
+        return self._groups[member_set]
 
     def sealing_key(self, owners: Sequence[int]) -> KeyPair:
         """Key pair a creator seals to: the owner's for single ownership,
         the group's for shared ownership."""
         if len(owners) == 1:
             return self._nodes[owners[0]]
-        group = self._groups.get(frozenset(owners))
-        if group is None:
+        pair = self._groups.get(frozenset(owners))
+        if pair is None:
             raise CryptoError(f"no group key registered for members {sorted(owners)}")
-        return group.pair
+        return pair
 
     def may_open(self, agent_id: int, owners: Sequence[int]) -> bool:
         if not owners:

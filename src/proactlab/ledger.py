@@ -208,11 +208,6 @@ def check_access(requester: int, request_signature: bytes, tx: Transaction,
                           IncidentDraft(requester, "unauthorized-access", tx.key()))
 
 
-class BraPolicy(Enum):
-    OLDEST_FIRST = "oldest_first"
-    OUTDATED_FIRST = "outdated_first"
-
-
 DEFAULT_DRONE_CAPACITY = 4 * 1024 * 1024
 
 
@@ -220,47 +215,19 @@ class DroneLedger:
     """Capacity-bounded partial chain held by one drone.
 
     Only drone-class blocks that name this drone in their access list are
-    stored; the Block Replacement Algorithm frees space when the capacity
-    would be exceeded.  Predecessor links are not verified here: the
-    partial chain is a cache, not a validation source.
+    stored; when a block would exceed the capacity, the Block Replacement
+    Algorithm evicts the oldest (lowest-id) blocks first until it fits.
+    Predecessor links are not verified here: the partial chain is a cache,
+    not a validation source.
     """
 
-    def __init__(self, drone_id: int, capacity_bytes: int = DEFAULT_DRONE_CAPACITY,
-                 policy: BraPolicy = BraPolicy.OLDEST_FIRST):
+    def __init__(self, drone_id: int, capacity_bytes: int = DEFAULT_DRONE_CAPACITY):
         self.drone_id = drone_id
         self.capacity_bytes = capacity_bytes
-        self.policy = policy
         self.blocks: List[Block] = []  # ascending block_id
         self._ids: List[int] = []      # block ids of self.blocks, same order
         self.current_bytes = 0
         self._tx_index: Dict[Tuple[int, int], Tuple[int, int]] = {}
-
-    def _owned_txs(self, block: Block) -> List[Transaction]:
-        """This drone's transactions in a block, in transaction order."""
-        return [block.transactions[i] for i in block.owner_index.get(self.drone_id, ())]
-
-    def _is_outdated(self, block: Block, newest: Dict[Tuple[int, int], int]) -> bool:
-        owned = self._owned_txs(block)
-        if not owned:
-            return False
-        for tx in owned:
-            if tx.topic == 0:
-                return False
-            latest = newest.get((tx.creator, tx.topic), tx.created_at_us)
-            if latest <= tx.created_at_us:
-                return False
-        return True
-
-    def _newest_by_topic(self, incoming: Block) -> Dict[Tuple[int, int], int]:
-        newest: Dict[Tuple[int, int], int] = {}
-        for block in list(self.blocks) + [incoming]:
-            for tx in block.transactions:
-                if tx.topic == 0:
-                    continue
-                key = (tx.creator, tx.topic)
-                if tx.created_at_us > newest.get(key, -1):
-                    newest[key] = tx.created_at_us
-        return newest
 
     def _position(self, block_id: int) -> Optional[int]:
         index = bisect_left(self._ids, block_id)
@@ -269,8 +236,8 @@ class DroneLedger:
         return None
 
     def store_block(self, block: Block) -> List[int]:
-        """Insert a block, evicting per the replacement policy; returns the
-        evicted block ids in eviction order."""
+        """Insert a block, evicting the oldest blocks until it fits; returns
+        the evicted block ids in eviction order."""
         if block.header.block_type is not BlockTarget.BLOCK_T1:
             raise LedgerError("block_type", "drones store only drone-class blocks")
         if self.drone_id not in block.owner_index:
@@ -283,14 +250,6 @@ class DroneLedger:
                               f"{size} bytes exceeds capacity {self.capacity_bytes}")
 
         evicted: List[int] = []
-        if self.current_bytes + size > self.capacity_bytes and \
-                self.policy is BraPolicy.OUTDATED_FIRST:
-            newest = self._newest_by_topic(block)
-            for candidate in [b for b in self.blocks if self._is_outdated(b, newest)]:
-                if self.current_bytes + size <= self.capacity_bytes:
-                    break
-                evicted.append(candidate.block_id)
-                self._remove(candidate)
         while self.current_bytes + size > self.capacity_bytes:
             oldest = self.blocks[0]
             evicted.append(oldest.block_id)

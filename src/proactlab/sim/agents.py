@@ -31,8 +31,7 @@ from ..consensus import (
     rotate_bo,
 )
 from ..crypto import SUITE_S1
-from ..ledger import (BraPolicy, DroneLedger, FullLedger, IncidentDraft, Verdict,
-                      check_access)
+from ..ledger import DroneLedger, FullLedger, IncidentDraft, Verdict, check_access
 from ..wire import AccessClass, Block, BlockTarget, Transaction
 
 from .energy import EnergyCoefficients, EnergyState
@@ -323,12 +322,10 @@ class Agent:
 class DroneAgent(Agent):
     def __init__(self, world: World, drone_id: int):
         super().__init__(world, drone_id)
-        cfg = world.cfg
         self.uavn_id = world.topo.drone_uavn[drone_id]
         self.gcs_id = world.topo.gcs_of_drone(drone_id)
         self.malicious = drone_id in world.malicious
-        self.ledger = DroneLedger(drone_id, cfg.drone_capacity_bytes,
-                                  BraPolicy(cfg.bra_policy))
+        self.ledger = DroneLedger(drone_id, world.cfg.drone_capacity_bytes)
         self.energy = world.energy_for_drone()
         self.known_refs: List[TxKey] = []
         self._known_set: Set[TxKey] = set()

@@ -81,7 +81,6 @@ class MetricsCollector:
         self.tbd_samples_s: List[float] = []
         self._bto_sum = 0.0
         self._bto_count = 0
-        self._committed_keys: Set[TxKey] = set()
         self._committed_digests: List[bytes] = []
         self._attack_detected: Set[int] = set()
 
@@ -102,7 +101,6 @@ class MetricsCollector:
         if not self._settle(key, "committed"):
             return
         self.counters["txs_committed"] += 1
-        self._committed_keys.add(key)
         self._committed_digests.append(hashlib.blake2b(encoded, digest_size=16).digest())
         created = self._tx_created_us[key]
         self.tbd_samples_s.append((commit_us - created) / US)
@@ -169,6 +167,7 @@ class MetricsCollector:
             malicious_fraction=malicious_fraction, data_tx_size=data_tx_size,
             adr=adr, tbd_mean_s=tbd_mean, dec_mean_kj=dec_mean_kj,
             bto_mean=bto_mean, counters=dict(self.counters),
-            committed_keys=frozenset(self._committed_keys),
+            committed_keys=frozenset(key for key, state in self._tx_state.items()
+                                     if state == "committed"),
             committed_fingerprint=fingerprint,
             tbd_samples_s=list(self.tbd_samples_s))

@@ -15,7 +15,6 @@ from typing import List, Optional, TextIO
 
 from .. import consensus, crypto
 from ..crypto import KeyRegistry, SecurityLevel, select_suite
-from ..ledger import BraPolicy
 
 from .agents import CaAgent, DroneAgent, GcsAgent, TgcsAgent, World
 from .engine import Simulator
@@ -88,7 +87,6 @@ class ScenarioConfig:
     initial_energy_j: float = 3_600_000.0
     # drone ledger
     drone_capacity_bytes: int = 4 * 1024 * 1024
-    bra_policy: str = "oldest_first"
     # consensus
     t_bis_s: float = 0.05
     t_blk_s: float = 5.0
@@ -128,10 +126,6 @@ class ScenarioConfig:
             problems.append("disc_radius_m must be below gcs_range_m")
         if self.t_bis_s >= self.t_blk_s:
             problems.append("t_bis_s must be below t_blk_s")
-        try:
-            BraPolicy(self.bra_policy)
-        except ValueError:
-            problems.append("bra_policy must be oldest_first or outdated_first")
         if problems:
             raise ConfigError(problems)
 

@@ -26,7 +26,7 @@ def build_transaction(*, creator: int, tx_seq: int, created_at_us: int,
                       suite: CryptoSuite, access_class: AccessClass,
                       owners: Sequence[int], block_target: BlockTarget,
                       plaintext: bytes, registry: KeyRegistry,
-                      backend: HashBackend, topic: int = 0) -> Transaction:
+                      backend: HashBackend) -> Transaction:
     """Seal (when private), fill the crypto metadata, and sign."""
     owners = tuple(owners)
     if access_class is AccessClass.PUBLIC:
@@ -39,7 +39,7 @@ def build_transaction(*, creator: int, tx_seq: int, created_at_us: int,
         enc_id, enc_par = suite.suite_id, suite.enc_par
 
     unsigned = Transaction(
-        creator=creator, tx_seq=tx_seq, created_at_us=created_at_us, topic=topic,
+        creator=creator, tx_seq=tx_seq, created_at_us=created_at_us, topic=0,
         access_class=access_class, owners=owners,
         security_class=suite.security_class, block_target=block_target,
         enc_id=enc_id, hash_id=suite.hash_variant.value,

@@ -45,11 +45,15 @@ _TX_HEAD = "<IQQIBH"     # creator .. owner_count
 _TX_SUITE = "<BBBB"      # security_class block_target enc_id hash_id
 _HEADER_HEAD = "<BQBIQ"  # version .. timestamp_us
 _TA_ENTRY_HEAD = "<HBH"  # tx_index access_class owner_count
+# The length prefixes of enc_par, hash_par, payload and signature.
+_TX_PREFIXES = ("<H", "<H", "<I", "<B")
+_ENC_PAR_LEN, _HASH_PAR_LEN, _PAYLOAD_LEN, _SIG_LEN = _TX_PREFIXES
 
 TX_FIXED_LEN = struct.calcsize(_TX_HEAD) + struct.calcsize(_TX_SUITE)
+# The bytes of a transaction that do not depend on its contents.
+_TX_BASE_LEN = TX_FIXED_LEN + sum(map(struct.calcsize, _TX_PREFIXES))
 HEADER_FIXED_LEN = struct.calcsize(_HEADER_HEAD) + 2 * HASH_LEN + struct.calcsize("<H")
 _TA_ENTRY_LEN = struct.calcsize(_TA_ENTRY_HEAD)
-MAX_SIGNATURE_LEN = 255
 
 
 class WireError(Exception):
@@ -203,9 +207,9 @@ def _signed_parts(tx: Transaction) -> List[bytes]:
                     tx.topic, tx.access_class, len(tx.owners)),
         struct.pack(f"<{len(tx.owners)}I", *tx.owners),
         struct.pack(_TX_SUITE, tx.security_class, tx.block_target, tx.enc_id, tx.hash_id),
-        struct.pack("<H", len(enc_par)), enc_par,
-        struct.pack("<H", len(hash_par)), hash_par,
-        struct.pack("<I", len(tx.payload)), tx.payload,
+        struct.pack(_ENC_PAR_LEN, len(enc_par)), enc_par,
+        struct.pack(_HASH_PAR_LEN, len(hash_par)), hash_par,
+        struct.pack(_PAYLOAD_LEN, len(tx.payload)), tx.payload,
     ]
 
 
@@ -217,10 +221,8 @@ def signing_bytes(tx: Transaction) -> bytes:
 
 def encode_transaction(tx: Transaction) -> bytes:
     tx.validate()
-    if len(tx.signature) > MAX_SIGNATURE_LEN:
-        raise WireError("signature too long for wire format")
     parts = _signed_parts(tx)
-    parts.append(struct.pack("<B", len(tx.signature)))
+    parts.append(struct.pack(_SIG_LEN, len(tx.signature)))
     parts.append(tx.signature)
     return b"".join(parts)
 
@@ -228,9 +230,8 @@ def encode_transaction(tx: Transaction) -> bytes:
 def encoded_tx_size(tx: Transaction) -> int:
     """Wire size without materializing the encoding; the metadata strings
     count in UTF-8 bytes, as they are written."""
-    return (TX_FIXED_LEN + 4 * len(tx.owners)
-            + 2 + len(tx.enc_par.encode()) + 2 + len(tx.hash_par.encode())
-            + 4 + len(tx.payload) + 1 + len(tx.signature))
+    return (_TX_BASE_LEN + 4 * len(tx.owners) + len(tx.enc_par.encode())
+            + len(tx.hash_par.encode()) + len(tx.payload) + len(tx.signature))
 
 
 def tx_overhead(tx: Transaction) -> float:
@@ -240,13 +241,18 @@ def tx_overhead(tx: Transaction) -> float:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    """Reads struct runs and byte strings off the front of an encoding.
+    Short input and trailing bytes raise ``error``, so each decoding module
+    reports its own error type."""
+
+    def __init__(self, data: bytes, error: type = WireError):
         self.data = data
         self.pos = 0
+        self.error = error
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
-            raise WireError("truncated input")
+            raise self.error(f"truncated input: {n} bytes wanted at offset {self.pos}")
         chunk = self.data[self.pos:self.pos + n]
         self.pos += n
         return chunk
@@ -260,8 +266,16 @@ class _Reader:
         except UnicodeDecodeError:
             raise WireError("metadata string is not valid UTF-8") from None
 
-    def done(self) -> bool:
-        return self.pos == len(self.data)
+    def end(self) -> None:
+        """An encoding is canonical: nothing may follow its last field."""
+        if self.pos != len(self.data):
+            raise self.error(f"{len(self.data) - self.pos} trailing bytes after the encoding")
+
+    def last(self, fmt: str) -> tuple:
+        """Unpack the run that ends the encoding."""
+        values = self.unpack(fmt)
+        self.end()
+        return values
 
 
 def _decode_transaction(reader: _Reader) -> Transaction:
@@ -277,14 +291,10 @@ def _decode_transaction(reader: _Reader) -> Transaction:
         target = BlockTarget(target_raw)
     except ValueError:
         raise WireError("unknown security class or block target") from None
-    (enc_par_len,) = reader.unpack("<H")
-    enc_par = reader.text(enc_par_len)
-    (hash_par_len,) = reader.unpack("<H")
-    hash_par = reader.text(hash_par_len)
-    (payload_len,) = reader.unpack("<I")
-    payload = reader.take(payload_len)
-    (sig_len,) = reader.unpack("<B")
-    signature = reader.take(sig_len)
+    enc_par = reader.text(*reader.unpack(_ENC_PAR_LEN))
+    hash_par = reader.text(*reader.unpack(_HASH_PAR_LEN))
+    payload = reader.take(*reader.unpack(_PAYLOAD_LEN))
+    signature = reader.take(*reader.unpack(_SIG_LEN))
     tx = Transaction(creator, tx_seq, created, topic, access, tuple(owners),
                      sec, target, enc_id, hash_id, enc_par, hash_par,
                      payload, signature)
@@ -295,8 +305,7 @@ def _decode_transaction(reader: _Reader) -> Transaction:
 def decode_transaction(data: bytes) -> Transaction:
     reader = _Reader(data)
     tx = _decode_transaction(reader)
-    if not reader.done():
-        raise WireError("trailing bytes after signature")
+    reader.end()
     return tx
 
 
@@ -389,8 +398,7 @@ def decode_block(data: bytes) -> Block:
     header = BlockHeader(version, block_id, block_type, miner, timestamp,
                          prev_hash, merkle, tuple(ta_entries))
     _check_ta(header, transactions)
-    if not reader.done():
-        raise WireError("trailing bytes after block body")
+    reader.end()
     return Block(header, transactions)
 
 

@@ -28,7 +28,7 @@ def make_registry(backend: HashBackend) -> KeyRegistry:
 def make_t1_command(registry: KeyRegistry, backend: HashBackend, *,
                     creator: int = GCS_ID, owner: int = DRONE_A,
                     seq: int = 1, created_at_us: int = 1_000_000,
-                    plaintext: bytes = bytes(100), topic: int = 0) -> Transaction:
+                    plaintext: bytes = bytes(100)) -> Transaction:
     """Single-owner sealed command, 100-byte plaintext, 64-bit tier.
 
     Encodes to exactly 199 bytes (the short-mission command fixture)."""
@@ -36,7 +36,7 @@ def make_t1_command(registry: KeyRegistry, backend: HashBackend, *,
         creator=creator, tx_seq=seq, created_at_us=created_at_us,
         suite=crypto.SUITE_S2_C1, access_class=AccessClass.SINGLE,
         owners=(owner,), block_target=BlockTarget.BLOCK_T1,
-        plaintext=plaintext, registry=registry, backend=backend, topic=topic)
+        plaintext=plaintext, registry=registry, backend=backend)
 
 
 def make_t3_data(registry: KeyRegistry, backend: HashBackend, *,

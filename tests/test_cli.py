@@ -66,6 +66,18 @@ def test_run_refuses_overwrite_without_force(fast_config, tmp_path):
                      "--out", str(out), "--force"]) == 0
 
 
+def test_compare_refuses_to_replace_a_run_manifest(fast_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(fast_config), "--seeds", "1",
+                     "--out", str(out)]) == 0
+    manifest = (out / "manifest.txt").read_text()
+    assert cli.main(["compare", "--config", str(fast_config), "--seeds", "1",
+                     "--out", str(out)]) == 1
+    assert "manifest.txt" in capsys.readouterr().err
+    assert (out / "manifest.txt").read_text() == manifest
+    assert not (out / "compare.csv").exists()
+
+
 def test_run_env_var_sets_out_dir(fast_config, tmp_path, monkeypatch):
     target = tmp_path / "from-env"
     monkeypatch.setenv(cli.OUT_DIR_ENV, str(target))
@@ -87,6 +99,20 @@ def test_unknown_key_rejected(tmp_path, capsys):
     rc = cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "warp_speed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, named", [
+    ("seed = 1\n", "bad.ini"),
+    ("[run]\nseed = 1\nseed = 2\n", "seed"),
+    ("[run]\nseed = 1\n[other]\nseed = 2\n", "seed"),
+], ids=["no-section-header", "key-twice-in-section", "key-in-two-sections"])
+def test_unparseable_scenario_file_exits_1(tmp_path, capsys, text, named):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text)
+    rc = cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "o" / "metrics.csv").exists()
 
 
 def test_sweep_expands_cross_product(tmp_path):

@@ -137,8 +137,8 @@ def test_group_key_openable_by_all_members(registry):
     members = helpers.GROUP_MEMBERS
     group = registry.group_keygen(helpers.CA_ID, members)
     suite = crypto.SUITE_S2_C1
-    sealed = crypto.seal(suite, group.pair.public_key, bytes(8), b"task", BACKEND)
-    assert registry.sealing_key(members) == group.pair
+    sealed = crypto.seal(suite, group.public_key, bytes(8), b"task", BACKEND)
+    assert registry.sealing_key(members) == group
     for member in members:
         assert registry.may_open(member, members)
     assert _open(registry, suite, members, sealed) == b"task"
@@ -155,7 +155,7 @@ def test_ca_can_open_any_group_payload(registry):
     members = helpers.GROUP_MEMBERS[:3]
     group = registry.group_keygen(helpers.CA_ID, members)
     suite = crypto.SUITE_S2_C2
-    sealed = crypto.seal(suite, group.pair.public_key, bytes(8), b"secret", BACKEND)
+    sealed = crypto.seal(suite, group.public_key, bytes(8), b"secret", BACKEND)
     assert registry.may_open(helpers.CA_ID, members)
     assert _open(registry, suite, members, sealed) == b"secret"
 

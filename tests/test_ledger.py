@@ -7,7 +7,6 @@ import pytest
 from proactlab import crypto, wire
 from proactlab.ledger import (
     AccessDecision,
-    BraPolicy,
     DroneLedger,
     FullLedger,
     LedgerError,
@@ -175,11 +174,10 @@ def test_deny_requires_incident():
 # --- drone ledger / block replacement ---
 
 
-def _drone_block(registry, block_id, *, seqs, topic=0, payload=bytes(100),
-                 owner=helpers.DRONE_A, created_base=0):
+def _drone_block(registry, block_id, *, seqs, payload=bytes(100),
+                 owner=helpers.DRONE_A):
     txs = [helpers.make_t1_command(registry, BACKEND, owner=owner, seq=s,
-                                   topic=topic, plaintext=payload,
-                                   created_at_us=created_base + s)
+                                   plaintext=payload, created_at_us=s)
            for s in seqs]
     return _block(registry, block_id, wire.ZERO_HASH, txs)
 
@@ -213,38 +211,6 @@ def test_block_larger_than_capacity_rejected(registry):
         dl.store_block(big)
     assert err.value.code == "block_too_large"
     assert [b.block_id for b in dl.blocks] == []
-
-
-def test_outdated_first_prefers_superseded_topics(registry):
-    dl = DroneLedger(helpers.DRONE_A, capacity_bytes=7_000,
-                     policy=BraPolicy.OUTDATED_FIRST)
-    # block 1: topic 7 command at t=100 (will be superseded)
-    b1 = _drone_block(registry, 1, seqs=[1], topic=7, payload=bytes(2000),
-                      created_base=100)
-    # block 2: untopiced command (never "outdated")
-    b2 = _drone_block(registry, 2, seqs=[2], topic=0, payload=bytes(2000),
-                      created_base=200)
-    # block 3: newer topic-7 command supersedes block 1's
-    b3 = _drone_block(registry, 3, seqs=[3], topic=7, payload=bytes(2000),
-                      created_base=300)
-    for b in (b1, b2, b3):
-        dl.store_block(b)
-    incoming = _drone_block(registry, 4, seqs=[4], payload=bytes(2000),
-                            created_base=400)
-    evicted = dl.store_block(incoming)
-    assert evicted == [1]  # outdated block evicted, not the oldest-surviving b2
-    assert [b.block_id for b in dl.blocks] == [2, 3, 4]
-
-
-def test_outdated_first_falls_back_to_oldest(registry):
-    dl = DroneLedger(helpers.DRONE_A, capacity_bytes=5_000,
-                     policy=BraPolicy.OUTDATED_FIRST)
-    b1 = _drone_block(registry, 1, seqs=[1], topic=0, payload=bytes(2000))
-    b2 = _drone_block(registry, 2, seqs=[2], topic=0, payload=bytes(2000))
-    dl.store_block(b1)
-    dl.store_block(b2)
-    evicted = dl.store_block(_drone_block(registry, 3, seqs=[3], payload=bytes(2000)))
-    assert evicted == [1]  # nothing outdated; oldest goes
 
 
 def test_drone_ledger_rejects_foreign_blocks(registry):

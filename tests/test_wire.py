@@ -209,12 +209,14 @@ def transactions(draw):
         count = draw(st.integers(min_value=2, max_value=len(helpers.GROUP_MEMBERS)))
         owners = helpers.GROUP_MEMBERS[:count]
         registry.group_keygen(helpers.CA_ID, owners)
-    return txbuild.build_transaction(
+    tx = txbuild.build_transaction(
         creator=helpers.GCS_ID, tx_seq=draw(st.integers(0, 2**32)),
-        created_at_us=draw(st.integers(0, 2**40)), topic=draw(st.integers(0, 2**16)),
+        created_at_us=draw(st.integers(0, 2**40)),
         suite=suite, access_class=access, owners=owners,
         block_target=draw(st.sampled_from(list(BlockTarget))),
         plaintext=draw(_payloads), registry=registry, backend=backend)
+    # the builder always writes topic 0; the wire field carries any u32
+    return dataclasses.replace(tx, topic=draw(st.integers(1, 2**32 - 1)))
 
 
 @settings(max_examples=60, deadline=None)
