@@ -14,7 +14,7 @@ import os
 import statistics
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import crypto, selfcheck
 from .config import load_scenarios
@@ -93,18 +93,20 @@ def _mean_std(values: List[float]) -> str:
     return f"{_fmt(statistics.mean(values))} ± {_fmt(statistics.stdev(values))}"
 
 
-def _summary_lines(records: List[MetricsRecord]) -> List[str]:
-    by_point: Dict[tuple, List[MetricsRecord]] = {}
-    for record in records:
-        point = (record.mode, record.n_uav, record.malicious_fraction,
-                 record.data_tx_size)
-        by_point.setdefault(point, []).append(record)
+def _summary_lines(points: List[Tuple[ScenarioConfig, List[MetricsRecord]]]) -> List[str]:
+    """One line per sweep point (its config and one record per seed).  A
+    label that two points share also names the keys that set them apart."""
+    labels = [f"mode={r.mode} n_uav={r.n_uav} M={_fmt(r.malicious_fraction)} "
+              f"S_DT={r.data_tx_size}" for r in (group[0] for _, group in points)]
     lines = []
-    for (mode, n_uav, m, s_dt), group in by_point.items():
+    for (cfg, group), label in zip(points, labels):
+        sharing = [other for (other, _), same in zip(points, labels) if same == label]
+        for f in dataclasses.fields(ScenarioConfig):
+            if len({getattr(other, f.name) for other in sharing}) > 1:
+                label += f" {f.name}={getattr(cfg, f.name)}"
         adrs = [r.adr for r in group if r.adr is not None]
         lines.append(
-            f"mode={mode} n_uav={n_uav} M={_fmt(m)} S_DT={s_dt} "
-            f"seeds={len(group)}: "
+            f"{label} seeds={len(group)}: "
             f"adr={_mean_std(adrs)} "
             f"tbd_s={_mean_std([r.tbd_mean_s for r in group])} "
             f"dec_kj={_mean_std([r.dec_mean_kj for r in group])} "
@@ -120,19 +122,13 @@ def cmd_run(args) -> int:
     csv_path = manifest.claim("metrics.csv")
     summary_path = manifest.claim("summary.txt")
 
-    records: List[MetricsRecord] = []
-    rows: List[Dict[str, str]] = []
-    for base in configs:
-        for seed in seeds:
-            overrides = {"seed": seed}
-            if args.mode:
-                overrides["mode"] = args.mode
-            record = run(dataclasses.replace(base, **overrides))
-            records.append(record)
-            rows.append(record.csv_row())
+    mode = {"mode": args.mode} if args.mode else {}
+    points = [(base, [run(dataclasses.replace(base, seed=seed, **mode)) for seed in seeds])
+              for base in configs]
+    rows = [record.csv_row() for _, group in points for record in group]
     _write_csv(csv_path, CSV_COLUMNS, rows)
 
-    lines = _summary_lines(records)
+    lines = _summary_lines(points)
     summary_path.write_text("\n".join(lines) + "\n")
     manifest.write()
     for line in lines:

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import random
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from . import ledger, wire
 from .crypto import HashBackend
-from .wire import Block, BlockHeader, BlockTarget, TAEntry, Transaction, _Reader
+from .wire import Block, BlockTarget, Transaction, _Reader
 
 
 V = TypeVar("V")
@@ -27,17 +27,38 @@ class ConsensusError(Exception):
     pass
 
 
+class _Packed:
+    """A fixed-size record whose encoding is its fields, in declaration
+    order, packed under the one struct format its class names."""
+
+    _FORMAT: str
+
+    def encode(self) -> bytes:
+        # a dataclass instance holds exactly its fields, in declaration order
+        return struct.pack(self._FORMAT, *vars(self).values())
+
+    @classmethod
+    def _read(cls, reader: _Reader):
+        return cls(*reader.unpack(cls._FORMAT))
+
+    @classmethod
+    def decode(cls, data: bytes):
+        return cls(*_Reader(data, ConsensusError).last(cls._FORMAT))
+
+
+_COUNT = "<H"  # the entry count before a list
+
+
 def _encode_assignments(assignments: Sequence[Assignment]) -> bytes:
-    """count(2) [block_id(8) tgcs(4)]*: the list that ends the assignment
-    message and the orderer handoff."""
-    return struct.pack("<H", len(assignments)) + b"".join(
-        struct.pack("<QI", a.block_id, a.tgcs_id) for a in assignments)
+    """count [Assignment]*: the list that ends the assignment message and
+    the orderer handoff."""
+    return struct.pack(_COUNT, len(assignments)) + b"".join(a.encode() for a in assignments)
 
 
 def _decode_assignments(reader: _Reader) -> List[Assignment]:
     """Inverse of _encode_assignments; the list ends the message."""
-    (count,) = reader.unpack("<H")
-    entries = [Assignment(*reader.unpack("<QI")) for _ in range(count)]
+    (count,) = reader.unpack(_COUNT)
+    entries = [Assignment._read(reader) for _ in range(count)]
     reader.end()
     return entries
 
@@ -149,16 +170,11 @@ def rotate_bo(ca_ids: Sequence[int], now_s: float, t_bo_s: float) -> int:
 
 
 @dataclass(frozen=True)
-class Assignment:
+class Assignment(_Packed):
     block_id: int
     tgcs_id: int
 
-
-@dataclass
-class _QueuedRequest:
-    tgcs_id: int
-    timestamp_us: int
-    remaining: int
+    _FORMAT = "<QI"
 
 
 class OrderingState:
@@ -172,15 +188,14 @@ class OrderingState:
     def __init__(self, next_block_id: int = 0, sequential: bool = False):
         self.next_block_id = next_block_id
         self.sequential = sequential
-        self.pending: List[_QueuedRequest] = []
+        self.pending: List[NbrMessage] = []  # each asks for request_count more ids
         self.assignments: Dict[int, int] = {}
         self.committed_watermark = next_block_id - 1
 
     def receive_nbr(self, nbr: "NbrMessage") -> None:
         if nbr.request_count < 1:
             raise ConsensusError("new-block requests must ask for at least one id")
-        self.pending.append(_QueuedRequest(nbr.tgcs_id, nbr.timestamp_us,
-                                           nbr.request_count))
+        self.pending.append(nbr)
 
     def window_close(self) -> List[Assignment]:
         """Order the buffered requests by send timestamp (ties by station
@@ -192,12 +207,13 @@ class OrderingState:
             if not self.assignments and self.pending:
                 head = self.pending[0]
                 issued.append(self._issue(head.tgcs_id))
-                head.remaining -= 1
-                if head.remaining == 0:
+                if head.request_count > 1:
+                    self.pending[0] = replace(head, request_count=head.request_count - 1)
+                else:
                     self.pending.pop(0)
         else:
             for request in self.pending:
-                for _ in range(request.remaining):
+                for _ in range(request.request_count):
                     issued.append(self._issue(request.tgcs_id))
             self.pending.clear()
         return issued
@@ -223,25 +239,24 @@ class OrderingState:
         return True
 
     # Handoff serialization: next_id(8) watermark(8, signed) sequential(1)
-    # pending_count(2) [tgcs(4) ts(8) remaining(1)]* assign_count(2)
-    # [block_id(8) tgcs(4)]*
+    # pending_count(2) [NbrMessage]* assign_count(2) [Assignment]*
+    _HEAD = "<QqBH"
+
     def encode(self) -> bytes:
-        parts = [struct.pack("<QqBH", self.next_block_id, self.committed_watermark,
-                             int(self.sequential), len(self.pending))]
-        for request in self.pending:
-            parts.append(struct.pack("<IQB", request.tgcs_id, request.timestamp_us,
-                                     request.remaining))
-        parts.append(_encode_assignments(
-            [Assignment(b, self.assignments[b]) for b in sorted(self.assignments)]))
-        return b"".join(parts)
+        head = struct.pack(self._HEAD, self.next_block_id, self.committed_watermark,
+                           int(self.sequential), len(self.pending))
+        return b"".join([head, *(request.encode() for request in self.pending),
+                         _encode_assignments([Assignment(b, self.assignments[b])
+                                              for b in sorted(self.assignments)])])
 
     @classmethod
     def decode(cls, data: bytes) -> "OrderingState":
         reader = _Reader(data, ConsensusError)
-        next_id, watermark, sequential, n_pending = reader.unpack("<QqBH")
+        next_id, watermark, sequential, n_pending = reader.unpack(cls._HEAD)
         state = cls(next_id, bool(sequential))
         state.committed_watermark = watermark
-        state.pending = [_QueuedRequest(*reader.unpack("<IQB")) for _ in range(n_pending)]
+        for _ in range(n_pending):
+            state.receive_nbr(NbrMessage._read(reader))
         state.assignments = {a.block_id: a.tgcs_id for a in _decode_assignments(reader)}
         return state
 
@@ -249,63 +264,26 @@ class OrderingState:
 # --- miner pipeline ---------------------------------------------------------
 
 
-class BlockState(Enum):
-    AWAITING_ID = "awaiting_id"
-    AWAITING_PREDECESSOR = "awaiting_predecessor"
-    BROADCAST = "broadcast"
-
-
-@dataclass
-class PendingBlock:
-    """A miner's block: complete except for the predecessor hash."""
-
-    miner: int
-    block_type: BlockTarget
-    transactions: Tuple[Transaction, ...]
-    merkle_root: bytes
-    ta_list: Tuple[TAEntry, ...]
-    assembled_at_us: int
-    state: BlockState = BlockState.AWAITING_ID
-    block_id: Optional[int] = None
-
-    def assign_id(self, block_id: int) -> None:
-        if self.state is not BlockState.AWAITING_ID:
-            raise ConsensusError("block already has an id")
-        self.block_id = block_id
-        self.state = BlockState.AWAITING_PREDECESSOR
-
-
 def miner_assemble(miner: int, transactions: Sequence[Transaction], now_us: int,
-                   backend: HashBackend) -> List[PendingBlock]:
+                   backend: HashBackend) -> List[Block]:
     """Partition valid transactions by target into at most one drone-class
-    and one ground-class pending block; empty input yields nothing (and so
-    no id request)."""
-    pending: List[PendingBlock] = []
-    for target in (BlockTarget.BLOCK_T1, BlockTarget.BLOCK_T2):
-        group = tuple(tx for tx in transactions if tx.block_target is target)
-        if not group:
-            continue
-        pending.append(PendingBlock(
-            miner=miner, block_type=target, transactions=group,
-            merkle_root=wire.body_root(group, backend),
-            ta_list=wire.ta_list_for(group), assembled_at_us=now_us))
-    return pending
+    and one ground-class draft: a block complete but for its id and its
+    predecessor hash.  Empty input yields nothing (and so no id request)."""
+    groups = [tuple(tx for tx in transactions if tx.block_target is target)
+              for target in (BlockTarget.BLOCK_T1, BlockTarget.BLOCK_T2)]
+    return [wire.build_block(0, group[0].block_target, miner, now_us, wire.ZERO_HASH,
+                             group, backend) for group in groups if group]
 
 
-def miner_finalize(pending: PendingBlock, predecessor: Block,
+def miner_finalize(draft: Block, block_id: int, predecessor: Block,
                    backend: HashBackend) -> Block:
-    """Fill in the predecessor hash once that block has committed, producing
-    the block to broadcast for validation."""
-    if pending.state is not BlockState.AWAITING_PREDECESSOR:
-        raise ConsensusError(f"cannot finalize a block in state {pending.state.value}")
-    if pending.block_id is None or predecessor.block_id != pending.block_id - 1:
+    """The draft under its assigned id, chained to its predecessor once that
+    block has committed: the block to broadcast for validation."""
+    if predecessor.block_id != block_id - 1:
         raise ConsensusError("predecessor does not immediately precede this block")
     prev_hash = wire.block_hash(predecessor.header, backend)
-    header = BlockHeader(wire.WIRE_VERSION, pending.block_id, pending.block_type,
-                         pending.miner, pending.assembled_at_us, prev_hash,
-                         pending.merkle_root, pending.ta_list)
-    pending.state = BlockState.BROADCAST
-    return Block(header, pending.transactions)
+    return replace(draft, header=replace(draft.header, block_id=block_id,
+                                         prev_hash=prev_hash))
 
 
 # --- message wire formats ---------------------------------------------------
@@ -316,17 +294,12 @@ ERROR_CODES = {code: i + 1 for i, code in enumerate(ledger.CHECK_ORDER)}
 
 
 @dataclass(frozen=True)
-class NbrMessage:
+class NbrMessage(_Packed):
     tgcs_id: int
     timestamp_us: int
     request_count: int
 
-    def encode(self) -> bytes:
-        return struct.pack("<IQB", self.tgcs_id, self.timestamp_us, self.request_count)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "NbrMessage":
-        return cls(*_Reader(data, ConsensusError).last("<IQB"))
+    _FORMAT = "<IQB"
 
 
 @dataclass(frozen=True)
@@ -342,39 +315,24 @@ class AssignMessage:
 
 
 @dataclass(frozen=True)
-class BlockAckMessage:
+class BlockAckMessage(_Packed):
     block_id: int
     tgcs_id: int
 
-    def encode(self) -> bytes:
-        return struct.pack("<QI", self.block_id, self.tgcs_id)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "BlockAckMessage":
-        return cls(*_Reader(data, ConsensusError).last("<QI"))
+    _FORMAT = Assignment._FORMAT  # the same (block id, station) pair
 
 
 @dataclass(frozen=True)
-class BlockErrorMessage:
+class BlockErrorMessage(_Packed):
     block_id: int
     tgcs_id: int
     error_code: int
 
-    def encode(self) -> bytes:
-        return struct.pack("<QIB", self.block_id, self.tgcs_id, self.error_code)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "BlockErrorMessage":
-        return cls(*_Reader(data, ConsensusError).last("<QIB"))
+    _FORMAT = "<QIB"
 
 
 @dataclass(frozen=True)
-class VoidMessage:
+class VoidMessage(_Packed):
     block_id: int
 
-    def encode(self) -> bytes:
-        return struct.pack("<Q", self.block_id)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "VoidMessage":
-        return cls(*_Reader(data, ConsensusError).last("<Q"))
+    _FORMAT = "<Q"

@@ -74,7 +74,7 @@ _SPONGENT_PARAMS = {
     HashVariant.SPONGENT_224: (240, 16, 224, 120, 7, (6, 5), 0x01),
 }
 
-DIGEST_LEN = {HashVariant.SPONGENT_88: 11, HashVariant.SPONGENT_224: 28}
+DIGEST_LEN = {variant: params[2] // 8 for variant, params in _SPONGENT_PARAMS.items()}
 
 
 def _lfsr_states(width: int, taps: Tuple[int, int], seed: int, rounds: int) -> List[int]:
@@ -249,8 +249,7 @@ class CryptoSuite:
 
     @property
     def hash_par(self) -> str:
-        rounds = 45 if self.hash_variant is HashVariant.SPONGENT_88 else 120
-        return f"rounds={rounds}"
+        return f"rounds={_SPONGENT_PARAMS[self.hash_variant][3]}"
 
 
 SUITE_S2_C1 = CryptoSuite(1, SecurityClass.S2_C1, 64, HashVariant.SPONGENT_88, SuiteCost(0.05, 5.0))

@@ -19,7 +19,6 @@ from ..consensus import (
     AssignMessage,
     BlockAckMessage,
     BlockErrorMessage,
-    BlockState,
     CommitVerdict,
     NbrMessage,
     OrderingState,
@@ -666,11 +665,11 @@ class TgcsAgent(GcsAgent):
         super().__init__(world, gcs_id)
         self.intake: List[Transaction] = []
         self._intake_keys: Set[TxKey] = set()
-        self.pending_unassigned: List[consensus.PendingBlock] = []
-        self.pending_assigned: Dict[int, consensus.PendingBlock] = {}
+        # drafts (see miner_assemble) waiting for an id, then by their id
+        # until they commit; a draft is broadcast once its tally has a block
+        self.pending_unassigned: List[Block] = []
+        self.pending_assigned: Dict[int, Block] = {}
         self.tallies: Dict[int, Tally] = {}
-        self._blocks_buffered: Dict[int, Block] = {}
-        self._voted: Set[int] = set()
         self._asm_armed = False
 
     def start(self) -> None:
@@ -761,24 +760,22 @@ class TgcsAgent(GcsAgent):
             tally = self.tallies.setdefault(assignment.block_id, Tally())
             tally.miner = assignment.tgcs_id
             if assignment.tgcs_id == self.id and self.pending_unassigned:
-                pending = self.pending_unassigned.pop(0)
-                pending.assign_id(assignment.block_id)
-                self.pending_assigned[assignment.block_id] = pending
+                self.pending_assigned[assignment.block_id] = self.pending_unassigned.pop(0)
         self._try_finalize()
         self._check_quorums()
 
     def _try_finalize(self) -> None:
         next_id = self.ledger.next_block_id
-        pending = self.pending_assigned.get(next_id)
-        if pending is None or pending.state is not BlockState.AWAITING_PREDECESSOR:
+        draft = self.pending_assigned.get(next_id)
+        if draft is None or next_id == 0:
             return
-        if next_id == 0:
-            return
-        predecessor = self.ledger.blocks[next_id - 1]
-        block = miner_finalize(pending, predecessor, self.w.backend)
-        size = block.encoded_size
-        self.w.broadcast_tgcs(self.id, "block", block, size)
-        self.tallies.setdefault(block.block_id, Tally()).propose(block)
+        tally = self.tallies.setdefault(next_id, Tally())
+        if tally.block is not None:
+            return  # already broadcast
+        block = miner_finalize(draft, next_id, self.ledger.blocks[next_id - 1],
+                               self.w.backend)
+        self.w.broadcast_tgcs(self.id, "block", block, block.encoded_size)
+        tally.propose(block)
         # the orderer tracks commits through the vote stream; the miner's
         # own vote must reach it even when no other validators exist
         ack = BlockAckMessage(block.block_id, self.id)
@@ -790,30 +787,24 @@ class TgcsAgent(GcsAgent):
     def _on_block(self, block: Block) -> None:
         if block.block_id < self.ledger.next_block_id:
             return
-        self._blocks_buffered[block.block_id] = block
         self.tallies.setdefault(block.block_id, Tally()).propose(block)
         self._vote_ready()
         self._check_quorums()
 
     def _vote_ready(self) -> None:
         next_id = self.ledger.next_block_id
-        block = self._blocks_buffered.get(next_id)
-        if block is None or next_id in self._voted:
-            return
-        issues = ledger.validate_block(next_id, self.ledger.tip_digest, block,
+        tally = self.tallies.get(next_id)
+        if tally is None or tally.block is None or \
+                self.id in tally.acks or self.id in tally.errors:
+            return  # no candidate yet, or already voted (a miner acks its own)
+        issues = ledger.validate_block(next_id, self.ledger.tip_digest, tally.block,
                                        self.w.registry, self.w.backend,
                                        seen_tx=self.ledger.has_tx)
-        self._voted.add(next_id)
-        if issues:
-            vote = BlockErrorMessage(next_id, self.id,
-                                     consensus.ERROR_CODES[issues[0].code])
-            kind = "block-error"
-        else:
-            vote = BlockAckMessage(next_id, self.id)
-            kind = "ack"
-        self.tallies.setdefault(next_id, Tally()).vote(self.id, is_ack=not issues)
-        self.w.broadcast_tgcs(self.id, kind, vote, len(vote.encode()),
-                              include_bo=True)
+        vote = BlockErrorMessage(next_id, self.id, consensus.ERROR_CODES[issues[0].code]) \
+            if issues else BlockAckMessage(next_id, self.id)
+        tally.vote(self.id, is_ack=not issues)
+        self.w.broadcast_tgcs(self.id, "block-error" if issues else "ack", vote,
+                              len(vote.encode()), include_bo=True)
         self._check_quorums()
 
     def _on_vote(self, message, is_ack: bool) -> None:
@@ -839,7 +830,6 @@ class TgcsAgent(GcsAgent):
                        f"block={block_id} miner={block.header.miner} "
                        f"txs={len(block.transactions)}")
         self.ledger.append_block(block)
-        self._blocks_buffered.pop(block_id, None)
         if block.header.miner == self.id:
             self.w.metrics.block_committed()
             for tx in block.transactions:
@@ -865,8 +855,6 @@ class TgcsAgent(GcsAgent):
             for tx in voided.transactions:
                 self.miner_intake(tx)
         self.pending_assigned = renumber_after_void(self.pending_assigned, message.block_id)
-        for block_id, pending in self.pending_assigned.items():
-            pending.block_id = block_id
         self.tallies = renumber_after_void(self.tallies, message.block_id, _committed)
         self._try_finalize()
 

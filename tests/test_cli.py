@@ -131,6 +131,21 @@ def test_sweep_expands_cross_product(tmp_path):
     assert len(rows) == 8  # 4 sweep points x 2 seeds
     assert {(r["data_tx_size"], r["malicious_fraction"]) for r in rows} == \
            {("1024", "0.1"), ("1024", "0.2"), ("2048", "0.1"), ("2048", "0.2")}
+    # M and S_DT tell the points apart, so no label names another key
+    lines = (out / "summary.txt").read_text().splitlines()
+    assert len(lines) == 4 and all(" seeds=2: " in line for line in lines)
+    assert not any("malicious_fraction=" in line or "data_tx_size=" in line for line in lines)
+
+
+def test_summary_keeps_points_apart_that_differ_in_another_key(tmp_path):
+    sweep = tmp_path / "sweep.ini"
+    sweep.write_text(FAST_CONFIG + "\n[sweeps]\nt3_interval_s = 0.5,2.0\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(sweep), "--seeds", "1",
+                     "--out", str(out)]) == 0
+    lines = (out / "summary.txt").read_text().splitlines()
+    assert len(lines) == 2 and all(" seeds=1: " in line for line in lines)
+    assert " t3_interval_s=0.5 " in lines[0] and " t3_interval_s=2.0 " in lines[1]
 
 
 def test_mode_override(fast_config, tmp_path):

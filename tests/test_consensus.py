@@ -2,14 +2,14 @@
 and the message formats."""
 
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proactlab import consensus, crypto, wire
+from proactlab import consensus, crypto, ledger, wire
 from proactlab.consensus import (
     Assignment,
-    BlockState,
     CommitVerdict,
     ConsensusError,
     NbrMessage,
@@ -201,8 +201,7 @@ def test_ordering_state_handoff_roundtrip():
     assert restored.next_block_id == state.next_block_id
     assert restored.sequential == state.sequential
     assert restored.assignments == state.assignments
-    assert [(r.tgcs_id, r.timestamp_us, r.remaining) for r in restored.pending] == \
-           [(r.tgcs_id, r.timestamp_us, r.remaining) for r in state.pending]
+    assert restored.pending == state.pending
     assert restored.committed_watermark == state.committed_watermark
 
 
@@ -244,10 +243,9 @@ def _mixed_transactions(registry):
 def test_assemble_partitions_by_target(registry):
     pending = miner_assemble(helpers.GCS_ID, _mixed_transactions(registry), 500, BACKEND)
     assert len(pending) == 2  # an NBR would carry request_count 2
-    by_type = {p.block_type: p for p in pending}
+    by_type = {p.header.block_type: p for p in pending}
     assert len(by_type[BlockTarget.BLOCK_T1].transactions) == 3
     assert len(by_type[BlockTarget.BLOCK_T2].transactions) == 2
-    assert all(p.state is BlockState.AWAITING_ID for p in pending)
 
 
 def test_assemble_nothing_from_nothing():
@@ -268,38 +266,23 @@ def _committed_block(registry, block_id):
 
 def test_finalize_chains_to_predecessor(registry):
     predecessor = _committed_block(registry, 44)
-    (pending,) = miner_assemble(helpers.GCS_ID,
-                                [helpers.make_t1_command(registry, BACKEND, seq=99)],
-                                700, BACKEND)
-    pending.assign_id(45)
-    block = miner_finalize(pending, predecessor, BACKEND)
+    (draft,) = miner_assemble(helpers.GCS_ID,
+                              [helpers.make_t1_command(registry, BACKEND, seq=99)],
+                              700, BACKEND)
+    block = miner_finalize(draft, 45, predecessor, BACKEND)
     assert block.block_id == 45
-    assert block.header.prev_hash == wire.block_hash(predecessor.header, BACKEND)
-    assert pending.state is BlockState.BROADCAST
+    prev_hash = wire.block_hash(predecessor.header, BACKEND)
+    assert block.header.prev_hash == prev_hash
+    assert ledger.validate_block(45, prev_hash, block, registry, BACKEND) == []
 
 
 def test_finalize_requires_immediate_predecessor(registry):
     predecessor = _committed_block(registry, 44)
-    (pending,) = miner_assemble(helpers.GCS_ID,
-                                [helpers.make_t1_command(registry, BACKEND, seq=98)],
-                                700, BACKEND)
-    pending.assign_id(46)
+    (draft,) = miner_assemble(helpers.GCS_ID,
+                              [helpers.make_t1_command(registry, BACKEND, seq=98)],
+                              700, BACKEND)
     with pytest.raises(ConsensusError):
-        miner_finalize(pending, predecessor, BACKEND)
-    assert pending.state is BlockState.AWAITING_PREDECESSOR
-
-
-def test_finalize_requires_an_assigned_id(registry):
-    (pending,) = miner_assemble(helpers.GCS_ID,
-                                [helpers.make_t1_command(registry, BACKEND, seq=97)],
-                                700, BACKEND)
-    with pytest.raises(ConsensusError):
-        miner_finalize(pending, _committed_block(registry, 44), BACKEND)
-    assert pending.state is BlockState.AWAITING_ID
-    pending.assign_id(45)
-    miner_finalize(pending, _committed_block(registry, 44), BACKEND)
-    with pytest.raises(ConsensusError):
-        pending.assign_id(46)  # an id is given once
+        miner_finalize(draft, 46, predecessor, BACKEND)
 
 
 def _ordering_state():
@@ -332,6 +315,11 @@ def test_decoders_reject_short_input_with_consensus_error():
         consensus.AssignMessage.decode(b"\x02\x00" + bytes(12))
     with pytest.raises(ConsensusError):
         OrderingState.decode(OrderingState(5).encode()[:-1])
+    # a queued request for no ids would let a sequential orderer issue one
+    # id in every window for ever
+    with pytest.raises(ConsensusError):
+        OrderingState.decode(struct.pack("<QqBH", 5, 4, 1, 1) + NbrMessage(1, 100, 0).encode()
+                             + struct.pack("<H", 0))
 
 
 @settings(max_examples=300, deadline=None)

@@ -6,7 +6,7 @@ import io
 
 import pytest
 
-from proactlab import crypto, ledger, txbuild, wire
+from proactlab import consensus, crypto, ledger, txbuild, wire
 from proactlab.crypto import SUITE_S1, SUITE_S2_C1
 from proactlab.sim import default_config, run
 from proactlab.sim.agents import FetchRequest, Packet, ReportMeta, TgcsAgent
@@ -747,6 +747,46 @@ def test_void_run_row_is_pinned(miners, row, fingerprint, monkeypatch):
     record = run(_void_config(4, miners))
     assert record.csv_row() == row
     assert record.committed_fingerprint == fingerprint
+
+
+def test_station_votes_on_the_block_that_replaces_a_voided_one():
+    world = _world(gcs_per_ca=5, tgcs_per_ca=5)
+    (ca,) = world.topo.ca_ids
+    miner_a, station, miner_c = world.topo.tgcs_ids[:3]
+    agent = world.agents[station]
+
+    def block_from(node, block_id, prev_hash):
+        tx = world.agents[node].new_tx(SUITE_S1, AccessClass.PUBLIC, (),
+                                       BlockTarget.BLOCK_T2, bytes(16))
+        return wire.build_block(block_id, BlockTarget.BLOCK_T2, node, 0, prev_hash,
+                                [tx], world.backend)
+
+    genesis = block_from(ca, 0, wire.ZERO_HASH)
+    agent.absorb_committed(genesis)
+    votes = []
+    send = world.send
+
+    def spy(src, dst, kind, payload, size, **kw):
+        if src == station:
+            votes.append((kind, payload))
+        send(src, dst, kind, payload, size, **kw)
+
+    world.send = spy
+
+    def block_one_from(miner):
+        return block_from(miner, 1, wire.block_hash(genesis.header, world.backend))
+
+    # five miners: the block's miner and this station make two acks, short
+    # of the quorum of three, so nothing commits here
+    agent.on_packet(Packet("block", miner_a, station, block_one_from(miner_a)))
+    assert ("ack", consensus.BlockAckMessage(1, station)) in votes
+    votes.clear()
+    agent.on_packet(Packet("void", ca, station, consensus.VoidMessage(1)))
+    replacement = block_one_from(miner_c)
+    agent.on_packet(Packet("block", miner_c, station, replacement))
+    assert ("ack", consensus.BlockAckMessage(1, station)) in votes
+    assert agent.tallies[1].block is replacement
+    assert agent.tallies[1].acks == {miner_c, station}
 
 
 def test_single_miner_modes_converge():
