@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proactlab import crypto
+from proactlab import crypto, wire
 from proactlab.crypto import (
     HashVariant,
     SecurityClass,
@@ -191,3 +191,53 @@ def test_public_key_derived_from_seed(registry):
 def test_registry_rejects_duplicate_registration(registry):
     with pytest.raises(crypto.CryptoError):
         registry.register_node(helpers.DRONE_A)
+
+
+# Outputs of the primitives for fixed inputs, pinned byte for byte on both
+# backends; a hashing speed-up must leave every one of them unchanged.
+PINNED_PRIMITIVES = {
+    "spongent": {
+        "sign": {
+            1: "a5d04494114caba2229a4aaeaefcf9f4",
+            2: "a5d04494114caba2229a4aaeaefcf9f4742fc9435d491c50b099019b60cccaed",
+            3: "7079853f48f1fa3791c4681e09ec6caef232b02f32a69fe6b447c04836d8ed7b"
+               "95ae83091abbf23e14de6704cc32acc6b2c07d4958c97c0ad0b10eacfe094a7d",
+        },
+        "seal": "0001020304050607108bb047990cf7fb6a8a0741a85392145aa46b2f75cb347d"
+                "00204d9240b2cc2b2075643766e106039806587b7a0d3b9d886c1bd2782e21b9"
+                "6f7fda58c9e81d57eb18b570",
+        "body_root": "2bd6b740cc6893b0fe5389f29f5e00ebe4cfff70fa188f44dbdae874",
+    },
+    "simulated": {
+        "sign": {
+            1: "45df8d010c6a7a27f27d5b4a1703e665",
+            2: "45df8d010c6a7a27f27d5b4a1703e66533e9b337c88298a6c1e33a24dc1cf8b0",
+            3: "bf787370dcafc639b00b382c86e31c3ff2c346a03320f8cc1dbccac311dd2497"
+               "8c3249671fc5a79647ecc6da832f2cc7dd287c31b91812ba5aedd71a1e6bd84b",
+        },
+        "seal": "0001020304050607af897222cbb9d3e3291d31d86a2894d0fb2f560b4612cb92"
+                "85210f35fcf7391cbc4cf4a12bc8e8588201d77ab4b65ca812715ecf07599a24"
+                "eee676cfc857deb8bae96ef9",
+        "body_root": "de706b1f8b1b47466be180942eb49ea8fbfc270e1f4d54022c79f360",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PRIMITIVES))
+def test_primitive_outputs_are_pinned(name):
+    backend = crypto.get_backend(name)
+    pinned = PINNED_PRIMITIVES[name]
+    registry = helpers.make_registry(backend)
+    public = registry.public_key(helpers.GCS_ID)
+    for suite in (crypto.SUITE_S2_C1, crypto.SUITE_S2_C2, crypto.SUITE_S1):
+        digest = backend.digest(suite.hash_variant, b"pinned signed content")
+        assert crypto.sign(suite, public, digest, backend).hex() == pinned["sign"][suite.suite_id]
+    recipient = registry.public_key(helpers.DRONE_A)
+    plaintext = bytes(range(40))
+    sealed = crypto.seal(crypto.SUITE_S1, recipient, bytes(range(8)), plaintext, backend)
+    assert sealed.hex() == pinned["seal"]
+    assert crypto.open_sealed(crypto.SUITE_S1, recipient, sealed, backend) == plaintext
+    txs = [helpers.make_t1_command(registry, backend),
+           helpers.make_t3_data(registry, backend, plaintext=bytes(range(60))),
+           helpers.make_group_command(registry, backend)]
+    assert wire.body_root(txs, backend).hex() == pinned["body_root"]
