@@ -17,9 +17,11 @@ hashes takes the backend object: the `spongent` backend is the protocol
 definition; the `simulated` backend produces size-identical digests at
 simulation speed for large scenario runs.  SPONGENT digests are
 memoized by message content, bounded at 1,024 entries per process, so equal
-bytes are hashed once while they stay among the most recently used; the
-simulated backend is not memoized, because blake2b costs about as much as a
-lookup.
+bytes are hashed once while they stay among the most recently used.  Both
+backends also keep a 256-entry memo of prefix states: a caller names how
+many leading bytes a message shares with others (a key and nonce, a
+signature seed, a transaction's signing bytes), and the state after them is
+saved and continued; the digest never depends on that hint.
 """
 
 from __future__ import annotations
@@ -129,71 +131,87 @@ class Spongent:
         ]
 
     def permute(self, state: int) -> int:
+        # Each byte's table sets its own output bits, so summing the 30 (or
+        # 11) lookups is their OR, iterated in C.
         n = self.state_bytes
         scatter = self._scatter
         for rc in self._round_consts:
-            state ^= rc
-            data = state.to_bytes(n, "little")
-            acc = 0
-            for i in range(n):
-                acc |= scatter[i][data[i]]
-            state = acc
+            state = sum(map(list.__getitem__, scatter, (state ^ rc).to_bytes(n, "little")))
         return state
 
-    def digest(self, message: bytes) -> bytes:
+    def absorb(self, state: int, data: bytes) -> int:
+        """``state`` after absorbing the whole rate blocks of ``data``."""
         rate = self.rate_bytes
-        padded = message + b"\x80" + b"\x00" * (-(len(message) + 1) % rate)
-        state = 0
+        for off in range(0, len(data) - rate + 1, rate):
+            state = self.permute(state ^ int.from_bytes(data[off:off + rate], "little"))
+        return state
+
+    def digest(self, message: bytes, prefix_len: int = 0) -> bytes:
+        """Digest of ``message``, continuing from the saved state after the
+        whole rate blocks of its first ``prefix_len`` bytes."""
+        rate = self.rate_bytes
+        cut = min(prefix_len, len(message)) // rate * rate
+        state = _absorbed(self, message[:cut]) if cut else 0
+        rest = message[cut:]
+        state = self.absorb(state, rest + b"\x80" + b"\x00" * (-(len(rest) + 1) % rate))
         rate_mask = (1 << (8 * rate)) - 1
-        for off in range(0, len(padded), rate):
-            state ^= int.from_bytes(padded[off:off + rate], "little")
-            state = self.permute(state)
-        out = bytearray()
+        out = (state & rate_mask).to_bytes(rate, "little")
         while len(out) < self.digest_bytes:
+            state = self.permute(state)
             out += (state & rate_mask).to_bytes(rate, "little")
-            if len(out) < self.digest_bytes:
-                state = self.permute(state)
-        return bytes(out[: self.digest_bytes])
+        return out[: self.digest_bytes]
 
 
-_INSTANCES: Dict[HashVariant, Spongent] = {}
+# Prefix states; a leaf's prefix can be 10 KB, so the bound is small.  Keys
+# hold the instance, so a differently built permutation never shares.
+@functools.lru_cache(maxsize=256)
+def _absorbed(inst: Spongent, prefix: bytes) -> int:
+    return inst.absorb(0, prefix)
 
 
-# Miners re-verify the same transactions, leaves and headers, and a
-# signature check re-expands the creator's own signing message, so a run
-# asks for many digests of equal bytes.  Keys compare the full message.
+_instance = functools.cache(Spongent)
+
+
+# Miners re-verify the same transactions, leaves and headers, and a signature
+# check re-expands the creator's own signing message; each call site passes a
+# message with one prefix length, so the keys compare the full message.
 @functools.lru_cache(maxsize=1024)
-def _spongent_memo(variant: HashVariant, message: bytes) -> bytes:
-    inst = _INSTANCES.get(variant)
-    if inst is None:
-        inst = _INSTANCES[variant] = Spongent(variant)
-    return inst.digest(message)
+def _spongent_memo(variant: HashVariant, message: bytes, prefix_len: int) -> bytes:
+    return _instance(variant).digest(message, prefix_len)
 
 
-def spongent(variant: HashVariant, message: bytes) -> bytes:
+def spongent(variant: HashVariant, message: bytes, prefix_len: int = 0) -> bytes:
     """SPONGENT digest of ``message`` under the given variant, memoized by
     content.  ``bytes()`` makes ``bytearray`` and ``memoryview`` input
     hashable, and returns ``bytes`` input itself without a copy."""
-    return _spongent_memo(variant, bytes(message))
+    return _spongent_memo(variant, bytes(message), prefix_len)
 
 
 class HashBackend:
-    """Pluggable digest provider; digests keep the variant's exact length."""
+    """Pluggable digest provider; digests keep the variant's exact length.
+    A caller passes the whole message and may name a ``prefix_len`` that
+    others share, whose state is saved; the digest never depends on it."""
 
     name = "abstract"
 
-    def digest(self, variant: HashVariant, message: bytes) -> bytes:
+    def digest(self, variant: HashVariant, message: bytes, prefix_len: int = 0) -> bytes:
         raise NotImplementedError
 
-    def digest224(self, message: bytes) -> bytes:
-        return self.digest(HashVariant.SPONGENT_224, message)
+    def digest224(self, message: bytes, prefix_len: int = 0) -> bytes:
+        return self.digest(HashVariant.SPONGENT_224, message, prefix_len)
 
 
 class SpongentBackend(HashBackend):
     name = "spongent"
 
-    def digest(self, variant: HashVariant, message: bytes) -> bytes:
-        return spongent(variant, message)
+    def digest(self, variant: HashVariant, message: bytes, prefix_len: int = 0) -> bytes:
+        return spongent(variant, message, prefix_len)
+
+
+# Hash objects after a prefix; copying one costs half as much as building it.
+@functools.lru_cache(maxsize=256)
+def _blake2b_prefix(variant: HashVariant, prefix: bytes):
+    return hashlib.blake2b(prefix, digest_size=DIGEST_LEN[variant], person=b"sim-spongent")
 
 
 class SimulatedBackend(HashBackend):
@@ -201,10 +219,11 @@ class SimulatedBackend(HashBackend):
 
     name = "simulated"
 
-    def digest(self, variant: HashVariant, message: bytes) -> bytes:
-        return hashlib.blake2b(
-            message, digest_size=DIGEST_LEN[variant], person=b"sim-spongent"
-        ).digest()
+    def digest(self, variant: HashVariant, message: bytes, prefix_len: int = 0) -> bytes:
+        cut = prefix_len if prefix_len >= 128 else 0  # blake2b's block: less saves nothing
+        state = _blake2b_prefix(variant, bytes(message[:cut])).copy()
+        state.update(message[cut:])
+        return state.digest()
 
 
 SPONGENT_BACKEND = SpongentBackend()
@@ -297,7 +316,7 @@ def _stream(backend: HashBackend, seed: bytes, length: int, counter: int = 0,
     32-bit counter from ``counter`` up, cut to ``length`` bytes."""
     out = bytearray(head)
     while len(out) < length:
-        out += backend.digest224(seed + struct.pack("<I", counter))
+        out += backend.digest224(seed + struct.pack("<I", counter), len(seed))
         counter += 1
     return bytes(out[:length])
 
@@ -312,7 +331,7 @@ def sign(suite: CryptoSuite, creator_public: bytes, digest: bytes,
     verifier recomputes with the claimed creator's registered public key.
     """
     seed = creator_public + digest
-    return _stream(backend, seed, suite.signature_len, 1, backend.digest224(seed))
+    return _stream(backend, seed, suite.signature_len, 1, backend.digest224(seed, len(seed)))
 
 
 def verify(suite: CryptoSuite, claimed_creator_public: bytes, digest: bytes,
@@ -325,6 +344,11 @@ def verify(suite: CryptoSuite, claimed_creator_public: bytes, digest: bytes,
 NONCE_LEN = 8
 
 
+def _xor(data: bytes, stream: bytes) -> bytes:
+    mixed = int.from_bytes(data, "little") ^ int.from_bytes(stream, "little")
+    return mixed.to_bytes(len(data), "little")
+
+
 def seal(suite: CryptoSuite, recipient_public: bytes, nonce: bytes, plaintext: bytes,
          backend: HashBackend) -> bytes:
     """Seal ``plaintext`` to a public key: nonce || ciphertext || tag."""
@@ -332,9 +356,9 @@ def seal(suite: CryptoSuite, recipient_public: bytes, nonce: bytes, plaintext: b
         raise CryptoError("cannot seal an empty payload")
     if len(nonce) != NONCE_LEN:
         raise CryptoError(f"nonce must be {NONCE_LEN} bytes")
-    stream = _stream(backend, recipient_public + nonce, len(plaintext))
-    ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
-    tag = backend.digest224(recipient_public + nonce + ciphertext)[: suite.tag_len]
+    seed = recipient_public + nonce  # the keystream's and the tag's shared prefix
+    ciphertext = _xor(plaintext, _stream(backend, seed, len(plaintext)))
+    tag = backend.digest224(seed + ciphertext, len(seed))[: suite.tag_len]
     return nonce + ciphertext + tag
 
 
@@ -343,14 +367,13 @@ def open_sealed(suite: CryptoSuite, recipient_public: bytes, sealed: bytes,
     """Inverse of seal(); raises TamperedError if the tag does not match."""
     if len(sealed) < NONCE_LEN + 1 + suite.tag_len:
         raise TamperedError("sealed payload too short")
-    nonce = sealed[:NONCE_LEN]
+    seed = recipient_public + sealed[:NONCE_LEN]
     ciphertext = sealed[NONCE_LEN:len(sealed) - suite.tag_len]
     tag = sealed[len(sealed) - suite.tag_len:]
-    expected = backend.digest224(recipient_public + nonce + ciphertext)[: suite.tag_len]
+    expected = backend.digest224(seed + ciphertext, len(seed))[: suite.tag_len]
     if expected != tag:
         raise TamperedError("sealed payload failed its tag check")
-    stream = _stream(backend, recipient_public + nonce, len(ciphertext))
-    return bytes(c ^ s for c, s in zip(ciphertext, stream))
+    return _xor(ciphertext, _stream(backend, seed, len(ciphertext)))
 
 
 PRIVATE_SEED_LEN = 32

@@ -46,7 +46,8 @@ def build_transaction(*, creator: int, tx_seq: int, created_at_us: int,
         enc_par=enc_par, hash_par=suite.hash_par,
         payload=payload, signature=b"",
     )
-    digest = backend.digest(suite.hash_variant, wire.signing_bytes(unsigned))
+    content = wire.signing_bytes(unsigned)
+    digest = backend.digest(suite.hash_variant, content, len(content))
     signature = crypto.sign(suite, registry.public_key(creator), digest, backend)
     tx = dataclasses.replace(unsigned, signature=signature)
     tx.validate()
@@ -60,7 +61,8 @@ def verify_transaction(tx: Transaction, registry: KeyRegistry,
     if not registry.has_node(tx.creator):
         return False
     suite = crypto.suite_for_class(tx.security_class)
-    digest = backend.digest(suite.hash_variant, wire.signing_bytes(tx))
+    content = wire.signing_bytes(tx)
+    digest = backend.digest(suite.hash_variant, content, len(content))
     return crypto.verify(suite, registry.public_key(tx.creator), digest,
                          tx.signature, backend)
 

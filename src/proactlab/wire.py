@@ -420,9 +420,14 @@ def merkle_root(tx_digests: Sequence[bytes], backend: HashBackend) -> bytes:
 
 
 def body_root(transactions: Sequence[Transaction], backend: HashBackend) -> bytes:
-    """The header's Merkle root: the tree over each transaction's digest."""
-    return merkle_root([backend.digest224(encode_transaction(tx)) for tx in transactions],
-                       backend)
+    """The header's Merkle root: the tree over each transaction's digest; a
+    leaf continues from the state saved when its signing bytes were hashed."""
+    leaves = []
+    for tx in transactions:
+        enc = encode_transaction(tx)
+        tail = struct.calcsize(_SIG_LEN) + len(tx.signature)
+        leaves.append(backend.digest224(enc, len(enc) - tail))
+    return merkle_root(leaves, backend)
 
 
 def block_hash(header: BlockHeader, backend: HashBackend) -> bytes:

@@ -650,9 +650,9 @@ def _run_on_both_backends(monkeypatch, **overrides):
     computed = collections.Counter()
     original = crypto.Spongent.digest
 
-    def counting(self, message):
+    def counting(self, message, prefix_len=0):
         computed[(self.digest_bytes, message)] += 1
-        return original(self, message)
+        return original(self, message, prefix_len)
 
     monkeypatch.setattr(crypto.Spongent, "digest", counting)
     cfg = default_config(**{**SPONGENT_RUN, **overrides}, hash_backend="spongent")

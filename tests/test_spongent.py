@@ -9,6 +9,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from proactlab import crypto, txbuild
 from proactlab.crypto import HashVariant, Spongent, spongent
@@ -123,3 +124,66 @@ def test_memo_does_not_accept_a_tampered_copy():
     payload[0] ^= 1
     tampered = dataclasses.replace(tx, payload=bytes(payload))
     assert not txbuild.verify_transaction(tampered, registry, backend)
+
+
+@pytest.mark.parametrize("variant", list(HashVariant))
+def test_scatter_tables_set_disjoint_bits(variant):
+    # The permutation sums the table lookups of a round, which equals their
+    # OR only while no two tables can set the same state bit.
+    covered = 0
+    for table in Spongent(variant)._scatter:
+        bits = 0
+        for entry in table:
+            bits |= entry
+        assert not bits & covered
+        covered |= bits
+    assert covered == (1 << 8 * Spongent(variant).state_bytes) - 1
+
+
+BACKENDS = [crypto.SPONGENT_BACKEND, crypto.SIMULATED_BACKEND]
+
+
+def _check_every_prefix_length(backend, variant, message):
+    expected = backend.digest(variant, message)
+    for k in range(len(message) + 1):
+        assert backend.digest(variant, message, k) == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(variant=st.sampled_from(list(HashVariant)), message=st.binary(max_size=20))
+@example(variant=HashVariant.SPONGENT_88, message=b"")
+@example(variant=HashVariant.SPONGENT_224, message=b"")
+@example(variant=HashVariant.SPONGENT_224, message=bytes(17))
+def test_spongent_prefix_length_never_changes_the_digest(variant, message):
+    # Every k up to len(message), on and off SPONGENT-224's 2-byte rate.
+    _check_every_prefix_length(crypto.SPONGENT_BACKEND, variant, message)
+
+
+@settings(max_examples=20, deadline=None)
+@given(variant=st.sampled_from(list(HashVariant)), message=st.binary(max_size=300))
+@example(variant=HashVariant.SPONGENT_224, message=b"")
+@example(variant=HashVariant.SPONGENT_88, message=bytes(range(256)) + bytes(44))
+def test_simulated_prefix_length_never_changes_the_digest(variant, message):
+    # Prefixes below, at and past a 128-byte blake2b block.
+    _check_every_prefix_length(crypto.SIMULATED_BACKEND, variant, message)
+
+
+def test_saved_prefix_state_is_reused():
+    crypto._absorbed.cache_clear()
+    crypto._blake2b_prefix.cache_clear()
+    prefix = bytes(range(200))
+    for backend in BACKENDS:
+        for counter in (b"\x00", b"\x01"):
+            backend.digest224(prefix + counter, len(prefix))
+    assert crypto._absorbed.cache_info().hits == 1
+    assert crypto._blake2b_prefix.cache_info().hits == 1
+
+
+@pytest.mark.parametrize("variant", list(HashVariant))
+def test_prefix_state_is_never_shared_with_another_permutation(variant):
+    bad_sbox = list(crypto.SBOX)
+    bad_sbox[0], bad_sbox[1] = bad_sbox[1], bad_sbox[0]
+    real, faulty = Spongent(variant), Spongent(variant, sbox=bad_sbox)
+    message = bytes(range(20))
+    saved = real.digest(message, 16)
+    assert faulty.digest(message, 16) == faulty.digest(message) != saved
