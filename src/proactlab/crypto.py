@@ -208,7 +208,7 @@ class SpongentBackend(HashBackend):
         return spongent(variant, message, prefix_len)
 
 
-# Hash objects after a prefix; copying one costs half as much as building it.
+# Hash objects after a prefix, only ever copied: cheaper than building one.
 @functools.lru_cache(maxsize=256)
 def _blake2b_prefix(variant: HashVariant, prefix: bytes):
     return hashlib.blake2b(prefix, digest_size=DIGEST_LEN[variant], person=b"sim-spongent")

@@ -169,6 +169,7 @@ def test_simulated_prefix_length_never_changes_the_digest(variant, message):
 
 
 def test_saved_prefix_state_is_reused():
+    crypto._spongent_memo.cache_clear()
     crypto._absorbed.cache_clear()
     crypto._blake2b_prefix.cache_clear()
     prefix = bytes(range(200))
