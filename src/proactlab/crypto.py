@@ -15,7 +15,8 @@ interface.
 Digest computation is pluggable (`HashBackend`), and every function that
 hashes takes the backend object: the `spongent` backend is the protocol
 definition; the `simulated` backend produces size-identical digests at
-simulation speed for large scenario runs.  SPONGENT digests are
+simulation speed for large scenario runs.  A SPONGENT round is four 256-byte
+digit tables and one base-4 parse (see `Spongent`); its digests are
 memoized by message content, bounded at 1,024 entries per process, so equal
 bytes are hashed once while they stay among the most recently used.  Both
 backends also keep a 256-entry memo of prefix states: a caller names how
@@ -102,41 +103,39 @@ class Spongent:
     """Table-driven SPONGENT permutation and hash.
 
     The state is held as a little-endian integer: byte 0 of a message or
-    digest corresponds to the least-significant state bits.  The S-box and
-    bit-permutation layers are fused into one per-byte scatter table.
+    digest corresponds to the least-significant state bits.  The bit
+    permutation ``P(j) = j*n/4 mod (n-1)`` sends bit ``b`` of byte ``i`` to
+    ``2i + [b >= 4] + (b mod 4)*n/4``, since ``8i*n/4 = 2i*n = 2i`` and
+    ``4*n/4 = n = 1`` mod ``n-1``.  So output quarter ``q`` is the base-4
+    number whose digit ``i`` is bit ``q`` + 2 * bit ``q+4`` of the S-boxed
+    byte ``i``, and four 256-byte digit tables give a whole round.
     """
 
     def __init__(self, variant: HashVariant, sbox: Sequence[int] = SBOX):
+        if sorted(sbox) != list(range(16)):
+            raise CryptoError("S-box must be a permutation of 0..15")
         bits, rate, digest_bits, rounds, lw, lt, ls = _SPONGENT_PARAMS[variant]
         self.state_bytes = bits // 8
         self.rate_bytes = rate // 8
         self.digest_bytes = digest_bits // 8
         sbox8 = [sbox[v & 0xF] | (sbox[v >> 4] << 4) for v in range(256)]
-        positions = [j * bits // 4 % (bits - 1) for j in range(bits - 1)] + [bits - 1]
-        scatter: List[List[int]] = []
-        for i in range(self.state_bytes):
-            table = []
-            for v in range(256):
-                sub = sbox8[v]
-                acc = 0
-                for j in range(8):
-                    if (sub >> j) & 1:
-                        acc |= 1 << positions[8 * i + j]
-                table.append(acc)
-            scatter.append(table)
-        self._scatter = scatter
+        # ASCII base-4 digit of each byte, quarter 3 (the top state bits) first
+        self._digits = [
+            bytes(ord("0") + (sub >> q & 1) + 2 * (sub >> (q + 4) & 1) for sub in sbox8)
+            for q in (3, 2, 1, 0)
+        ]
         self._round_consts = [
             rc | (_reverse_bits(rc, lw) << (bits - lw))
             for rc in _lfsr_states(lw, lt, ls, rounds)
         ]
 
     def permute(self, state: int) -> int:
-        # Each byte's table sets its own output bits, so summing the 30 (or
-        # 11) lookups is their OR, iterated in C.
+        # Big-endian bytes put each quarter's most significant digit first.
         n = self.state_bytes
-        scatter = self._scatter
+        t3, t2, t1, t0 = self._digits
         for rc in self._round_consts:
-            state = sum(map(list.__getitem__, scatter, (state ^ rc).to_bytes(n, "little")))
+            b = (state ^ rc).to_bytes(n, "big")
+            state = int(b.translate(t3) + b.translate(t2) + b.translate(t1) + b.translate(t0), 4)
         return state
 
     def absorb(self, state: int, data: bytes) -> int:

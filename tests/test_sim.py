@@ -689,17 +689,23 @@ def test_event_log_export():
     assert time_us.isdigit() and kind
 
 
-def _mute_second_miner(monkeypatch):
-    """The second miner finalizes nothing for its first 3 s, so the orderer
+def _mute_second_miner(monkeypatch, until_s=3.0):
+    """The second miner finalizes nothing before ``until_s``, so the orderer
     voids its blocks."""
     original = TgcsAgent._try_finalize
 
     def muted(self):
-        if self.id == self.w.topo.tgcs_ids[1] and self.w.sim.now_us < to_us(3.0):
+        if self.id == self.w.topo.tgcs_ids[1] and self.w.sim.now_us < to_us(until_s):
             return
         original(self)
 
     monkeypatch.setattr(TgcsAgent, "_try_finalize", muted)
+
+
+def test_backends_agree_through_a_void(monkeypatch):
+    _mute_second_miner(monkeypatch, until_s=1.2)
+    record = _run_on_both_backends(monkeypatch, t_blk_s=1.0, sim_duration_s=1.5)
+    assert record.counters["blocks_voided"] >= 1
 
 
 def _void_config(seed, miners=2):

@@ -15,6 +15,7 @@ from proactlab import crypto, txbuild
 from proactlab.crypto import HashVariant, Spongent, spongent
 
 from spongent_oracle import PARAMS, lfsr_sequence, spongent_oracle
+from spongent_oracle import permute as oracle_permute
 
 import helpers
 
@@ -85,6 +86,16 @@ def test_corrupted_sbox_breaks_vectors():
     assert faulty.digest(b"").hex() != PINNED_VECTORS[0][2]
 
 
+@pytest.mark.parametrize("entry,value", [(0, 16), (1, crypto.SBOX[0])],
+                         ids=["out-of-range", "repeated"])
+def test_malformed_sbox_is_rejected(entry, value):
+    # An entry of 16 or more would bleed into the other nibble's digits.
+    bad_sbox = list(crypto.SBOX)
+    bad_sbox[entry] = value
+    with pytest.raises(crypto.CryptoError):
+        Spongent(HashVariant.SPONGENT_88, sbox=bad_sbox)
+
+
 def test_simulated_backend_is_size_faithful_and_distinct():
     sim = crypto.SIMULATED_BACKEND
     for variant, length in ((HashVariant.SPONGENT_88, 11), (HashVariant.SPONGENT_224, 28)):
@@ -126,18 +137,28 @@ def test_memo_does_not_accept_a_tampered_copy():
     assert not txbuild.verify_transaction(tampered, registry, backend)
 
 
-@pytest.mark.parametrize("variant", list(HashVariant))
-def test_scatter_tables_set_disjoint_bits(variant):
-    # The permutation sums the table lookups of a round, which equals their
-    # OR only while no two tables can set the same state bit.
-    covered = 0
-    for table in Spongent(variant)._scatter:
-        bits = 0
-        for entry in table:
-            bits |= entry
-        assert not bits & covered
-        covered |= bits
-    assert covered == (1 << 8 * Spongent(variant).state_bytes) - 1
+def _permute_test_states(bits):
+    ones = (1 << bits) - 1
+    if bits == 88:
+        singles = range(bits)
+    else:
+        # bytes 0 and 29 (the fixed top bit 239 among them) and each edge
+        # between the four output quarters
+        singles = [*range(8), *range(232, 240), 59, 60, 119, 120, 179, 180]
+    rng = random.Random(bits)
+    return [0, ones, *(1 << k for k in singles), *(rng.getrandbits(bits) for _ in range(8))]
+
+
+@pytest.mark.parametrize("variant,oracle_key",
+                         [(HashVariant.SPONGENT_88, 88), (HashVariant.SPONGENT_224, 224)],
+                         ids=["88", "224"])
+def test_permute_matches_bit_level_oracle(variant, oracle_key):
+    b, _, _, rounds, width, taps, seed = PARAMS[oracle_key]
+    perm = Spongent(variant)
+    for state in _permute_test_states(b):
+        expected = oracle_permute([(state >> k) & 1 for k in range(b)],
+                                  b, rounds, width, taps, seed)
+        assert perm.permute(state) == sum(bit << k for k, bit in enumerate(expected))
 
 
 BACKENDS = [crypto.SPONGENT_BACKEND, crypto.SIMULATED_BACKEND]
