@@ -18,11 +18,10 @@ definition; the `simulated` backend produces size-identical digests at
 simulation speed for large scenario runs.  A SPONGENT round is four 256-byte
 digit tables and one base-4 parse (see `Spongent`); its digests are
 memoized by message content, bounded at 1,024 entries per process, so equal
-bytes are hashed once while they stay among the most recently used.  Both
-backends also keep a 256-entry memo of prefix states: a caller names how
-many leading bytes a message shares with others (a key and nonce, a
-signature seed, a transaction's signing bytes), and the state after them is
-saved and continued; the digest never depends on that hint.
+bytes are hashed once while they stay among the most recently used.  That
+backend also saves the state after a prefix a caller names as shared (a
+key and nonce, a signature seed, a transaction's signing bytes), 256
+entries; the digest never depends on that hint.
 """
 
 from __future__ import annotations
@@ -171,9 +170,8 @@ def _absorbed(inst: Spongent, prefix: bytes) -> int:
 _instance = functools.cache(Spongent)
 
 
-# Miners re-verify the same transactions, leaves and headers, and a signature
-# check re-expands the creator's own signing message; each call site passes a
-# message with one prefix length, so the keys compare the full message.
+# A signature check re-expands the creator's own signing message; a call site
+# passes one prefix length, so the keys compare the full message.
 @functools.lru_cache(maxsize=1024)
 def _spongent_memo(variant: HashVariant, message: bytes, prefix_len: int) -> bytes:
     return _instance(variant).digest(message, prefix_len)
@@ -188,8 +186,8 @@ def spongent(variant: HashVariant, message: bytes, prefix_len: int = 0) -> bytes
 
 class HashBackend:
     """Pluggable digest provider; digests keep the variant's exact length.
-    A caller passes the whole message and may name a ``prefix_len`` that
-    others share, whose state is saved; the digest never depends on it."""
+    A caller passes the whole message and may name a shared ``prefix_len``
+    whose state a backend may save; the digest never depends on it."""
 
     name = "abstract"
 
@@ -207,10 +205,9 @@ class SpongentBackend(HashBackend):
         return spongent(variant, message, prefix_len)
 
 
-# Hash objects after a prefix, only ever copied: cheaper than building one.
-@functools.lru_cache(maxsize=256)
-def _blake2b_prefix(variant: HashVariant, prefix: bytes):
-    return hashlib.blake2b(prefix, digest_size=DIGEST_LEN[variant], person=b"sim-spongent")
+# Hash objects only ever copied: cheaper than building one.
+_BLAKE2B = {variant: hashlib.blake2b(digest_size=size, person=b"sim-spongent")
+            for variant, size in DIGEST_LEN.items()}
 
 
 class SimulatedBackend(HashBackend):
@@ -219,9 +216,8 @@ class SimulatedBackend(HashBackend):
     name = "simulated"
 
     def digest(self, variant: HashVariant, message: bytes, prefix_len: int = 0) -> bytes:
-        cut = prefix_len if prefix_len >= 128 else 0  # blake2b's block: less saves nothing
-        state = _blake2b_prefix(variant, bytes(message[:cut])).copy()
-        state.update(message[cut:])
+        state = _BLAKE2B[variant].copy()
+        state.update(message)
         return state.digest()
 
 

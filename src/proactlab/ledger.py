@@ -8,7 +8,7 @@ single-writer and reads can be snapshotted freely.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Set, Tuple
@@ -218,22 +218,15 @@ class DroneLedger:
     stored; when a block would exceed the capacity, the Block Replacement
     Algorithm evicts the oldest (lowest-id) blocks first until it fits.
     Predecessor links are not verified here: the partial chain is a cache,
-    not a validation source.
+    not a validation source.  A lookup walks the held blocks' shared
+    ``tx_locations``; the ledger keeps no per-transaction state.
     """
 
     def __init__(self, drone_id: int, capacity_bytes: int = DEFAULT_DRONE_CAPACITY):
         self.drone_id = drone_id
         self.capacity_bytes = capacity_bytes
         self.blocks: List[Block] = []  # ascending block_id
-        self._ids: List[int] = []      # block ids of self.blocks, same order
         self.current_bytes = 0
-        self._tx_index: Dict[Tuple[int, int], Tuple[int, int]] = {}
-
-    def _position(self, block_id: int) -> Optional[int]:
-        index = bisect_left(self._ids, block_id)
-        if index < len(self._ids) and self._ids[index] == block_id:
-            return index
-        return None
 
     def store_block(self, block: Block) -> List[int]:
         """Insert a block, evicting the oldest blocks until it fits; returns
@@ -242,7 +235,8 @@ class DroneLedger:
             raise LedgerError("block_type", "drones store only drone-class blocks")
         if self.drone_id not in block.owner_index:
             raise LedgerError("not_owner", "block names no transaction owned by this drone")
-        if self._position(block.block_id) is not None:
+        index = bisect_left(self.blocks, block.block_id, key=lambda b: b.block_id)
+        if index < len(self.blocks) and self.blocks[index].block_id == block.block_id:
             return []  # exactly-once delivery; re-sends are idempotent
         size = block.encoded_size
         if size > self.capacity_bytes:
@@ -251,34 +245,18 @@ class DroneLedger:
 
         evicted: List[int] = []
         while self.current_bytes + size > self.capacity_bytes:
-            oldest = self.blocks[0]
+            oldest = self.blocks.pop(0)
             evicted.append(oldest.block_id)
-            self._remove(oldest)
-
-        index = bisect_left(self._ids, block.block_id)
-        self._ids.insert(index, block.block_id)
-        self.blocks.insert(index, block)
+            self.current_bytes -= oldest.encoded_size
+        insort(self.blocks, block, key=lambda b: b.block_id)
         self.current_bytes += size
-        self._tx_index.update(block.tx_locations)
         return evicted
 
-    def _remove(self, block: Block) -> None:
-        index = self._position(block.block_id)
-        del self._ids[index]
-        del self.blocks[index]
-        self.current_bytes -= block.encoded_size
-        for key in block.tx_locations:
-            self._tx_index.pop(key, None)
-
     def has_tx(self, key: Tuple[int, int]) -> bool:
-        return key in self._tx_index
+        return any(key in block.tx_locations for block in self.blocks)
 
     def find_transaction(self, key: Tuple[int, int]) -> Optional[Transaction]:
-        loc = self._tx_index.get(key)
-        if loc is None:
-            return None
-        index = self._position(loc[0])
-        if index is None:
-            return None
-        return self.blocks[index].transactions[loc[1]]
-
+        for block in self.blocks:
+            if key in block.tx_locations:
+                return block.transactions[block.tx_locations[key][1]]
+        return None

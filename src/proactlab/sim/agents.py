@@ -447,10 +447,7 @@ class DroneAgent(Agent):
         except ledger.LedgerError:
             return
         now = self.w.sim.now_us
-        # one addition per value, in transaction order: the float sum (and
-        # so bto_mean) depends on the order
-        for overhead in block.tx_overheads:
-            self.w.metrics.bto_sample(overhead)
+        self.w.metrics.bto_sample(block.tx_overheads)
         for i in block.owner_index[self.id]:
             tx = block.transactions[i]
             key = tx.key()

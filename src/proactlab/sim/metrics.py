@@ -7,9 +7,11 @@ the collector enforces single-assignment per transaction.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .engine import US
 
@@ -126,9 +128,11 @@ class MetricsCollector:
 
     # --- storage overhead ---
 
-    def bto_sample(self, overhead: float) -> None:
-        self._bto_sum += overhead
-        self._bto_count += 1
+    def bto_sample(self, overheads: Sequence[float]) -> None:
+        """Add a stored copy's overheads one at a time, in order: ``bto_mean``
+        depends on the order, and ``sum`` compensates from Python 3.12 on."""
+        self._bto_sum = functools.reduce(operator.add, overheads, self._bto_sum)
+        self._bto_count += len(overheads)
 
     def block_committed(self) -> None:
         self.counters["blocks_committed"] += 1

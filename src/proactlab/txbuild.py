@@ -6,7 +6,6 @@ whole scenario run is reproducible from its seed.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import struct
 from typing import Sequence
@@ -46,25 +45,20 @@ def build_transaction(*, creator: int, tx_seq: int, created_at_us: int,
         enc_par=enc_par, hash_par=suite.hash_par,
         payload=payload, signature=b"",
     )
-    content = wire.signing_bytes(unsigned)
-    digest = backend.digest(suite.hash_variant, content, len(content))
+    digest = wire.content_digest(unsigned, backend)
     signature = crypto.sign(suite, registry.public_key(creator), digest, backend)
-    tx = dataclasses.replace(unsigned, signature=signature)
-    tx.validate()
-    return tx
+    return unsigned.signed(signature)
 
 
 def verify_transaction(tx: Transaction, registry: KeyRegistry,
                        backend: HashBackend) -> bool:
-    """Recompute the content digest and check it against the claimed
-    creator's registered public key."""
+    """Check the content digest, derived once per object, against the
+    claimed creator's registered public key."""
     if not registry.has_node(tx.creator):
         return False
     suite = crypto.suite_for_class(tx.security_class)
-    content = wire.signing_bytes(tx)
-    digest = backend.digest(suite.hash_variant, content, len(content))
-    return crypto.verify(suite, registry.public_key(tx.creator), digest,
-                         tx.signature, backend)
+    return crypto.verify(suite, registry.public_key(tx.creator),
+                         wire.content_digest(tx, backend), tx.signature, backend)
 
 
 def registration_payload(node_id: int, role: str, real_id: str,

@@ -21,10 +21,10 @@ operations here are pure functions.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
-from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property, partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .crypto import (
     DIGEST_LEN,
@@ -76,7 +76,11 @@ class BlockTarget(IntEnum):
     BLOCK_T2 = 2
 
 
-@dataclass(frozen=True)
+# Set by _derived and validate; a dataclasses.replace copy starts without them.
+_memo = partial(field, default=None, init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True, slots=True)
 class Transaction:
     creator: int
     tx_seq: int
@@ -92,6 +96,9 @@ class Transaction:
     hash_par: str
     payload: bytes
     signature: bytes
+    _valid: Optional[bool] = _memo()
+    _content: Optional[Tuple[HashBackend, bytes]] = _memo()
+    _leaf: Optional[Tuple[HashBackend, bytes]] = _memo()
 
     def key(self) -> Tuple[int, int]:
         return (self.creator, self.tx_seq)
@@ -103,7 +110,17 @@ class Transaction:
         suite = suite_for_class(self.security_class)
         return len(self.payload) - NONCE_LEN - suite.tag_len
 
+    def signed(self, signature: bytes) -> "Transaction":
+        """Validated copy with ``signature``; the signature-free content digest carries over."""
+        tx = replace(self, signature=signature)
+        object.__setattr__(tx, "_content", self._content)
+        tx.validate()
+        return tx
+
     def validate(self) -> None:
+        """Raise WireError unless the fields agree; a passed object is not checked again."""
+        if self._valid:
+            return
         n_owners = len(self.owners)
         bad_owner_count = (
             (self.access_class is AccessClass.PUBLIC and n_owners != 0)
@@ -111,9 +128,7 @@ class Transaction:
             or (self.access_class is AccessClass.GROUP and n_owners < 2)
         )
         if bad_owner_count:
-            raise WireError(
-                f"access class {self.access_class.name} cannot have {n_owners} owners"
-            )
+            raise WireError(f"access class {self.access_class.name} cannot have {n_owners} owners")
         if not self.payload:
             raise WireError("payload must be non-empty")
         suite = suite_for_class(self.security_class)
@@ -122,18 +137,15 @@ class Transaction:
                 raise WireError("public transactions carry no encryption metadata")
         else:
             if self.enc_id != suite.suite_id:
-                raise WireError(
-                    f"enc_id {self.enc_id} does not match suite {suite.suite_id}"
-                )
+                raise WireError(f"enc_id {self.enc_id} does not match suite {suite.suite_id}")
             if len(self.payload) <= NONCE_LEN + suite.tag_len:
                 raise WireError("sealed payload shorter than nonce plus tag")
         if self.hash_id != suite.hash_variant.value:
             raise WireError(f"hash_id {self.hash_id} does not match the suite")
         if len(self.signature) != suite.signature_len:
-            raise WireError(
-                f"signature length {len(self.signature)} != suite's "
-                f"{suite.signature_len}"
-            )
+            raise WireError(f"signature length {len(self.signature)} != suite's "
+                            f"{suite.signature_len}")
+        object.__setattr__(self, "_valid", True)
 
 
 @dataclass(frozen=True)
@@ -145,7 +157,7 @@ class TAEntry:
     owners: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockHeader:
     version: int
     block_id: int
@@ -155,6 +167,7 @@ class BlockHeader:
     prev_hash: bytes
     merkle_root: bytes
     ta_list: Tuple[TAEntry, ...]
+    _digest: Optional[Tuple[HashBackend, bytes]] = _memo()
 
 
 @dataclass(frozen=True)
@@ -194,9 +207,19 @@ class Block:
 
     @cached_property
     def tx_locations(self) -> Dict[Tuple[int, int], Tuple[int, int]]:
-        """Transaction key -> (block_id, index), for ledger indexes."""
+        """Transaction key -> (block_id, index), read by both ledger kinds."""
         block_id = self.block_id
         return {tx.key(): (block_id, i) for i, tx in enumerate(self.transactions)}
+
+
+def _derived(obj, slot: str, backend: HashBackend, derive: Callable[[], bytes]) -> bytes:
+    """``obj``'s digest in ``slot`` as ``backend`` derives it, derived once: the
+    fields are immutable, so a stored digest equals a fresh computation."""
+    stored = getattr(obj, slot)
+    if stored is None or stored[0] is not backend:
+        stored = (backend, derive())
+        object.__setattr__(obj, slot, stored)
+    return stored[1]
 
 
 def _signed_parts(tx: Transaction) -> List[bytes]:
@@ -213,10 +236,14 @@ def _signed_parts(tx: Transaction) -> List[bytes]:
     ]
 
 
-def signing_bytes(tx: Transaction) -> bytes:
-    """Every encoded field preceding the signature length byte; this is the
-    content a creator signs and a verifier re-digests."""
-    return b"".join(_signed_parts(tx))
+def content_digest(tx: Transaction, backend: HashBackend) -> bytes:
+    """The suite-variant digest of every encoded field preceding the
+    signature length byte: what a creator signs and a verifier checks."""
+    def derive() -> bytes:
+        content = b"".join(_signed_parts(tx))
+        variant = suite_for_class(tx.security_class).hash_variant
+        return backend.digest(variant, content, len(content))
+    return _derived(tx, "_content", backend, derive)
 
 
 def encode_transaction(tx: Transaction) -> bytes:
@@ -419,21 +446,25 @@ def merkle_root(tx_digests: Sequence[bytes], backend: HashBackend) -> bytes:
     return level[0]
 
 
-def body_root(transactions: Sequence[Transaction], backend: HashBackend) -> bytes:
-    """The header's Merkle root: the tree over each transaction's digest; a
-    leaf continues from the state saved when its signing bytes were hashed."""
-    leaves = []
-    for tx in transactions:
+def leaf_digest(tx: Transaction, backend: HashBackend) -> bytes:
+    """A transaction's Merkle leaf: the SPONGENT-224 digest of its encoding,
+    continued from the state saved after its signing bytes."""
+    def derive() -> bytes:
         enc = encode_transaction(tx)
-        tail = struct.calcsize(_SIG_LEN) + len(tx.signature)
-        leaves.append(backend.digest224(enc, len(enc) - tail))
-    return merkle_root(leaves, backend)
+        return backend.digest224(enc, len(enc) - struct.calcsize(_SIG_LEN) - len(tx.signature))
+    return _derived(tx, "_leaf", backend, derive)
+
+
+def body_root(transactions: Sequence[Transaction], backend: HashBackend) -> bytes:
+    """The header's Merkle root: the tree over each transaction's leaf."""
+    return merkle_root([leaf_digest(tx, backend) for tx in transactions], backend)
 
 
 def block_hash(header: BlockHeader, backend: HashBackend) -> bytes:
     """Chain digest of a block: its encoded header only (the Merkle root
     already commits to the body)."""
-    return backend.digest224(encode_header(header))
+    return _derived(header, "_digest", backend,
+                    lambda: backend.digest224(encode_header(header)))
 
 
 def build_block(block_id: int, block_type: BlockTarget, miner: int, timestamp_us: int,

@@ -335,3 +335,56 @@ def test_tampered_copy_derives_its_own_facts(registry):
     # the cache does not take part in equality or hashing
     fresh = dataclasses.replace(block)
     assert fresh == block and hash(fresh) == hash(block)
+
+
+def test_drone_lookups_walk_the_held_blocks(registry):
+    # 2.2 KB blocks of one owned and one foreign transaction into a 10 KB
+    # ledger: the fifth store evicts block 0
+    dl = DroneLedger(helpers.DRONE_A, capacity_bytes=10_000)
+    blocks = []
+    for i in range(5):
+        mine = helpers.make_t1_command(registry, BACKEND, seq=10 * i,
+                                       plaintext=bytes(1000))
+        theirs = helpers.make_t1_command(registry, BACKEND, owner=helpers.DRONE_B,
+                                         seq=10 * i + 1, plaintext=bytes(1000))
+        blocks.append(_block(registry, i, wire.ZERO_HASH, [theirs, mine]))
+        dl.store_block(blocks[-1])
+    assert [b.block_id for b in dl.blocks] == [1, 2, 3, 4]
+    for block in blocks[1:]:
+        for tx in block.transactions:  # owned and foreign alike
+            assert dl.has_tx(tx.key()) and dl.find_transaction(tx.key()) is tx
+    for key in [tx.key() for tx in blocks[0].transactions] + [(9999, 0)]:
+        assert not dl.has_tx(key) and dl.find_transaction(key) is None
+    # no per-transaction state: nothing the ledger holds outgrows its blocks
+    for name, value in vars(dl).items():
+        if isinstance(value, (list, dict, set, tuple)):
+            assert len(value) <= len(dl.blocks), name
+
+
+def test_tampered_copies_are_hashed_afresh(registry):
+    # validating stores each transaction's digests and validity, and
+    # appending stores the header hash; a dataclasses.replace copy has none
+    full = _chain(registry)
+    tx = helpers.make_t1_command(registry, BACKEND, seq=80)
+    block = _block(registry, full.next_block_id, full.tip_digest, [tx])
+    assert validate_block(full.next_block_id, full.tip_digest, block,
+                          registry, BACKEND, seen_tx=full.has_tx) == []
+    regrouped = dataclasses.replace(tx, owners=(helpers.DRONE_A, helpers.DRONE_B))
+    tampered = dataclasses.replace(block, transactions=(regrouped,))
+    codes = {i.code for i in validate_block(full.next_block_id, full.tip_digest,
+                                            tampered, registry, BACKEND)}
+    assert {"merkle_root", "signature", "access_enc"} <= codes
+
+    full.append_block(block)
+    full.verify_chain()
+    blanked = dataclasses.replace(tx, payload=bytes(len(tx.payload)))
+    full.blocks[-1] = dataclasses.replace(block, transactions=(blanked,))
+    with pytest.raises(LedgerError) as err:
+        full.verify_chain()
+    assert err.value.code == "merkle_root"
+    full.blocks[-1] = block
+    restamped = dataclasses.replace(full.blocks[1].header, timestamp_us=1)
+    full.blocks[1] = dataclasses.replace(full.blocks[1], header=restamped)
+    with pytest.raises(LedgerError) as err:
+        full.verify_chain()
+    assert err.value.code == "prev_hash"

@@ -192,13 +192,11 @@ def test_simulated_prefix_length_never_changes_the_digest(variant, message):
 def test_saved_prefix_state_is_reused():
     crypto._spongent_memo.cache_clear()
     crypto._absorbed.cache_clear()
-    crypto._blake2b_prefix.cache_clear()
     prefix = bytes(range(200))
     for backend in BACKENDS:
         for counter in (b"\x00", b"\x01"):
             backend.digest224(prefix + counter, len(prefix))
     assert crypto._absorbed.cache_info().hits == 1
-    assert crypto._blake2b_prefix.cache_info().hits == 1
 
 
 @pytest.mark.parametrize("variant", list(HashVariant))

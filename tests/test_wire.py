@@ -192,6 +192,30 @@ def test_block_hash_deterministic_and_sensitive(registry, sim_backend):
     assert wire.block_hash(altered, SPONGENT_BACKEND) != digest
 
 
+
+def test_stored_digests_equal_a_fresh_computation_on_each_backend(registry, sim_backend):
+    # one set of objects hashed on both backends in turn: each call returns
+    # the asking backend's own digest, equal to one computed from the bytes
+    txs = [helpers.make_t1_command(registry, sim_backend),
+           helpers.make_t3_data(registry, sim_backend, plaintext=bytes(300)),
+           helpers.make_group_command(registry, sim_backend)]
+    header = wire.build_block(1, BlockTarget.BLOCK_T1, helpers.GCS_ID, 0,
+                              wire.ZERO_HASH, txs, sim_backend).header
+    for backend in (sim_backend, SPONGENT_BACKEND, sim_backend, SPONGENT_BACKEND):
+        leaves = []
+        for tx in txs:
+            encoded = wire.encode_transaction(tx)
+            signed = encoded[:len(encoded) - 1 - len(tx.signature)]
+            variant = crypto.suite_for_class(tx.security_class).hash_variant
+            assert wire.content_digest(tx, backend) == backend.digest(variant, signed)
+            leaves.append(backend.digest224(encoded))
+            assert wire.leaf_digest(tx, backend) == leaves[-1]
+        assert wire.body_root(txs, backend) == wire.merkle_root(leaves, backend)
+        assert wire.block_hash(header, backend) == \
+            backend.digest224(wire.encode_header(header))
+    assert wire.block_hash(header, sim_backend) != wire.block_hash(header, SPONGENT_BACKEND)
+
+
 _payloads = st.binary(min_size=1, max_size=300)
 
 
