@@ -5,6 +5,7 @@ import dataclasses
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proactlab import consensus, crypto, ledger, txbuild, wire
 from proactlab.crypto import SUITE_S1, SUITE_S2_C1
@@ -16,7 +17,9 @@ from proactlab.sim.metrics import MetricsCollector
 from proactlab.sim.netmodel import (
     Link,
     LinkModel,
+    Motion,
     PlacementError,
+    next_leg,
     place_topology,
 )
 from proactlab.sim.scenario import ConfigError, build_world
@@ -123,6 +126,31 @@ def test_placement_rejects_oversized_disc():
                        uav_per_uavn=1, gcs_range_m=300, disc_radius_m=400,
                        gcs_spacing_m=1000, sites_per_uavn=0,
                        sensing_range_m=300, rng=random.Random(0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), range_m=st.floats(50.0, 5000.0),
+       fraction=st.floats(0.01, 0.99), n_gcs=st.integers(1, 3),
+       swarms=st.integers(1, 2), drones=st.integers(1, 4),
+       speed=st.floats(0.5, 50.0))
+def test_drones_never_leave_their_station_cell(seed, range_m, fraction, n_gcs,
+                                               swarms, drones, speed):
+    """A drone flies chords of its swarm disc, and the disc lies inside its
+    station's range, so a drone-station send never needs a relay."""
+    rng = random.Random(seed)
+    topo = place_topology(n_ca=1, gcs_per_ca=n_gcs, tgcs_per_ca=1,
+                          uavn_per_gcs=swarms, uav_per_uavn=drones,
+                          gcs_range_m=range_m, disc_radius_m=fraction * range_m,
+                          gcs_spacing_m=2 * range_m, sites_per_uavn=0,
+                          sensing_range_m=1.0, rng=rng)
+    for drone in topo.drone_uavn:
+        gcs = topo.gcs_of_drone(drone)
+        now = 0
+        for _ in range(3):
+            arrival = next_leg(topo, drone, now, speed, 2 * speed, rng)
+            for t in (now, (now + arrival) // 2, arrival):
+                assert topo.distance(drone, gcs, t) <= range_m + 1e-9
+            now = rng.randint(now + 1, arrival)  # the next leg may start mid-leg
 
 
 def test_ground_truth_observation():
@@ -541,6 +569,92 @@ def test_fetch_unknown_network_wide_not_found():
     drone.fetch_transaction((424242, 7))
     world.sim.run()
     assert responses == ["not-found"]
+
+
+# --- transport ---
+# A 1,234 B payload is 1,250 B on the wire: 1 ms on a 1.25 MB/s cell or mesh
+# link, then 2 ms of latency.
+
+
+def _arrivals(world, *nodes):
+    """(node, time) for every packet the nodes receive, in arrival order."""
+    got = []
+    for node in nodes:
+        world.agents[node].on_packet = \
+            lambda packet, node=node: got.append((node, world.sim.now_us))
+    return got
+
+
+def _line_up(world, drones, spacing_m):
+    """Park the drones on one line, ``spacing_m`` apart."""
+    for i, drone in enumerate(drones):
+        world.topo.motions[drone] = Motion(i * spacing_m, 0.0, 0, i * spacing_m, 0.0, 0)
+
+
+def test_station_to_station_send_takes_wired_latency_plus_serialization():
+    world = _world()
+    a, b = world.topo.gcs_ids
+    got = _arrivals(world, b)
+    world.send(a, b, "tx-forward", None, 12_484)
+    world.sim.run()
+    # 12,500 B at 12.5 MB/s is 1 ms, then 5 ms of latency
+    assert got == [(b, 6000)]
+
+
+def test_drones_of_one_station_share_its_uplink():
+    world = _world()
+    g1, g2 = world.topo.gcs_ids
+    a, b = world.topo.drones_of_gcs(g1)[:2]
+    c = world.topo.drones_of_gcs(g2)[0]
+    got = _arrivals(world, g1, g2, a)
+    for drone in (a, b, c):
+        world.send(drone, world.topo.gcs_of_drone(drone), "tx", None, 1234)
+    world.send(g1, a, "block-copy", None, 1234)
+    world.sim.run()
+    # b waits behind a; c's station and g1's downlink have their own queues
+    assert sorted(got) == [(g1, 3000), (g1, 4000), (g2, 3000), (a, 3000)]
+
+
+def test_send_beyond_radio_range_follows_the_mesh_route():
+    world = _world()
+    swarm = world.topo.uavns[0].drone_ids
+    _line_up(world, swarm, 250.0)  # each drone reaches only its neighbours
+    got = _arrivals(world, swarm[3])
+    world.send(swarm[0], swarm[3], "fetch-req", None, 1234)
+    world.sim.run()
+    assert got == [(swarm[3], 3 * 3000)]  # three mesh hops, one after another
+
+
+def test_partitioned_swarm_drops_the_packet_once():
+    world = _world()
+    swarm = world.topo.uavns[0].drone_ids
+    _line_up(world, swarm, 400.0)  # nobody within 300 m of anyone
+    got = _arrivals(world, swarm[3])
+    expired = []
+    before = world.net.packets_dropped
+    world.send(swarm[0], swarm[3], "fetch-req", None, 96,
+               on_expired=lambda: expired.append(world.sim.now_us))
+    world.sim.run()
+    assert got == [] and expired == [0]
+    assert world.net.packets_dropped == before + 1
+    assert world.net.total_dropped() == 1
+
+
+def test_full_cell_queue_refuses_every_retry_then_expires():
+    world = _world(wireless_bw_bps=1000.0, wireless_queue_bytes=2000)
+    g = world.topo.gcs_ids[0]
+    a, b = world.topo.drones_of_gcs(g)[:2]
+    got = _arrivals(world, g)
+    expired = []
+    world.send(a, g, "tx", None, 1984)  # 2,000 B: fills the uplink for 2 s
+    world.send(b, g, "tx", None, 484, on_expired=lambda: expired.append(world.sim.now_us))
+    world.sim.run()
+    # 500 B more never fits before 2 s: refused at 0, 50, 150 and 350 ms
+    assert world.cfg.max_retries == 3
+    assert world.net.total_dropped() == 4
+    assert world.net.packets_dropped == 0
+    assert expired == [350_000]
+    assert got == [(g, 2 * US + 2000)]
 
 
 # --- end-to-end properties ---
