@@ -1,9 +1,11 @@
 """Simulation agents: control authorities (orderer duty), ground stations,
 miner stations, and drones.
 
-All cross-agent interaction is message passing over the network model; no
-agent touches another's state directly (the shared key registry is the one
-read-mostly exception, standing in for key distribution).
+Agents interact by message passing over the network model, with three
+exceptions: the shared key registry stands in for key distribution, a drone
+asks its peers' ledgers which of them holds a transaction
+(``fetch_transaction`` reads ``ledger.has_tx``), and a station skips drones
+whose battery is empty (``_command_drones`` reads ``energy.active``).
 """
 
 from __future__ import annotations
@@ -173,51 +175,31 @@ class World:
         total = size + self.cfg.packet_overhead_bytes
         if self.sim.event_log is not None:
             self.sim.log(str(src), kind, f"to={dst} bytes={total}")
-        if self.is_drone(src) or self.is_drone(dst):
-            self._send_wireless(packet, total, on_expired)
-        else:
-            self._send_on_link(self.net.wired(src, dst), total,
-                               lambda: self.agents[dst].on_packet(packet), on_expired)
+        hops = self._hops(src, dst)
+        if hops is None:
+            self.net.packets_dropped += 1
+            if on_expired is not None:
+                on_expired()
+            return
+        self._send_hop(packet, total, hops, 0, on_expired)
 
-    def _wireless_hops(self, src: int, dst: int) -> Optional[List[Tuple[Link, int]]]:
-        """Hop plan as (link, receiver) pairs, shortest-hop over the current
-        link graph; None when no path exists."""
-        topo, cfg, now = self.topo, self.cfg, self.sim.now_us
-        if self.is_drone(src) != self.is_drone(dst):
-            # one station cell, bridged by one swarm peer when out of range
-            uplink = self.is_drone(src)
-            drone, gcs = (src, dst) if uplink else (dst, src)
-            cell = self.net.links[f"up:{gcs}" if uplink else f"down:{gcs}"]
-            if topo.distance(drone, gcs, now) <= cfg.gcs_range_m:
-                return [(cell, dst)]
-            relay = self._relay_for(drone, gcs)
-            if relay is None:
-                return None
-            mesh = self.net.links[f"mesh:{topo.drone_uavn[drone]}"]
-            return [(mesh, relay), (cell, gcs)] if uplink else [(cell, relay), (mesh, drone)]
-        # drone to drone within one swarm
-        uavn = topo.drone_uavn[src]
-        mesh = self.net.links[f"mesh:{uavn}"]
-        if topo.distance(src, dst, now) <= cfg.uav_range_m:
-            return [(mesh, dst)]
-        hop_nodes = self._mesh_route(src, dst)
-        if hop_nodes is None:
-            return None
-        return [(mesh, node) for node in hop_nodes]
+    def _hops(self, src: int, dst: int) -> Optional[List[Tuple[Link, int]]]:
+        """Hop plan as (link, receiver) pairs; None when no route exists.
+        A drone and its station are one cell hop apart (see ``netmodel``)."""
+        net, swarm_of = self.net, self.topo.drone_uavn
+        if src in swarm_of:
+            if dst in swarm_of:
+                return self._mesh_route(src, dst)
+            return [(net.uplink[dst], dst)]
+        if dst in swarm_of:
+            return [(net.downlink[src], dst)]
+        return [(net.wired(src, dst), dst)]
 
-    def _relay_for(self, drone: int, gcs: int) -> Optional[int]:
-        """First active peer bridging an out-of-range drone to its station."""
-        now, cfg, topo = self.sim.now_us, self.cfg, self.topo
-        for peer in topo.peers_of_drone(drone):
-            if self.agents[peer].energy.active \
-                    and topo.distance(drone, peer, now) <= cfg.uav_range_m \
-                    and topo.distance(peer, gcs, now) <= cfg.gcs_range_m:
-                return peer
-        return None
-
-    def _mesh_route(self, src: int, dst: int) -> Optional[List[int]]:
+    def _mesh_route(self, src: int, dst: int) -> Optional[List[Tuple[Link, int]]]:
+        """Mesh hops on a shortest path over the swarm's current radio graph."""
         now, cfg, topo = self.sim.now_us, self.cfg, self.topo
         uavn = topo.uavns[topo.drone_uavn[src]]
+        mesh = self.net.mesh[uavn.uavn_id]
         frontier = [src]
         parents = {src: src}
         while frontier:
@@ -229,22 +211,14 @@ class World:
                     if topo.distance(node, peer, now) <= cfg.uav_range_m:
                         parents[peer] = node
                         if peer == dst:
-                            path = [peer]
-                            while parents[path[-1]] != path[-1]:
-                                path.append(parents[path[-1]])
-                            return list(reversed(path))[1:]
+                            hops = []
+                            while peer != src:
+                                hops.append((mesh, peer))
+                                peer = parents[peer]
+                            return hops[::-1]
                         nxt.append(peer)
             frontier = nxt
         return None
-
-    def _send_wireless(self, packet: Packet, size: int, on_expired) -> None:
-        hops = self._wireless_hops(packet.src, packet.dst)
-        if hops is None:
-            self.net.packets_dropped += 1
-            if on_expired is not None:
-                on_expired()
-            return
-        self._send_hop(packet, size, hops, 0, on_expired)
 
     def _send_hop(self, packet: Packet, size: int, hops, index: int,
                   on_expired) -> None:

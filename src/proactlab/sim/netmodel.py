@@ -5,6 +5,10 @@ station share one uplink and one downlink queue, and each swarm shares one
 mesh channel.  Ground links are point-to-point and directional.  Delivery
 time is base latency plus serialization plus queueing; a packet is dropped
 when a finite queue would overflow.
+
+Cell invariant: a drone never leaves its station's radio range, since its
+swarm disc lies inside that range and ``next_leg`` flies only chords of the
+disc.  A drone and its station are always one cell hop apart.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .engine import US, Simulator, to_us
@@ -31,8 +36,7 @@ class LinkModel:
 class Link:
     """Fluid FIFO queue: serialization occupies the link back-to-back."""
 
-    def __init__(self, name: str, model: LinkModel):
-        self.name = name
+    def __init__(self, model: LinkModel):
         self.model = model
         self.free_at_us = 0
         self.dropped = 0
@@ -56,25 +60,28 @@ class Link:
 
 
 class Network:
-    def __init__(self, wired: LinkModel):
-        self._wired_model = wired
-        self.links: Dict[str, Link] = {}
-        self.packets_dropped = 0
+    """Each station's uplink and downlink cell and each swarm's mesh, keyed
+    by station or swarm id and built once, and one wired link per ordered
+    station pair.  By the cell invariant a drone is one hop from its station."""
 
-    def add_link(self, name: str, model: LinkModel) -> Link:
-        link = Link(name, model)
-        self.links[name] = link
-        return link
+    def __init__(self, topo: Topology, wireless: LinkModel, wired: LinkModel):
+        self._wired_model = wired
+        self.uplink = {gcs: Link(wireless) for gcs in topo.gcs_ids}
+        self.downlink = {gcs: Link(wireless) for gcs in topo.gcs_ids}
+        self.mesh = {uavn.uavn_id: Link(wireless) for uavn in topo.uavns}
+        self._wires: Dict[Tuple[int, int], Link] = {}
+        self.packets_dropped = 0   # no-route losses
 
     def wired(self, src: int, dst: int) -> Link:
-        name = f"wire:{src}>{dst}"
-        link = self.links.get(name)
+        link = self._wires.get((src, dst))
         if link is None:
-            link = self.add_link(name, self._wired_model)
+            link = self._wires[src, dst] = Link(self._wired_model)
         return link
 
     def total_dropped(self) -> int:
-        return self.packets_dropped + sum(l.dropped for l in self.links.values())
+        links = chain(self.uplink.values(), self.downlink.values(),
+                      self.mesh.values(), self._wires.values())
+        return self.packets_dropped + sum(link.dropped for link in links)
 
 
 @dataclass

@@ -154,12 +154,7 @@ def build_world(cfg: ScenarioConfig, event_log: Optional[TextIO] = None) -> Worl
     wireless = LinkModel(cfg.wireless_latency_s, cfg.wireless_bw_bps,
                          cfg.wireless_queue_bytes)
     wired = LinkModel(cfg.wired_latency_s, cfg.wired_bw_bps, cfg.wired_queue_bytes)
-    net = Network(wired)
-    for gcs in topo.gcs_ids:
-        net.add_link(f"up:{gcs}", wireless)
-        net.add_link(f"down:{gcs}", wireless)
-    for uavn in topo.uavns:
-        net.add_link(f"mesh:{uavn.uavn_id}", wireless)
+    net = Network(topo, wireless, wired)
 
     registry = KeyRegistry(backend, f"scenario:{cfg.seed}".encode())
     metrics = MetricsCollector()

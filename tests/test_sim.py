@@ -70,7 +70,7 @@ def test_event_log_lines():
 
 
 def _link(bw=1000.0, latency=0.01, limit=0):
-    return Link("l", LinkModel(latency, bw, limit))
+    return Link(LinkModel(latency, bw, limit))
 
 
 def test_link_serialization_plus_latency():
