@@ -21,7 +21,8 @@ memoized by message content, bounded at 1,024 entries per process, so equal
 bytes are hashed once while they stay among the most recently used.  That
 backend also saves the state after a prefix a caller names as shared (a
 key and nonce, a signature seed, a transaction's signing bytes), 256
-entries; the digest never depends on that hint.
+entries; the digest never depends on that hint.  A caller may also continue
+from a backend's ``prefix_state``, which is None where that memo shares it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 
 class CryptoError(Exception):
@@ -186,22 +187,28 @@ def spongent(variant: HashVariant, message: bytes, prefix_len: int = 0) -> bytes
 
 class HashBackend:
     """Pluggable digest provider; digests keep the variant's exact length.
-    A caller passes the whole message and may name a shared ``prefix_len``
-    whose state a backend may save; the digest never depends on it."""
+    A caller passes the whole message and may name a shared ``prefix_len``,
+    with that prefix's ``prefix_state``; the digest never depends on either."""
 
     name = "abstract"
 
-    def digest(self, variant: HashVariant, message: bytes, prefix_len: int = 0) -> bytes:
+    def prefix_state(self, variant: HashVariant, prefix: bytes) -> Optional[object]:
+        """The state after ``prefix``; None where the backend saves it itself."""
+        return None
+
+    def digest(self, variant: HashVariant, message: bytes, prefix_len: int = 0,
+               state=None) -> bytes:
         raise NotImplementedError
 
-    def digest224(self, message: bytes, prefix_len: int = 0) -> bytes:
-        return self.digest(HashVariant.SPONGENT_224, message, prefix_len)
+    def digest224(self, message: bytes, prefix_len: int = 0, state=None) -> bytes:
+        return self.digest(HashVariant.SPONGENT_224, message, prefix_len, state)
 
 
 class SpongentBackend(HashBackend):
     name = "spongent"
 
-    def digest(self, variant: HashVariant, message: bytes, prefix_len: int = 0) -> bytes:
+    def digest(self, variant: HashVariant, message: bytes, prefix_len: int = 0,
+               state=None) -> bytes:
         return spongent(variant, message, prefix_len)
 
 
@@ -215,9 +222,16 @@ class SimulatedBackend(HashBackend):
 
     name = "simulated"
 
-    def digest(self, variant: HashVariant, message: bytes, prefix_len: int = 0) -> bytes:
+    def prefix_state(self, variant: HashVariant, prefix: bytes):
         state = _BLAKE2B[variant].copy()
-        state.update(message)
+        state.update(prefix)
+        return state
+
+    def digest(self, variant: HashVariant, message: bytes, prefix_len: int = 0,
+               state=None) -> bytes:
+        rest = message if state is None else message[prefix_len:]
+        state = (state or _BLAKE2B[variant]).copy()
+        state.update(rest)
         return state.digest()
 
 
@@ -257,11 +271,11 @@ class CryptoSuite:
     def tag_len(self) -> int:
         return DIGEST_LEN[self.hash_variant]
 
-    @property
+    @functools.cached_property  # one string shared by every transaction
     def enc_par(self) -> str:
         return f"key_bits={self.key_bits}"
 
-    @property
+    @functools.cached_property
     def hash_par(self) -> str:
         return f"rounds={_SPONGENT_PARAMS[self.hash_variant][3]}"
 

@@ -804,7 +804,7 @@ class TgcsAgent(GcsAgent):
         if block.header.miner == self.id:
             self.w.metrics.block_committed()
             for tx in block.transactions:
-                self.w.metrics.tx_committed(tx.key(), wire.encode_transaction(tx), now)
+                self.w.metrics.tx_committed(tx.key(), wire.commit_digest(tx, self.w.backend), now)
             self.pending_assigned.pop(block_id, None)
             size = block.encoded_size
             for gcs in self.w.topo.gcs_ids:

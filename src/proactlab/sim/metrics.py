@@ -99,11 +99,11 @@ class MetricsCollector:
         self._tx_state[key] = state
         return True
 
-    def tx_committed(self, key: TxKey, encoded: bytes, commit_us: int) -> None:
+    def tx_committed(self, key: TxKey, commit_digest: bytes, commit_us: int) -> None:
         if not self._settle(key, "committed"):
             return
         self.counters["txs_committed"] += 1
-        self._committed_digests.append(hashlib.blake2b(encoded, digest_size=16).digest())
+        self._committed_digests.append(commit_digest)
         created = self._tx_created_us[key]
         self.tbd_samples_s.append((commit_us - created) / US)
 

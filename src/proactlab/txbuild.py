@@ -26,7 +26,7 @@ def build_transaction(*, creator: int, tx_seq: int, created_at_us: int,
                       owners: Sequence[int], block_target: BlockTarget,
                       plaintext: bytes, registry: KeyRegistry,
                       backend: HashBackend) -> Transaction:
-    """Seal (when private), fill the crypto metadata, and sign."""
+    """Seal (when private), fill the crypto metadata, sign, and store the derived facts."""
     owners = tuple(owners)
     if access_class is AccessClass.PUBLIC:
         payload = plaintext
@@ -36,18 +36,13 @@ def build_transaction(*, creator: int, tx_seq: int, created_at_us: int,
         payload = crypto.seal(suite, sealed_to, deterministic_nonce(creator, tx_seq),
                               plaintext, backend)
         enc_id, enc_par = suite.suite_id, suite.enc_par
-
-    unsigned = Transaction(
+    return wire.new_transaction(
+        lambda digest: crypto.sign(suite, registry.public_key(creator), digest, backend), backend,
         creator=creator, tx_seq=tx_seq, created_at_us=created_at_us, topic=0,
         access_class=access_class, owners=owners,
         security_class=suite.security_class, block_target=block_target,
         enc_id=enc_id, hash_id=suite.hash_variant.value,
-        enc_par=enc_par, hash_par=suite.hash_par,
-        payload=payload, signature=b"",
-    )
-    digest = wire.content_digest(unsigned, backend)
-    signature = crypto.sign(suite, registry.public_key(creator), digest, backend)
-    return unsigned.signed(signature)
+        enc_par=enc_par, hash_par=suite.hash_par, payload=payload)
 
 
 def verify_transaction(tx: Transaction, registry: KeyRegistry,

@@ -20,10 +20,12 @@ operations here are pure functions.
 
 from __future__ import annotations
 
+import hashlib
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property, partial
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .crypto import (
@@ -76,7 +78,7 @@ class BlockTarget(IntEnum):
     BLOCK_T2 = 2
 
 
-# Set by _derived and validate; a dataclasses.replace copy starts without them.
+# Set by _with_facts, block_hash and validate; a replace() copy starts without them.
 _memo = partial(field, default=None, init=False, repr=False, compare=False)
 
 
@@ -97,8 +99,7 @@ class Transaction:
     payload: bytes
     signature: bytes
     _valid: Optional[bool] = _memo()
-    _content: Optional[Tuple[HashBackend, bytes]] = _memo()
-    _leaf: Optional[Tuple[HashBackend, bytes]] = _memo()
+    _facts: Optional[Tuple[HashBackend, bytes, bytes, bytes]] = _memo()
 
     def key(self) -> Tuple[int, int]:
         return (self.creator, self.tx_seq)
@@ -109,13 +110,6 @@ class Transaction:
             return len(self.payload)
         suite = suite_for_class(self.security_class)
         return len(self.payload) - NONCE_LEN - suite.tag_len
-
-    def signed(self, signature: bytes) -> "Transaction":
-        """Validated copy with ``signature``; the signature-free content digest carries over."""
-        tx = replace(self, signature=signature)
-        object.__setattr__(tx, "_content", self._content)
-        tx.validate()
-        return tx
 
     def validate(self) -> None:
         """Raise WireError unless the fields agree; a passed object is not checked again."""
@@ -212,46 +206,74 @@ class Block:
         return {tx.key(): (block_id, i) for i, tx in enumerate(self.transactions)}
 
 
-def _derived(obj, slot: str, backend: HashBackend, derive: Callable[[], bytes]) -> bytes:
-    """``obj``'s digest in ``slot`` as ``backend`` derives it, derived once: the
-    fields are immutable, so a stored digest equals a fresh computation."""
-    stored = getattr(obj, slot)
-    if stored is None or stored[0] is not backend:
-        stored = (backend, derive())
-        object.__setattr__(obj, slot, stored)
-    return stored[1]
+_SIGNED_FIELDS = attrgetter(*Transaction.__match_args__[:-1])  # in layout order, unsigned
 
 
-def _signed_parts(tx: Transaction) -> List[bytes]:
-    enc_par = tx.enc_par.encode()
-    hash_par = tx.hash_par.encode()
-    return [
-        struct.pack(_TX_HEAD, tx.creator, tx.tx_seq, tx.created_at_us,
-                    tx.topic, tx.access_class, len(tx.owners)),
-        struct.pack(f"<{len(tx.owners)}I", *tx.owners),
-        struct.pack(_TX_SUITE, tx.security_class, tx.block_target, tx.enc_id, tx.hash_id),
-        struct.pack(_ENC_PAR_LEN, len(enc_par)), enc_par,
-        struct.pack(_HASH_PAR_LEN, len(hash_par)), hash_par,
-        struct.pack(_PAYLOAD_LEN, len(tx.payload)), tx.payload,
-    ]
+def _signing_bytes(creator, tx_seq, created_at_us, topic, access_class, owners, security_class,
+                   block_target, enc_id, hash_id, enc_par, hash_par, payload) -> bytes:
+    """Every encoded field preceding the signature length: what a creator signs."""
+    enc_par_bytes, hash_par_bytes = enc_par.encode(), hash_par.encode()
+    return b"".join((
+        struct.pack(_TX_HEAD, creator, tx_seq, created_at_us, topic, access_class, len(owners)),
+        struct.pack(f"<{len(owners)}I", *owners),
+        struct.pack(_TX_SUITE, security_class, block_target, enc_id, hash_id),
+        struct.pack(_ENC_PAR_LEN, len(enc_par_bytes)), enc_par_bytes,
+        struct.pack(_HASH_PAR_LEN, len(hash_par_bytes)), hash_par_bytes,
+        struct.pack(_PAYLOAD_LEN, len(payload)), payload,
+    ))
+
+
+def _with_facts(signing, security_class, backend, make: Callable[[bytes], Transaction]):
+    """``make(content digest)`` with (backend, content digest, Merkle leaf, commit
+    digest) stored; the leaf continues the SPONGENT-224 state after ``signing``."""
+    variant = suite_for_class(security_class).hash_variant
+    state = backend.prefix_state(HashVariant.SPONGENT_224, signing)
+    content = backend.digest(variant, signing, len(signing),
+                             state if variant is HashVariant.SPONGENT_224 else None)
+    tx = make(content)
+    encoded = signing + (struct.pack(_SIG_LEN, len(tx.signature)) + tx.signature)
+    object.__setattr__(tx, "_facts", (backend, content, backend.digest224(
+        encoded, len(signing), state), hashlib.blake2b(encoded, digest_size=16).digest()))
+    return tx
+
+
+def new_transaction(sign: Callable[[bytes], bytes], backend: HashBackend, **fields) -> Transaction:
+    """The validated transaction of ``fields`` (all but the signature) and
+    ``sign(content digest)``, its derived facts stored."""
+    tx = _with_facts(_signing_bytes(**fields), fields["security_class"], backend,
+                     lambda content: Transaction(**fields, signature=sign(content)))
+    tx.validate()
+    return tx
+
+
+def _fact(tx: Transaction, index: int, backend: HashBackend) -> bytes:
+    """A stored fact, all derived afresh unless ``backend`` derived them: the
+    fields are immutable, so a stored fact equals a fresh computation."""
+    if tx._facts is None or tx._facts[0] is not backend:
+        _with_facts(_signing_bytes(*_SIGNED_FIELDS(tx)), tx.security_class, backend, lambda _: tx)
+    return tx._facts[index]
 
 
 def content_digest(tx: Transaction, backend: HashBackend) -> bytes:
-    """The suite-variant digest of every encoded field preceding the
-    signature length byte: what a creator signs and a verifier checks."""
-    def derive() -> bytes:
-        content = b"".join(_signed_parts(tx))
-        variant = suite_for_class(tx.security_class).hash_variant
-        return backend.digest(variant, content, len(content))
-    return _derived(tx, "_content", backend, derive)
+    """The suite-variant digest of the signing bytes, which a creator signs."""
+    return _fact(tx, 1, backend)
+
+
+def leaf_digest(tx: Transaction, backend: HashBackend) -> bytes:
+    """The SPONGENT-224 digest of the encoding; WireError for an invalid transaction."""
+    tx.validate()
+    return _fact(tx, 2, backend)
+
+
+def commit_digest(tx: Transaction, backend: HashBackend) -> bytes:
+    """The blake2b-128 of the encoding, on every backend: a committed fingerprint entry."""
+    return _fact(tx, 3, backend)
 
 
 def encode_transaction(tx: Transaction) -> bytes:
     tx.validate()
-    parts = _signed_parts(tx)
-    parts.append(struct.pack(_SIG_LEN, len(tx.signature)))
-    parts.append(tx.signature)
-    return b"".join(parts)
+    return _signing_bytes(*_SIGNED_FIELDS(tx)) + (struct.pack(_SIG_LEN, len(tx.signature))
+                                                  + tx.signature)
 
 
 def encoded_tx_size(tx: Transaction) -> int:
@@ -446,15 +468,6 @@ def merkle_root(tx_digests: Sequence[bytes], backend: HashBackend) -> bytes:
     return level[0]
 
 
-def leaf_digest(tx: Transaction, backend: HashBackend) -> bytes:
-    """A transaction's Merkle leaf: the SPONGENT-224 digest of its encoding,
-    continued from the state saved after its signing bytes."""
-    def derive() -> bytes:
-        enc = encode_transaction(tx)
-        return backend.digest224(enc, len(enc) - struct.calcsize(_SIG_LEN) - len(tx.signature))
-    return _derived(tx, "_leaf", backend, derive)
-
-
 def body_root(transactions: Sequence[Transaction], backend: HashBackend) -> bytes:
     """The header's Merkle root: the tree over each transaction's leaf."""
     return merkle_root([leaf_digest(tx, backend) for tx in transactions], backend)
@@ -462,9 +475,12 @@ def body_root(transactions: Sequence[Transaction], backend: HashBackend) -> byte
 
 def block_hash(header: BlockHeader, backend: HashBackend) -> bytes:
     """Chain digest of a block: its encoded header only (the Merkle root
-    already commits to the body)."""
-    return _derived(header, "_digest", backend,
-                    lambda: backend.digest224(encode_header(header)))
+    already commits to the body), derived once per object and backend."""
+    stored = header._digest
+    if stored is None or stored[0] is not backend:
+        stored = (backend, backend.digest224(encode_header(header)))
+        object.__setattr__(header, "_digest", stored)
+    return stored[1]
 
 
 def build_block(block_id: int, block_type: BlockTarget, miner: int, timestamp_us: int,

@@ -56,10 +56,11 @@ def make_t3_data(registry: KeyRegistry, backend: HashBackend, *,
 def make_group_command(registry: KeyRegistry, backend: HashBackend, *,
                        creator: int = GCS_ID, members=GROUP_MEMBERS,
                        seq: int = 1, created_at_us: int = 3_000_000,
-                       plaintext: bytes = bytes(100)) -> Transaction:
+                       plaintext: bytes = bytes(100),
+                       suite: crypto.CryptoSuite = crypto.SUITE_S2_C1) -> Transaction:
     registry.group_keygen(CA_ID, members)
     return txbuild.build_transaction(
         creator=creator, tx_seq=seq, created_at_us=created_at_us,
-        suite=crypto.SUITE_S2_C1, access_class=AccessClass.GROUP,
+        suite=suite, access_class=AccessClass.GROUP,
         owners=tuple(members), block_target=BlockTarget.BLOCK_T1,
         plaintext=plaintext, registry=registry, backend=backend)

@@ -209,7 +209,7 @@ def test_adr_and_tbd_arithmetic():
         if i < 8:
             collector.attack_detected(aid)
     collector.tx_generated((1, 1), to_us(1.0))
-    collector.tx_committed((1, 1), b"x", to_us(1.110))
+    collector.tx_committed((1, 1), bytes(16), to_us(1.110))
     record = collector.finalize(seed=1, mode="parallel", n_uav=1,
                                 malicious_fraction=0.2, data_tx_size=1,
                                 consumed_j_per_drone=[2000.0],
@@ -907,6 +907,33 @@ def test_station_votes_on_the_block_that_replaces_a_voided_one():
     assert ("ack", consensus.BlockAckMessage(1, station)) in votes
     assert agent.tallies[1].block is replacement
     assert agent.tallies[1].acks == {miner_c, station}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: a station that commits a block "
+                   "ignores the orderer's later void of its id, so the stations fork")
+def test_stations_agree_after_a_void_of_a_block_one_of_them_committed():
+    # the second miner's acks before 3 s are lost: it alone sees a quorum and
+    # commits block 1, while the first miner and the orderer see none, so the
+    # orderer voids id 1
+    world = build_world(_void_config(1))
+    first, second = world.topo.tgcs_ids
+    send = world.send
+
+    def lose_early_acks(src, dst, kind, payload, size, **kw):
+        if src == second and kind == "ack" and world.sim.now_us < to_us(3.0):
+            return
+        send(src, dst, kind, payload, size, **kw)
+
+    world.send = lose_early_acks
+    world.run()
+
+    counters = world.metrics.counters
+    assert counters["txs_committed"] == counters["txs_generated"]
+    ledgers = [world.agents[gcs].ledger for gcs in (first, second)]
+    assert ledgers[0].next_block_id == ledgers[1].next_block_id
+    assert ledgers[0].tip_digest == ledgers[1].tip_digest
+    for chain in ledgers:
+        chain.verify_chain()
 
 
 def test_single_miner_modes_converge():

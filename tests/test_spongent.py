@@ -165,9 +165,12 @@ BACKENDS = [crypto.SPONGENT_BACKEND, crypto.SIMULATED_BACKEND]
 
 
 def _check_every_prefix_length(backend, variant, message):
+    # named as a hint, or continued from the backend's saved prefix state
     expected = backend.digest(variant, message)
     for k in range(len(message) + 1):
         assert backend.digest(variant, message, k) == expected
+        state = backend.prefix_state(variant, message[:k])
+        assert backend.digest(variant, message, k, state) == expected
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,6 +1,7 @@
 """Wire-format round-trips, the size fixtures, and Merkle/block hashing."""
 
 import dataclasses
+import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -214,6 +215,24 @@ def test_stored_digests_equal_a_fresh_computation_on_each_backend(registry, sim_
         assert wire.block_hash(header, backend) == \
             backend.digest224(wire.encode_header(header))
     assert wire.block_hash(header, sim_backend) != wire.block_hash(header, SPONGENT_BACKEND)
+
+
+@pytest.mark.parametrize("backend", [crypto.SIMULATED_BACKEND, SPONGENT_BACKEND],
+                         ids=lambda backend: backend.name)
+def test_facts_stored_at_build_equal_those_a_decoded_copy_derives(backend):
+    registry = helpers.make_registry(backend)
+    built = [helpers.make_t3_data(registry, backend),  # S1 public, 10 KB
+             helpers.make_t1_command(registry, backend),  # S2_C1 single owner
+             helpers.make_group_command(registry, backend, suite=crypto.SUITE_S2_C2)]
+    assert [tx.security_class for tx in built] == list(crypto.SecurityClass)
+    for tx in built:
+        encoded = wire.encode_transaction(tx)
+        fresh = wire.decode_transaction(encoded)
+        assert fresh._facts is None
+        assert tx._facts == (backend, wire.content_digest(fresh, backend),
+                             wire.leaf_digest(fresh, backend), wire.commit_digest(fresh, backend))
+        assert tx._facts[3] == hashlib.blake2b(encoded, digest_size=16).digest()
+        assert wire.encoded_tx_size(tx) == wire.encoded_tx_size(fresh) == len(encoded)
 
 
 _payloads = st.binary(min_size=1, max_size=300)
