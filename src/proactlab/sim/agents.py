@@ -10,9 +10,11 @@ whose battery is empty (``_command_drones`` reads ``energy.active``).
 
 from __future__ import annotations
 
+import gc
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -134,22 +136,31 @@ class World:
 
     def run(self) -> None:
         """Start every agent in ascending id order, then run the engine
-        through the workload and the drain limit."""
-        for node_id in sorted(self.agents):
-            self.agents[node_id].start()
-        self.sim.run(horizon_us=self.sim_end_us + to_us(self.cfg.drain_limit_s))
+        through the workload and the drain limit.  The cyclic collector is
+        paused for the loop, after one collection that frees earlier worlds,
+        so handlers must not create reference cycles: the loop would keep them."""
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for node_id in sorted(self.agents):
+                self.agents[node_id].start()
+            self.sim.run(horizon_us=self.sim_end_us + to_us(self.cfg.drain_limit_s))
+        finally:
+            if enabled:
+                gc.enable()
 
     def every(self, first_s: float, interval_s: float, action: Callable[[], None],
               alive: Optional[Callable[[], bool]] = None) -> None:
         """Run ``action`` after ``first_s`` and then every ``interval_s``,
-        until the workload closes or ``alive`` turns false."""
-        def tick() -> None:
-            if not self.workload_open() or (alive is not None and not alive()):
-                return
-            action()
-            self.sim.schedule_in(to_us(interval_s), tick)
+        until the workload closes or ``alive`` turns false.  No handler may
+        refer to itself (see ``run``), so each tick schedules a new ``partial``."""
+        self.sim.schedule_in(to_us(first_s), partial(self._tick, to_us(interval_s), action, alive))
 
-        self.sim.schedule_in(to_us(first_s), tick)
+    def _tick(self, interval_us: int, action, alive) -> None:
+        if self.workload_open() and (alive is None or alive()):
+            action()
+            self.sim.schedule_in(interval_us, partial(self._tick, interval_us, action, alive))
 
     def is_drone(self, node_id: int) -> bool:
         return node_id in self.topo.drone_uavn

@@ -38,6 +38,7 @@ class Link:
 
     def __init__(self, model: LinkModel):
         self.model = model
+        self.latency_us = to_us(model.base_latency_s)
         self.free_at_us = 0
         self.dropped = 0
 
@@ -55,7 +56,7 @@ class Link:
         start = max(now, self.free_at_us)
         tx_us = int(math.ceil(size_bytes * US / self.model.bandwidth_bps))
         self.free_at_us = start + tx_us
-        sim.schedule_at(self.free_at_us + to_us(self.model.base_latency_s), deliver)
+        sim.schedule_at(self.free_at_us + self.latency_us, deliver)
         return True
 
 

@@ -78,7 +78,7 @@ class BlockTarget(IntEnum):
     BLOCK_T2 = 2
 
 
-# Set by _with_facts, block_hash and validate; a replace() copy starts without them.
+# Set by _with_facts, block_hash, validate, encoded_tx_size; a replace() copy lacks them.
 _memo = partial(field, default=None, init=False, repr=False, compare=False)
 
 
@@ -100,6 +100,7 @@ class Transaction:
     signature: bytes
     _valid: Optional[bool] = _memo()
     _facts: Optional[Tuple[HashBackend, bytes, bytes, bytes]] = _memo()
+    _size: Optional[int] = _memo()
 
     def key(self) -> Tuple[int, int]:
         return (self.creator, self.tx_seq)
@@ -277,10 +278,12 @@ def encode_transaction(tx: Transaction) -> bytes:
 
 
 def encoded_tx_size(tx: Transaction) -> int:
-    """Wire size without materializing the encoding; the metadata strings
-    count in UTF-8 bytes, as they are written."""
-    return (_TX_BASE_LEN + 4 * len(tx.owners) + len(tx.enc_par.encode())
-            + len(tx.hash_par.encode()) + len(tx.payload) + len(tx.signature))
+    """Wire size without materializing the encoding, derived once per object;
+    the metadata strings count in UTF-8 bytes, as they are written."""
+    if tx._size is None:
+        object.__setattr__(tx, "_size", _TX_BASE_LEN + 4 * len(tx.owners) + len(tx.payload)
+                           + len(tx.enc_par.encode() + tx.hash_par.encode()) + len(tx.signature))
+    return tx._size
 
 
 def tx_overhead(tx: Transaction) -> float:

@@ -2,7 +2,9 @@
 
 import collections
 import dataclasses
+import gc
 import io
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -934,6 +936,106 @@ def test_stations_agree_after_a_void_of_a_block_one_of_them_committed():
     assert ledgers[0].tip_digest == ledgers[1].tip_digest
     for chain in ledgers:
         chain.verify_chain()
+
+
+# --- the event loop and the cyclic collector ---
+
+
+def _desk_like(monkeypatch):
+    return default_config(**{**TINY, "uav_per_uavn": 8, "t2_interval_s": 0.5, "group_min": 2,
+                             "group_max": 8, "fetch_interval_s": 0.5, "attack_interval_s": 0.5,
+                             "malicious_fraction": 0.25, "seed": 1})
+
+
+def _muted_miner(monkeypatch):
+    _mute_second_miner(monkeypatch)
+    return _void_config(1)
+
+
+def _rotating_orderers(monkeypatch):
+    return default_config(n_ca=2, gcs_per_ca=2, tgcs_per_ca=1, uavn_per_gcs=1,
+                          uav_per_uavn=3, sim_duration_s=5.0, t_bo_s=2.0,
+                          fetch_interval_s=0.0, malicious_fraction=0.0, seed=9)
+
+
+def _finite_queues(monkeypatch):
+    return default_config(**{**TINY, "sim_duration_s": 2.0, "data_tx_size": 20_000,
+                             "wireless_bw_bps": 100_000.0, "wireless_queue_bytes": 25_000,
+                             "seed": 1})
+
+
+@pytest.mark.parametrize("make_config", [_desk_like, _muted_miner, _rotating_orderers,
+                                         _finite_queues],
+                         ids=["attacks-and-fetches", "muted-miner", "rotating-orderers",
+                              "finite-queues"])
+def test_a_run_creates_no_cyclic_garbage(make_config, monkeypatch):
+    # World.run pauses the collector, so a cycle made in the loop would stay
+    # in memory; the collector is off here too, so none is collected early
+    world = build_world(make_config(monkeypatch))
+    gc.collect()
+    gc.disable()
+    flags = gc.get_debug()
+    try:
+        world.run()
+        gc.set_debug(gc.DEBUG_SAVEALL)  # keep what is found, to name it
+        found = gc.collect()
+        leftovers = collections.Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        gc.enable()
+    counters = world.metrics.counters
+    assert counters["txs_generated"] > 0
+    if make_config is _desk_like:
+        assert counters["attacks_injected"] > 0 and counters["fetch_local"] > 0
+    elif make_config is _muted_miner:
+        assert counters["blocks_voided"] >= 1
+    elif make_config is _finite_queues:
+        assert world.net.total_dropped() > 0  # refusals, each retried
+    assert found == 0, leftovers.most_common()
+
+
+def test_run_pauses_the_collector_and_restores_its_state():
+    world = _world(sim_duration_s=0.5)
+    during = []
+    world.sim.schedule_at(0, lambda: during.append(gc.isenabled()))
+    assert gc.isenabled()
+    world.run()
+    assert during == [False]
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        _world(sim_duration_s=0.5).run()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_a_handler_that_raises_still_restores_the_collector():
+    world = _world(sim_duration_s=0.5)
+
+    def fail():
+        raise RuntimeError("handler failed")
+
+    world.sim.schedule_at(to_us(0.1), fail)
+    with pytest.raises(RuntimeError, match="handler failed"):
+        world.run()
+    assert gc.isenabled()
+
+
+def test_a_finished_world_is_freed_once_the_next_run_starts():
+    # a finished World is cyclic garbage (its agents point back at it); a
+    # sweep in one process must not keep one per run while the collector
+    # is paused
+    first = _world(sim_duration_s=0.5)
+    first.run()
+    gone = weakref.ref(first)
+    del first
+    second = _world(sim_duration_s=0.5)
+    seen = []
+    second.sim.schedule_at(0, lambda: seen.append(gone() is None))
+    second.run()
+    assert seen == [True]
 
 
 def test_single_miner_modes_converge():

@@ -283,6 +283,14 @@ def test_encoded_size_counts_utf8_bytes_of_metadata(registry, sim_backend):
         assert wire.encoded_tx_size(altered) == len(wire.encode_transaction(altered))
 
 
+def test_a_replace_copy_derives_its_own_size(registry, sim_backend):
+    tx = helpers.make_t1_command(registry, sim_backend)
+    assert wire.encoded_tx_size(tx) == 199  # stored on tx
+    longer = dataclasses.replace(tx, payload=tx.payload + bytes(5))
+    assert wire.encoded_tx_size(longer) == 204 == len(wire.encode_transaction(longer))
+    assert wire.encoded_tx_size(tx) == 199
+
+
 def test_decode_rejects_non_utf8_metadata(registry, sim_backend):
     tx = helpers.make_t1_command(registry, sim_backend)
     data = bytearray(wire.encode_transaction(tx))
