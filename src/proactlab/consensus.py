@@ -2,8 +2,19 @@
 sequential block ids, the parallel miner pipeline, vote tallies with the
 quorum commit rule, and void/renumber recovery.
 
-Every structure here is a single-owner state machine advanced by its agent;
-cross-agent interaction happens through the message types at the bottom of
+The protocol lives here, one object per role, and does no I/O of its own.
+``StationProtocol`` (a miner station) owns the drafts waiting for an id,
+the drafts by id and the vote tallies.  ``OrdererProtocol`` (a control
+authority) owns the ``OrderingState``, its own tallies, the void timers and
+the requests that arrive while the orderer state is in flight.  Each is
+advanced by its agent with protocol messages and timer firings, and calls
+back into a port that the agent implements (each class names the methods
+its port needs).  Port callbacks are synchronous and run in call order, so
+every send happens at the point of the rule that makes it.  Validation and
+finalization are callables the station is built with, so the protocol never
+hashes, verifies, or reads the ledger, the clock or the world.
+
+Cross-agent interaction happens through the message types at the bottom of
 the module, whose byte encodings are the canonical wire formats.
 """
 
@@ -13,6 +24,7 @@ import random
 import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from . import ledger, wire
@@ -229,6 +241,12 @@ class OrderingState:
         if block_id > self.committed_watermark:
             self.committed_watermark = block_id
 
+    def awaits(self, block_id: int) -> bool:
+        """The one void-timer predicate: ``block_id`` is an outstanding
+        assignment whose predecessor has committed, so it must commit
+        within the finalize timeout or be voided."""
+        return block_id in self.assignments and self.committed_watermark == block_id - 1
+
     def apply_void(self, block_id: int) -> bool:
         """Drop a timed-out assignment and renumber everything above it;
         False when the void is ignored (unknown or already-committed id)."""
@@ -284,6 +302,255 @@ def miner_finalize(draft: Block, block_id: int, predecessor: Block,
     prev_hash = wire.block_hash(predecessor.header, backend)
     return replace(draft, header=replace(draft.header, block_id=block_id,
                                          prev_hash=prev_hash))
+
+
+# --- the two roles ---------------------------------------------------------
+
+#: Protocol timer kinds; a timer is armed at most once per (kind, block id)
+WINDOW = "window"
+VOID = "void"
+
+_committed = attrgetter("committed")  # committed tallies keep their id on a void
+
+
+class _Voter:
+    """What both roles share: one tally per block id, the one verdict step,
+    and the void rule applied to the tallies."""
+
+    def __init__(self, n_tgcs: int, port) -> None:
+        self.n_tgcs = n_tgcs
+        self.port = port
+        self.tallies: Dict[int, Tally] = {}
+
+    def _tally(self, block_id: int) -> Tally:
+        return self.tallies.setdefault(block_id, Tally())
+
+    def _count(self, vote, is_ack: bool) -> Tally:
+        """Record an ack or error message in its block id's tally."""
+        tally = self._tally(vote.block_id)
+        tally.vote(vote.tgcs_id, is_ack)
+        return tally
+
+    def _verdict(self, tally: Tally) -> CommitVerdict:
+        """The one tally-and-verdict step; a tally that has committed is
+        decided and asks for nothing more."""
+        return CommitVerdict.PENDING if tally.committed else tally.verdict(self.n_tgcs)
+
+    def _void_tallies(self, block_id: int) -> None:
+        self.tallies = renumber_after_void(self.tallies, block_id, _committed)
+
+
+class StationProtocol(_Voter):
+    """A miner station's consensus: it asks the orderer for ids for its
+    drafts, finalizes and broadcasts the draft assigned the next id, votes
+    on the candidate for the next id, and commits each id in turn once a
+    quorum of miners acknowledges it.
+
+    ``validate(block_id, block)`` returns None for a valid candidate and its
+    first issue's wire error code otherwise; ``finalize(draft, block_id)``
+    chains a draft to the block committed just before ``block_id``.  The
+    port sends (``to_orderer(kind, message)``, and ``broadcast(kind,
+    message, to_orderer)`` to the other miners), appends a block that
+    reached its quorum (``commit(block_id, block)``) and takes back the
+    transactions of this station's voided draft (``reclaim(draft)``).
+    """
+
+    def __init__(self, station_id: int, n_tgcs: int, port,
+                 validate: Callable[[int, Block], Optional[int]],
+                 finalize: Callable[[Block, int], Block]) -> None:
+        super().__init__(n_tgcs, port)
+        self.id = station_id
+        self.next_id = 0  # the id to commit next; the genesis block is id 0
+        self._validate = validate
+        self._finalize = finalize
+        # drafts (see miner_assemble) waiting for an id, then by their id
+        # until they commit; a draft is broadcast once its tally has a block
+        self.unassigned: List[Block] = []
+        self.assigned: Dict[int, Block] = {}
+
+    @property
+    def backlog(self) -> int:
+        """Drafts that have not committed yet."""
+        return len(self.unassigned) + len(self.assigned)
+
+    def submit(self, drafts: Sequence[Block], now_us: int) -> None:
+        """Ask the orderer for one id per draft."""
+        self.unassigned.extend(drafts)
+        self.port.to_orderer("nbr", NbrMessage(self.id, now_us, len(drafts)))
+
+    def on_assign(self, message: "AssignMessage") -> None:
+        for assignment in message.assignments:
+            self._tally(assignment.block_id).miner = assignment.tgcs_id
+            if assignment.tgcs_id == self.id and self.unassigned:
+                self.assigned[assignment.block_id] = self.unassigned.pop(0)
+        self._try_finalize()
+        self._check_quorums()
+
+    def _try_finalize(self) -> None:
+        """Broadcast this station's draft for the next id, once."""
+        draft = self.assigned.get(self.next_id)
+        if draft is None:
+            return
+        tally = self._tally(self.next_id)
+        if tally.block is not None:
+            return  # already broadcast
+        block = self._finalize(draft, self.next_id)
+        self.port.broadcast("block", block)
+        tally.propose(block)
+        # the orderer tracks commits through the vote stream; the miner's
+        # own vote must reach it even when no other validators exist
+        self.port.to_orderer("ack", BlockAckMessage(block.block_id, self.id))
+        self._check_quorums()
+
+    def on_block(self, block: Block) -> None:
+        if block.block_id < self.next_id:
+            return
+        self._tally(block.block_id).propose(block)
+        self._vote_ready()
+        self._check_quorums()
+
+    def _vote_ready(self) -> None:
+        next_id = self.next_id
+        tally = self.tallies.get(next_id)
+        if tally is None or tally.block is None or \
+                self.id in tally.acks or self.id in tally.errors:
+            return  # no candidate yet, or already voted (a miner acks its own)
+        error = self._validate(next_id, tally.block)
+        if error is None:
+            vote, kind = BlockAckMessage(next_id, self.id), "ack"
+        else:
+            vote, kind = BlockErrorMessage(next_id, self.id, error), "block-error"
+        tally.vote(self.id, is_ack=error is None)
+        self.port.broadcast(kind, vote, to_orderer=True)
+        self._check_quorums()
+
+    def on_vote(self, message, is_ack: bool) -> None:
+        self._count(message, is_ack)
+        self._check_quorums()
+
+    def _check_quorums(self) -> None:
+        while True:
+            tally = self.tallies.get(self.next_id)
+            if tally is None or tally.block is None or \
+                    self._verdict(tally) is not CommitVerdict.COMMITTED:
+                return
+            self._commit(self.next_id, tally)
+
+    def _commit(self, block_id: int, tally: Tally) -> None:
+        tally.committed = True
+        block = tally.block
+        if block.header.miner == self.id:
+            self.assigned.pop(block_id, None)
+        self.port.commit(block_id, block)
+        self.next_id = block_id + 1
+        self._try_finalize()
+        self._vote_ready()
+
+    def on_void(self, message: "VoidMessage") -> None:
+        block_id = message.block_id
+        if block_id < self.next_id:
+            return  # stale: that id already committed here
+        voided = self.assigned.get(block_id)
+        if voided is not None:
+            self.port.reclaim(voided)
+        self.assigned = renumber_after_void(self.assigned, block_id)
+        self._void_tallies(block_id)
+        self._try_finalize()
+
+
+class OrdererProtocol(_Voter):
+    """A control authority's consensus: while it holds the ``OrderingState``
+    it closes a window every ``t_bis_s`` that issues ids for the buffered
+    requests, tracks commits through the vote stream, and voids an
+    assignment that does not commit within ``t_blk_s`` of its predecessor
+    or that a quorum rejects.  It tallies votes with or without the state.
+
+    The port forwards a request (``to_orderer(kind, message)``), sends to
+    every miner (``broadcast(kind, message)``), counts and sends a void
+    (``void(message)``), arms a timer that calls ``on_timer(kind, block_id)``
+    unless that (kind, block id) is already armed (``arm(kind, delay_s,
+    block_id)``), and says whether transactions are still being generated
+    (``workload_open()``).
+    """
+
+    def __init__(self, n_tgcs: int, port, t_bis_s: float,
+                 t_blk_s: float) -> None:
+        super().__init__(n_tgcs, port)
+        self.t_bis_s = t_bis_s
+        self.t_blk_s = t_blk_s
+        self.ordering: Optional[OrderingState] = None
+        self._stash: List[NbrMessage] = []  # requests awaiting the handoff
+
+    def open(self, ordering: OrderingState) -> None:
+        """Take up orderer duty: at the start of a run, or when the previous
+        orderer's state arrives."""
+        self.ordering = ordering
+        for nbr in self._stash:
+            ordering.receive_nbr(nbr)
+        self._stash.clear()
+        self._arm_window()
+
+    def close(self) -> OrderingState:
+        """Give up orderer duty; the state goes to the next orderer."""
+        ordering, self.ordering = self.ordering, None
+        return ordering
+
+    def on_nbr(self, nbr: "NbrMessage", acting: bool) -> None:
+        if self.ordering is not None:
+            self.ordering.receive_nbr(nbr)
+            self._arm_window()
+        elif acting:
+            self._stash.append(nbr)  # duty has rotated here, the state is in flight
+        else:
+            self.port.to_orderer("nbr", nbr)
+
+    def on_vote(self, message, is_ack: bool) -> None:
+        tally = self._count(message, is_ack)
+        verdict = self._verdict(tally)
+        if verdict is CommitVerdict.COMMITTED:
+            tally.committed = True
+            if self.ordering is not None:
+                self.ordering.on_commit(message.block_id)
+                self._watch(message.block_id + 1)
+                self._arm_window()
+        elif verdict is CommitVerdict.REJECTED and self.ordering is not None:
+            self._void(message.block_id)
+
+    def on_timer(self, kind: str, block_id: int) -> None:
+        if self.ordering is None:
+            return
+        if kind == WINDOW:
+            self._close_window()
+        elif self.ordering.awaits(block_id):
+            self._void(block_id)
+
+    def _arm_window(self) -> None:
+        if self.ordering is not None:
+            self.port.arm(WINDOW, self.t_bis_s)
+
+    def _close_window(self) -> None:
+        ordering = self.ordering
+        assignments = ordering.window_close()
+        if assignments:
+            self.port.broadcast("assign", AssignMessage(tuple(assignments)))
+            for assignment in assignments:
+                self._tally(assignment.block_id).miner = assignment.tgcs_id
+                self._watch(assignment.block_id)
+        if self.port.workload_open() or ordering.pending or ordering.assignments:
+            self._arm_window()
+
+    def _watch(self, block_id: int) -> None:
+        if self.ordering.awaits(block_id):
+            self.port.arm(VOID, self.t_blk_s, block_id)
+
+    def _void(self, block_id: int) -> None:
+        if not self.ordering.apply_void(block_id):
+            return
+        self.port.void(VoidMessage(block_id))
+        self._void_tallies(block_id)
+        # the assignment that moved into the voided id must commit in time too
+        self._watch(block_id)
+        self._arm_window()
 
 
 # --- message wire formats ---------------------------------------------------

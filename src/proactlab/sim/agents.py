@@ -15,22 +15,15 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from operator import attrgetter
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import consensus, crypto, ledger, txbuild, wire
 from ..consensus import (
-    AssignMessage,
-    BlockAckMessage,
-    BlockErrorMessage,
-    CommitVerdict,
-    NbrMessage,
+    OrdererProtocol,
     OrderingState,
-    Tally,
-    VoidMessage,
+    StationProtocol,
     miner_assemble,
     miner_finalize,
-    renumber_after_void,
     rotate_bo,
 )
 from ..crypto import SUITE_S1
@@ -42,8 +35,6 @@ from .engine import to_us
 from .netmodel import Link, next_leg
 
 TxKey = Tuple[int, int]
-
-_committed = attrgetter("committed")  # committed tallies keep their id on a void
 
 
 @dataclass
@@ -640,23 +631,52 @@ class GcsAgent(Agent):
                 self.w.send(self.id, drone, "block-copy", block, size)
 
 
-class TgcsAgent(GcsAgent):
-    """A trusted station: everything a station does, plus mining duty."""
+class ProtocolAgent(Agent):
+    """An agent that runs a consensus role: the port methods both roles
+    use, and the one arm-once timer, keyed by (timer kind, block id)."""
+
+    def __init__(self, world: World, node_id: int):
+        super().__init__(world, node_id)
+        self._armed: Set[Tuple[str, int]] = set()
+
+    def arm(self, kind: str, delay_s: float, block_id: int = 0) -> None:
+        key = (kind, block_id)
+        if key in self._armed:
+            return
+        self._armed.add(key)
+        self.w.sim.schedule_in(to_us(delay_s), partial(self._fire, kind, block_id))
+
+    def _fire(self, kind: str, block_id: int) -> None:
+        self._armed.discard((kind, block_id))
+        self.on_timer(kind, block_id)
+
+    def to_orderer(self, kind: str, message) -> None:
+        self.w.send(self.id, self.w.acting_bo(), kind, message, _wire_size(message))
+
+    def broadcast(self, kind: str, message, to_orderer: bool = False) -> None:
+        self.w.broadcast_tgcs(self.id, kind, message, _wire_size(message),
+                              include_bo=to_orderer)
+
+
+def _wire_size(message) -> int:
+    return message.encoded_size if isinstance(message, Block) else len(message.encode())
+
+
+class TgcsAgent(ProtocolAgent, GcsAgent):
+    """A trusted station: everything a station does, plus mining duty.  It
+    batches its intake into drafts and carries out what its
+    ``StationProtocol`` decides."""
 
     def __init__(self, world: World, gcs_id: int):
         super().__init__(world, gcs_id)
         self.intake: List[Transaction] = []
         self._intake_keys: Set[TxKey] = set()
-        # drafts (see miner_assemble) waiting for an id, then by their id
-        # until they commit; a draft is broadcast once its tally has a block
-        self.pending_unassigned: List[Block] = []
-        self.pending_assigned: Dict[int, Block] = {}
-        self.tallies: Dict[int, Tally] = {}
-        self._asm_armed = False
+        self.station = StationProtocol(gcs_id, world.n_tgcs, self, self._validate,
+                                       self._finalize)
 
     def start(self) -> None:
         super().start()
-        self._arm_assembly(self.w.rngs["workload"].uniform(
+        self.arm("assembly", self.w.rngs["workload"].uniform(
             0, self.w.cfg.assembly_interval_s))
 
     def miner_intake(self, tx: Transaction) -> None:
@@ -665,50 +685,44 @@ class TgcsAgent(GcsAgent):
             return
         self._intake_keys.add(key)
         self.intake.append(tx)
-        self._arm_assembly(self.w.cfg.assembly_interval_s)
+        self.arm("assembly", self.w.cfg.assembly_interval_s)
 
     def on_packet(self, packet: Packet) -> None:
-        if packet.kind == "tx-forward":
+        kind, station = packet.kind, self.station
+        if kind == "tx-forward":
             self.miner_intake(packet.payload)
-        elif packet.kind == "assign":
-            self._on_assign(packet.payload)
-        elif packet.kind == "block":
-            self._on_block(packet.payload)
-        elif packet.kind == "ack":
-            self._on_vote(packet.payload, is_ack=True)
-        elif packet.kind == "block-error":
-            self._on_vote(packet.payload, is_ack=False)
-        elif packet.kind == "void":
-            self._on_void(packet.payload)
+        elif kind == "assign":
+            station.on_assign(packet.payload)
+        elif kind == "block":
+            station.on_block(packet.payload)
+        elif kind == "ack":
+            station.on_vote(packet.payload, is_ack=True)
+        elif kind == "block-error":
+            station.on_vote(packet.payload, is_ack=False)
+        elif kind == "void":
+            station.on_void(packet.payload)
         else:
             super().on_packet(packet)
 
-    # --- assembly and the id pipeline ---
+    def absorb_committed(self, block: Block) -> None:
+        super().absorb_committed(block)  # the genesis block
+        self.station.next_id = self.ledger.next_block_id
 
-    def _arm_assembly(self, delay_s: float) -> None:
-        if self._asm_armed:
-            return
-        self._asm_armed = True
-        self.w.sim.schedule_in(to_us(delay_s), self._assembly_tick)
+    # --- assembly ---
 
-    def _assembly_tick(self) -> None:
-        self._asm_armed = False
+    def on_timer(self, kind: str, block_id: int) -> None:
+        """The assembly tick, this agent's only timer."""
         cfg = self.w.cfg
-        backlog = len(self.pending_unassigned) + len(self.pending_assigned)
-        if self.intake and backlog < cfg.max_pending_blocks:
+        if self.intake and self.station.backlog < cfg.max_pending_blocks:
             batch, overflow = self._take_batch()
             valid = [tx for tx in batch if self._tx_valid(tx)]
             self.intake = overflow
             self._intake_keys = {tx.key() for tx in overflow}
-            new_pending = miner_assemble(self.id, valid, self.w.sim.now_us,
-                                         self.w.backend)
-            if new_pending:
-                self.pending_unassigned.extend(new_pending)
-                nbr = NbrMessage(self.id, self.w.sim.now_us, len(new_pending))
-                self.w.send(self.id, self.w.acting_bo(), "nbr", nbr,
-                            len(nbr.encode()))
+            drafts = miner_assemble(self.id, valid, self.w.sim.now_us, self.w.backend)
+            if drafts:
+                self.station.submit(drafts, self.w.sim.now_us)
         if self.intake or self.w.workload_open():
-            self._arm_assembly(cfg.assembly_interval_s)
+            self.arm("assembly", cfg.assembly_interval_s)
 
     def _take_batch(self) -> Tuple[List[Transaction], List[Transaction]]:
         cfg = self.w.cfg
@@ -737,76 +751,19 @@ class TgcsAgent(GcsAgent):
             return False
         return True
 
-    def _on_assign(self, message: AssignMessage) -> None:
-        for assignment in message.assignments:
-            tally = self.tallies.setdefault(assignment.block_id, Tally())
-            tally.miner = assignment.tgcs_id
-            if assignment.tgcs_id == self.id and self.pending_unassigned:
-                self.pending_assigned[assignment.block_id] = self.pending_unassigned.pop(0)
-        self._try_finalize()
-        self._check_quorums()
+    # --- what the station protocol asks of this agent ---
 
-    def _try_finalize(self) -> None:
-        next_id = self.ledger.next_block_id
-        draft = self.pending_assigned.get(next_id)
-        if draft is None or next_id == 0:
-            return
-        tally = self.tallies.setdefault(next_id, Tally())
-        if tally.block is not None:
-            return  # already broadcast
-        block = miner_finalize(draft, next_id, self.ledger.blocks[next_id - 1],
-                               self.w.backend)
-        self.w.broadcast_tgcs(self.id, "block", block, block.encoded_size)
-        tally.propose(block)
-        # the orderer tracks commits through the vote stream; the miner's
-        # own vote must reach it even when no other validators exist
-        ack = BlockAckMessage(block.block_id, self.id)
-        self.w.send(self.id, self.w.acting_bo(), "ack", ack, len(ack.encode()))
-        self._check_quorums()
-
-    # --- validation votes ---
-
-    def _on_block(self, block: Block) -> None:
-        if block.block_id < self.ledger.next_block_id:
-            return
-        self.tallies.setdefault(block.block_id, Tally()).propose(block)
-        self._vote_ready()
-        self._check_quorums()
-
-    def _vote_ready(self) -> None:
-        next_id = self.ledger.next_block_id
-        tally = self.tallies.get(next_id)
-        if tally is None or tally.block is None or \
-                self.id in tally.acks or self.id in tally.errors:
-            return  # no candidate yet, or already voted (a miner acks its own)
-        issues = ledger.validate_block(next_id, self.ledger.tip_digest, tally.block,
+    def _validate(self, block_id: int, block: Block) -> Optional[int]:
+        issues = ledger.validate_block(block_id, self.ledger.tip_digest, block,
                                        self.w.registry, self.w.backend,
                                        seen_tx=self.ledger.has_tx)
-        vote = BlockErrorMessage(next_id, self.id, consensus.ERROR_CODES[issues[0].code]) \
-            if issues else BlockAckMessage(next_id, self.id)
-        tally.vote(self.id, is_ack=not issues)
-        self.w.broadcast_tgcs(self.id, "block-error" if issues else "ack", vote,
-                              len(vote.encode()), include_bo=True)
-        self._check_quorums()
+        return consensus.ERROR_CODES[issues[0].code] if issues else None
 
-    def _on_vote(self, message, is_ack: bool) -> None:
-        self.tallies.setdefault(message.block_id, Tally()).vote(message.tgcs_id, is_ack)
-        self._check_quorums()
+    def _finalize(self, draft: Block, block_id: int) -> Block:
+        return miner_finalize(draft, block_id, self.ledger.blocks[block_id - 1],
+                              self.w.backend)
 
-    def _check_quorums(self) -> None:
-        while True:
-            next_id = self.ledger.next_block_id
-            tally = self.tallies.get(next_id)
-            if tally is None or tally.committed or tally.block is None:
-                return
-            if tally.verdict(self.w.n_tgcs) is CommitVerdict.COMMITTED:
-                self._commit(next_id, tally)
-            else:
-                return
-
-    def _commit(self, block_id: int, tally: Tally) -> None:
-        tally.committed = True
-        block = tally.block
+    def commit(self, block_id: int, block: Block) -> None:
         now = self.w.sim.now_us
         self.w.sim.log(str(self.id), "commit",
                        f"block={block_id} miner={block.header.miner} "
@@ -816,39 +773,27 @@ class TgcsAgent(GcsAgent):
             self.w.metrics.block_committed()
             for tx in block.transactions:
                 self.w.metrics.tx_committed(tx.key(), wire.commit_digest(tx, self.w.backend), now)
-            self.pending_assigned.pop(block_id, None)
             size = block.encoded_size
             for gcs in self.w.topo.gcs_ids:
                 if gcs not in self.w.topo.tgcs_ids:
                     self.w.send(self.id, gcs, "committed-block", block, size)
         self.distribute_copies(block)
-        self._try_finalize()
-        self._vote_ready()
 
-    # --- void recovery ---
-
-    def _on_void(self, message: VoidMessage) -> None:
-        if message.block_id < self.ledger.next_block_id:
-            return  # stale: that id already committed here
-        voided = self.pending_assigned.get(message.block_id)
-        if voided is not None:
-            # the transactions must be re-requested under a fresh id
-            self._arm_assembly(0.0)
-            for tx in voided.transactions:
-                self.miner_intake(tx)
-        self.pending_assigned = renumber_after_void(self.pending_assigned, message.block_id)
-        self.tallies = renumber_after_void(self.tallies, message.block_id, _committed)
-        self._try_finalize()
+    def reclaim(self, draft: Block) -> None:
+        self.arm("assembly", 0.0)
+        for tx in draft.transactions:
+            self.miner_intake(tx)
 
 
-class CaAgent(Agent):
+class CaAgent(ProtocolAgent):
+    """A control authority: it commands its stations, emits the genesis
+    block, and carries out what its ``OrdererProtocol`` decides while it
+    holds orderer duty."""
+
     def __init__(self, world: World, ca_id: int):
         super().__init__(world, ca_id)
-        self.ordering: Optional[OrderingState] = None
-        self.tallies: Dict[int, Tally] = {}
-        self._window_armed = False
-        self._void_armed: Set[int] = set()
-        self._nbr_stash: List[NbrMessage] = []  # requests awaiting handoff
+        cfg = world.cfg
+        self.orderer = OrdererProtocol(world.n_tgcs, self, cfg.t_bis_s, cfg.t_blk_s)
 
     @property
     def my_gcs_ids(self) -> List[int]:
@@ -859,10 +804,9 @@ class CaAgent(Agent):
         self.w.every(self.w.rngs["workload"].uniform(0, cfg.t5_interval_s),
                      cfg.t5_interval_s, self._command_stations)
         if self.w.acting_bo() == self.id:
-            self.ordering = OrderingState(next_block_id=1,
-                                          sequential=cfg.mode == "sequential")
             self._emit_genesis()
-            self._arm_window()
+            self.orderer.open(OrderingState(next_block_id=1,
+                                            sequential=cfg.mode == "sequential"))
         if len(self.w.topo.ca_ids) > 1:
             sim.schedule_at(to_us(cfg.t_bo_s), self._rotation_tick)
 
@@ -895,105 +839,33 @@ class CaAgent(Agent):
 
     # --- orderer duty ---
 
-    def _arm_window(self) -> None:
-        if self._window_armed or self.ordering is None:
-            return
-        self._window_armed = True
-        self.w.sim.schedule_in(to_us(self.w.cfg.t_bis_s), self._window_tick)
-
-    def _window_tick(self) -> None:
-        self._window_armed = False
-        if self.ordering is None:
-            return
-        assignments = self.ordering.window_close()
-        if assignments:
-            message = AssignMessage(tuple(assignments))
-            self.w.broadcast_tgcs(self.id, "assign", message, len(message.encode()))
-            for assignment in assignments:
-                self.tallies.setdefault(assignment.block_id,
-                                        Tally()).miner = assignment.tgcs_id
-                self._maybe_arm_void(assignment.block_id)
-        if self.w.workload_open() or self.ordering.pending or self.ordering.assignments:
-            self._arm_window()
-
     def on_packet(self, packet: Packet) -> None:
-        if packet.kind == "nbr":
-            if self.ordering is not None:
-                self.ordering.receive_nbr(packet.payload)
-                self._arm_window()
-            elif self.w.acting_bo() == self.id:
-                # duty has rotated here but the state is still in flight
-                self._nbr_stash.append(packet.payload)
-            else:
-                self.w.send(self.id, self.w.acting_bo(), "nbr", packet.payload,
-                            len(packet.payload.encode()))
-        elif packet.kind == "ack":
-            self._on_vote(packet.payload, is_ack=True)
-        elif packet.kind == "block-error":
-            self._on_vote(packet.payload, is_ack=False)
-        elif packet.kind == "bo-handoff":
-            self.ordering = OrderingState.decode(packet.payload)
-            for nbr in self._nbr_stash:
-                self.ordering.receive_nbr(nbr)
-            self._nbr_stash.clear()
-            self._arm_window()
+        kind, orderer = packet.kind, self.orderer
+        if kind == "nbr":
+            orderer.on_nbr(packet.payload, acting=self.w.acting_bo() == self.id)
+        elif kind == "ack":
+            orderer.on_vote(packet.payload, is_ack=True)
+        elif kind == "block-error":
+            orderer.on_vote(packet.payload, is_ack=False)
+        elif kind == "bo-handoff":
+            orderer.open(OrderingState.decode(packet.payload))
 
-    def _on_vote(self, message, is_ack: bool) -> None:
-        tally = self.tallies.setdefault(message.block_id, Tally())
-        tally.vote(message.tgcs_id, is_ack)
-        if tally.committed:
-            return
-        verdict = tally.verdict(self.w.n_tgcs)
-        if verdict is CommitVerdict.COMMITTED:
-            tally.committed = True
-            if self.ordering is not None:
-                self.ordering.on_commit(message.block_id)
-                self._maybe_arm_void(message.block_id + 1)
-                self._arm_window()
-        elif verdict is CommitVerdict.REJECTED and self.ordering is not None:
-            self._void(message.block_id)
+    def on_timer(self, kind: str, block_id: int) -> None:
+        self.orderer.on_timer(kind, block_id)
 
-    def _maybe_arm_void(self, block_id: int) -> None:
-        """Watch an assignment whose predecessor has committed; if it fails
-        to commit within the finalize timeout it is voided."""
-        if self.ordering is None or block_id not in self.ordering.assignments:
-            return
-        if self.ordering.committed_watermark != block_id - 1:
-            return
-        if block_id in self._void_armed:
-            return
-        self._void_armed.add(block_id)
-        self.w.sim.schedule_in(to_us(self.w.cfg.t_blk_s),
-                               lambda: self._void_check(block_id))
-
-    def _void_check(self, block_id: int) -> None:
-        self._void_armed.discard(block_id)
-        if self.ordering is None:
-            return
-        if block_id in self.ordering.assignments and \
-                self.ordering.committed_watermark == block_id - 1:
-            self._void(block_id)
-
-    def _void(self, block_id: int) -> None:
-        if not self.ordering.apply_void(block_id):
-            return
+    def void(self, message: consensus.VoidMessage) -> None:
         self.w.metrics.block_voided()
-        message = VoidMessage(block_id)
-        self.w.broadcast_tgcs(self.id, "void", message, len(message.encode()))
-        self.tallies = renumber_after_void(self.tallies, block_id, _committed)
-        # the assignment that moved into the voided id must commit in time too
-        self._maybe_arm_void(block_id)
-        self._arm_window()
+        self.broadcast("void", message)
 
-    # --- rotation ---
+    def workload_open(self) -> bool:
+        return self.w.workload_open()
 
     def _rotation_tick(self) -> None:
         now_s = self.w.sim.now_us / 1e6
         acting = self.w.acting_bo()
-        if self.ordering is not None and acting != self.id:
-            state = self.ordering.encode()
+        if self.orderer.ordering is not None and acting != self.id:
+            state = self.orderer.close().encode()
             self.w.send(self.id, acting, "bo-handoff", state, len(state))
-            self.ordering = None
         if self.w.workload_open():
             next_boundary = (int(now_s // self.w.cfg.t_bo_s) + 1) * self.w.cfg.t_bo_s
             self.w.sim.schedule_at(to_us(next_boundary), self._rotation_tick)

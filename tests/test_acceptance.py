@@ -207,14 +207,14 @@ def test_criterion_09_safety_liveness():
         world = build_world(cfg)
         commits = []
         for tgcs_id in world.topo.tgcs_ids:
-            agent = world.agents[tgcs_id]
-            original = agent._commit
+            station = world.agents[tgcs_id].station
+            original = station._commit
 
             def spy(block_id, tally, _orig=original):
                 commits.append((len(tally.acks), consensus.quorum(world.n_tgcs)))
                 _orig(block_id, tally)
 
-            agent._commit = spy
+            station._commit = spy
         world.run()
 
         quorum_ok = quorum_ok and bool(commits) and \

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from proactlab import consensus, crypto, ledger, txbuild, wire
 from proactlab.crypto import SUITE_S1, SUITE_S2_C1
 from proactlab.sim import default_config, run
-from proactlab.sim.agents import FetchRequest, Packet, ReportMeta, TgcsAgent
+from proactlab.consensus import StationProtocol
+from proactlab.sim.agents import FetchRequest, Packet, ReportMeta
 from proactlab.sim.energy import EnergyCoefficients, EnergyState
 from proactlab.sim.engine import US, Simulator, to_us
 from proactlab.sim.metrics import MetricsCollector
@@ -808,14 +809,15 @@ def test_event_log_export():
 def _mute_second_miner(monkeypatch, until_s=3.0):
     """The second miner finalizes nothing before ``until_s``, so the orderer
     voids its blocks."""
-    original = TgcsAgent._try_finalize
+    original = StationProtocol._try_finalize
 
     def muted(self):
-        if self.id == self.w.topo.tgcs_ids[1] and self.w.sim.now_us < to_us(until_s):
+        world = self.port.w
+        if self.id == world.topo.tgcs_ids[1] and world.sim.now_us < to_us(until_s):
             return
         original(self)
 
-    monkeypatch.setattr(TgcsAgent, "_try_finalize", muted)
+    monkeypatch.setattr(StationProtocol, "_try_finalize", muted)
 
 
 def test_backends_agree_through_a_void(monkeypatch):
@@ -907,8 +909,8 @@ def test_station_votes_on_the_block_that_replaces_a_voided_one():
     replacement = block_one_from(miner_c)
     agent.on_packet(Packet("block", miner_c, station, replacement))
     assert ("ack", consensus.BlockAckMessage(1, station)) in votes
-    assert agent.tallies[1].block is replacement
-    assert agent.tallies[1].acks == {miner_c, station}
+    assert agent.station.tallies[1].block is replacement
+    assert agent.station.tallies[1].acks == {miner_c, station}
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: a station that commits a block "
