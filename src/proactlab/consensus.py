@@ -2,17 +2,16 @@
 sequential block ids, the parallel miner pipeline, vote tallies with the
 quorum commit rule, and void/renumber recovery.
 
-The protocol lives here, one object per role, and does no I/O of its own.
-``StationProtocol`` (a miner station) owns the drafts waiting for an id,
-the drafts by id and the vote tallies.  ``OrdererProtocol`` (a control
-authority) owns the ``OrderingState``, its own tallies, the void timers and
-the requests that arrive while the orderer state is in flight.  Each is
-advanced by its agent with protocol messages and timer firings, and calls
-back into a port that the agent implements (each class names the methods
-its port needs).  Port callbacks are synchronous and run in call order, so
-every send happens at the point of the rule that makes it.  Validation and
-finalization are callables the station is built with, so the protocol never
-hashes, verifies, or reads the ledger, the clock or the world.
+The protocol is one object per role and does no I/O.  ``StationProtocol``
+(a miner station) owns the drafts waiting for an id, the drafts by id and
+the tallies; ``OrdererProtocol`` (a control authority) owns the
+``OrderingState``, its tallies, the void timers and the requests stashed
+while the state is in flight.  Its agent feeds it messages and timer
+firings; it calls back into a port the agent implements (each class names
+its port's methods).  Port calls are synchronous and run in call order, so
+each send happens at the point of the rule that makes it.  The station gets
+validation and finalization as callables, so the protocol never hashes,
+verifies, or reads the ledger, the clock or the world.
 
 Cross-agent interaction happens through the message types at the bottom of
 the module, whose byte encodings are the canonical wire formats.
@@ -306,16 +305,13 @@ def miner_finalize(draft: Block, block_id: int, predecessor: Block,
 
 # --- the two roles ---------------------------------------------------------
 
-#: Protocol timer kinds; a timer is armed at most once per (kind, block id)
-WINDOW = "window"
-VOID = "void"
+WINDOW, VOID = "window", "void"  # the orderer's timer kinds
 
 _committed = attrgetter("committed")  # committed tallies keep their id on a void
 
 
 class _Voter:
-    """What both roles share: one tally per block id, the one verdict step,
-    and the void rule applied to the tallies."""
+    """Both roles' tallies: one per block id, one verdict step, one void rule."""
 
     def __init__(self, n_tgcs: int, port) -> None:
         self.n_tgcs = n_tgcs
@@ -326,14 +322,12 @@ class _Voter:
         return self.tallies.setdefault(block_id, Tally())
 
     def _count(self, vote, is_ack: bool) -> Tally:
-        """Record an ack or error message in its block id's tally."""
         tally = self._tally(vote.block_id)
         tally.vote(vote.tgcs_id, is_ack)
         return tally
 
     def _verdict(self, tally: Tally) -> CommitVerdict:
-        """The one tally-and-verdict step; a tally that has committed is
-        decided and asks for nothing more."""
+        """The one tally-and-verdict step; a committed tally asks for nothing."""
         return CommitVerdict.PENDING if tally.committed else tally.verdict(self.n_tgcs)
 
     def _void_tallies(self, block_id: int) -> None:
@@ -341,18 +335,13 @@ class _Voter:
 
 
 class StationProtocol(_Voter):
-    """A miner station's consensus: it asks the orderer for ids for its
-    drafts, finalizes and broadcasts the draft assigned the next id, votes
-    on the candidate for the next id, and commits each id in turn once a
-    quorum of miners acknowledges it.
-
-    ``validate(block_id, block)`` returns None for a valid candidate and its
-    first issue's wire error code otherwise; ``finalize(draft, block_id)``
-    chains a draft to the block committed just before ``block_id``.  The
-    port sends (``to_orderer(kind, message)``, and ``broadcast(kind,
-    message, to_orderer)`` to the other miners), appends a block that
-    reached its quorum (``commit(block_id, block)``) and takes back the
-    transactions of this station's voided draft (``reclaim(draft)``).
+    """A miner station: it asks ids for its drafts, broadcasts the draft
+    assigned the next id, votes on the next id's candidate, and commits ids
+    in turn on a quorum of acks.  ``validate(block_id, block)`` gives None
+    or the first issue's error code; ``finalize(draft, block_id)`` chains a
+    draft to its predecessor.  Port: ``to_orderer(kind, message)``,
+    ``broadcast(kind, message, to_orderer)`` to the other miners,
+    ``commit(block_id, block)``, and ``reclaim(draft)`` for a voided draft.
     """
 
     def __init__(self, station_id: int, n_tgcs: int, port,
@@ -360,7 +349,7 @@ class StationProtocol(_Voter):
                  finalize: Callable[[Block, int], Block]) -> None:
         super().__init__(n_tgcs, port)
         self.id = station_id
-        self.next_id = 0  # the id to commit next; the genesis block is id 0
+        self.next_id = 0  # the id to commit next; the agent adds genesis, id 0
         self._validate = validate
         self._finalize = finalize
         # drafts (see miner_assemble) waiting for an id, then by their id
@@ -370,7 +359,6 @@ class StationProtocol(_Voter):
 
     @property
     def backlog(self) -> int:
-        """Drafts that have not committed yet."""
         return len(self.unassigned) + len(self.assigned)
 
     def submit(self, drafts: Sequence[Block], now_us: int) -> None:
@@ -459,22 +447,16 @@ class StationProtocol(_Voter):
 
 
 class OrdererProtocol(_Voter):
-    """A control authority's consensus: while it holds the ``OrderingState``
-    it closes a window every ``t_bis_s`` that issues ids for the buffered
-    requests, tracks commits through the vote stream, and voids an
-    assignment that does not commit within ``t_blk_s`` of its predecessor
-    or that a quorum rejects.  It tallies votes with or without the state.
-
-    The port forwards a request (``to_orderer(kind, message)``), sends to
-    every miner (``broadcast(kind, message)``), counts and sends a void
-    (``void(message)``), arms a timer that calls ``on_timer(kind, block_id)``
-    unless that (kind, block id) is already armed (``arm(kind, delay_s,
-    block_id)``), and says whether transactions are still being generated
-    (``workload_open()``).
+    """A control authority: holding the ``OrderingState``, it issues ids
+    every ``t_bis_s`` and voids an assignment that a quorum rejects or that
+    does not commit within ``t_blk_s`` of its predecessor; it tallies votes
+    with or without the state.  Port: ``to_orderer(kind, message)``,
+    ``broadcast(kind, message)``, ``void(message)``, ``arm(kind, delay_s,
+    block_id)`` to call ``on_timer`` once per armed (kind, id), and
+    ``workload_open()``.
     """
 
-    def __init__(self, n_tgcs: int, port, t_bis_s: float,
-                 t_blk_s: float) -> None:
+    def __init__(self, n_tgcs: int, port, t_bis_s: float, t_blk_s: float) -> None:
         super().__init__(n_tgcs, port)
         self.t_bis_s = t_bis_s
         self.t_blk_s = t_blk_s
@@ -482,8 +464,7 @@ class OrdererProtocol(_Voter):
         self._stash: List[NbrMessage] = []  # requests awaiting the handoff
 
     def open(self, ordering: OrderingState) -> None:
-        """Take up orderer duty: at the start of a run, or when the previous
-        orderer's state arrives."""
+        """Take up duty, at the start of a run or when a handoff arrives."""
         self.ordering = ordering
         for nbr in self._stash:
             ordering.receive_nbr(nbr)
@@ -491,7 +472,6 @@ class OrdererProtocol(_Voter):
         self._arm_window()
 
     def close(self) -> OrderingState:
-        """Give up orderer duty; the state goes to the next orderer."""
         ordering, self.ordering = self.ordering, None
         return ordering
 

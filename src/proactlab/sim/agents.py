@@ -1,6 +1,13 @@
 """Simulation agents: control authorities (orderer duty), ground stations,
 miner stations, and drones.
 
+The consensus rules live in ``consensus``: a miner station runs a
+``StationProtocol`` and an authority an ``OrdererProtocol``.  The agents
+keep workload generation, assembly batching, message dispatch and the
+commit side effects (ledger append, metrics, ``committed-block`` sends and
+drone copies), and serve as their protocol's port: each callback runs
+synchronously, in the order the protocol calls it.
+
 Agents interact by message passing over the network model, with three
 exceptions: the shared key registry stands in for key distribution, a drone
 asks its peers' ledgers which of them holds a transaction
@@ -632,8 +639,8 @@ class GcsAgent(Agent):
 
 
 class ProtocolAgent(Agent):
-    """An agent that runs a consensus role: the port methods both roles
-    use, and the one arm-once timer, keyed by (timer kind, block id)."""
+    """An agent with a consensus role: the port methods both roles use and
+    the one arm-once timer, keyed by (timer kind, block id)."""
 
     def __init__(self, world: World, node_id: int):
         super().__init__(world, node_id)
@@ -663,9 +670,7 @@ def _wire_size(message) -> int:
 
 
 class TgcsAgent(ProtocolAgent, GcsAgent):
-    """A trusted station: everything a station does, plus mining duty.  It
-    batches its intake into drafts and carries out what its
-    ``StationProtocol`` decides."""
+    """A trusted station: everything a station does, plus mining duty."""
 
     def __init__(self, world: World, gcs_id: int):
         super().__init__(world, gcs_id)
@@ -786,10 +791,6 @@ class TgcsAgent(ProtocolAgent, GcsAgent):
 
 
 class CaAgent(ProtocolAgent):
-    """A control authority: it commands its stations, emits the genesis
-    block, and carries out what its ``OrdererProtocol`` decides while it
-    holds orderer duty."""
-
     def __init__(self, world: World, ca_id: int):
         super().__init__(world, ca_id)
         cfg = world.cfg

@@ -1,19 +1,31 @@
 """Ordering windows, quorum and vote tallies, voids, the miner pipeline,
-and the message formats."""
+the message formats, and a model check of the station and orderer protocol."""
 
 import random
 import struct
+from dataclasses import dataclass
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 from proactlab import consensus, crypto, ledger, wire
 from proactlab.consensus import (
     Assignment,
     CommitVerdict,
     ConsensusError,
+    WINDOW,
     NbrMessage,
+    OrdererProtocol,
     OrderingState,
+    StationProtocol,
     Tally,
     assign_gcs_to_tgcs,
     commit_check,
@@ -335,3 +347,327 @@ def test_decoders_raise_only_consensus_error(data, extra):
         decode(encoding)
         with pytest.raises(ConsensusError):
             decode(encoding + bytes([extra]))
+
+
+# --- model check of the station and orderer protocol ------------------------
+#
+# Two to four StationProtocols and one OrdererProtocol exchange messages
+# through fake ports that put every send into a pool of messages in flight.
+# Hypothesis picks what happens next: deliver any message, duplicate one, fire
+# an armed orderer timer, hand the orderer state over, mute a miner for an
+# id, or make a station's validation of an id fail.  Blocks are stand-ins
+# that carry only what the protocol reads: their id, their miner and the
+# draft they finalize.
+
+ORDERER = 0
+
+
+class ForkError(AssertionError):
+    """The stations disagree for good on what one id holds: two committed
+    different blocks under it, or one discards an id another committed."""
+
+
+class DoubleCommitError(AssertionError):
+    """A station committed one id twice."""
+
+
+class StallError(AssertionError):
+    """Nothing is left to deliver or fire, yet an assigned id has not
+    committed everywhere."""
+
+
+@dataclass(frozen=True)
+class _Header:
+    miner: int
+
+
+@dataclass(frozen=True)
+class _Block:
+    block_id: int
+    header: _Header
+    draft: int
+
+
+def _finalize(draft, block_id):
+    return _Block(block_id, draft.header, draft.draft)
+
+
+def _ids_in(message):
+    """The block ids a message in flight is about."""
+    if isinstance(message, consensus.AssignMessage):
+        return {a.block_id for a in message.assignments}
+    return {getattr(message, "block_id", None)}
+
+
+class _Network:
+    """What the fake ports share: messages in flight as (destination, kind,
+    message), the orderer's armed timers in arming order, and each
+    station's commits in order."""
+
+    def __init__(self, station_ids):
+        self.station_ids = station_ids
+        self.pool = []
+        self.timers = {}
+        self.commits = {station: [] for station in station_ids}
+        self.reclaimed = {station: [] for station in station_ids}
+
+
+class _StationPort:
+    def __init__(self, net, station_id):
+        self.net, self.id = net, station_id
+
+    def to_orderer(self, kind, message):
+        self.net.pool.append((ORDERER, kind, message))
+
+    def broadcast(self, kind, message, to_orderer=False):
+        self.net.pool.extend((other, kind, message) for other in self.net.station_ids
+                             if other != self.id)
+        if to_orderer:
+            self.to_orderer(kind, message)
+
+    def commit(self, block_id, block):
+        self.net.commits[self.id].append(block)
+
+    def reclaim(self, draft):
+        self.net.reclaimed[self.id].append(draft)
+
+
+class _OrdererPort:
+    def __init__(self, net):
+        self.net = net
+
+    def to_orderer(self, kind, message):
+        self.net.pool.append((ORDERER, kind, message))
+
+    def broadcast(self, kind, message):
+        self.net.pool.extend((station, kind, message) for station in self.net.station_ids)
+
+    def void(self, message):
+        self.broadcast("void", message)
+
+    def arm(self, kind, delay_s, block_id=0):
+        self.net.timers.setdefault((kind, block_id))
+
+    def workload_open(self):
+        return False
+
+
+class _Station(StationProtocol):
+    """A station whose miner can be muted for an id: it then does not
+    finalize its draft for that id, as a miner that fails."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.muted = set()
+
+    def _try_finalize(self):
+        if self.next_id not in self.muted:
+            super()._try_finalize()
+
+
+class ProtocolModel(RuleBasedStateMachine):
+    """Variant (a): nothing is lost, and a void timer fires only while no
+    message about its id is in flight."""
+
+    drops = False         # a message in flight may be lost
+    early_timers = False  # a void timer may fire while its id is in flight
+    handoffs = False      # the orderer may hand its state over
+    MAX_DRAFTS = 8
+    MAX_COPIES = 3
+    MAX_FAULTS = 3
+
+    @initialize(n_stations=st.integers(2, 4), sequential=st.booleans())
+    def build(self, n_stations, sequential):
+        ids = list(range(1, n_stations + 1))
+        self.net = net = _Network(ids)
+        self.failing = set()
+        self.stations = {}
+        for station_id in ids:
+            station = _Station(station_id, n_stations, _StationPort(net, station_id),
+                               self._validator(station_id), _finalize)
+            station.next_id = 1  # the genesis block is id 0
+            self.stations[station_id] = station
+        self.orderer = OrdererProtocol(n_stations, _OrdererPort(net), t_bis_s=0.05,
+                                       t_blk_s=1.0)
+        self.orderer.open(OrderingState(next_block_id=1, sequential=sequential))
+        self.clock = self.drafts = self.copies = self.faults = self.handoffs_made = 0
+
+    def _validator(self, station_id):
+        def validate(block_id, block):
+            return 1 if (station_id, block_id) in self.failing else None
+        return validate
+
+    def _station(self, index):
+        ids = self.net.station_ids
+        return self.stations[ids[index % len(ids)]]
+
+    def _deliver(self, destination, kind, message):
+        if destination == ORDERER:
+            if kind == "nbr":
+                self.orderer.on_nbr(message, acting=True)
+            elif kind == "bo-handoff":
+                self.orderer.open(OrderingState.decode(message))
+            else:
+                self.orderer.on_vote(message, is_ack=kind == "ack")
+            return
+        station = self.stations[destination]
+        if kind == "void":
+            if message.block_id >= station.next_id:
+                for other, blocks in self.net.commits.items():
+                    if any(block.block_id == message.block_id for block in blocks):
+                        raise ForkError(f"station {destination} discards id {message.block_id}, "
+                                        f"which station {other} has committed")
+            station.on_void(message)
+        elif kind == "assign":
+            station.on_assign(message)
+        elif kind == "block":
+            station.on_block(message)
+        else:
+            station.on_vote(message, is_ack=kind == "ack")
+
+    def _fire(self, key):
+        del self.net.timers[key]
+        self.orderer.on_timer(*key)
+
+    @rule(station=st.integers(0, 3), count=st.integers(1, 2))
+    def submit(self, station, count):
+        """A miner asks ids for its reclaimed drafts first, then new ones."""
+        station = self._station(station)
+        reclaimed = self.net.reclaimed[station.id]
+        drafts, reclaimed[:count] = reclaimed[:count], []
+        while len(drafts) < count and self.drafts < self.MAX_DRAFTS:
+            self.drafts += 1
+            drafts.append(_Block(0, _Header(station.id), self.drafts))
+        if drafts:
+            self.clock += 1
+            station.submit(drafts, self.clock)
+
+    @precondition(lambda self: self.net.pool)
+    @rule(index=st.integers(0, 255))
+    def deliver(self, index):
+        self._deliver(*self.net.pool.pop(index % len(self.net.pool)))
+
+    @precondition(lambda self: self.net.pool and self.copies < self.MAX_COPIES)
+    @rule(index=st.integers(0, 255))
+    def duplicate(self, index):
+        self.copies += 1
+        self.net.pool.append(self.net.pool[index % len(self.net.pool)])
+
+    @precondition(lambda self: self.drops and self.net.pool)
+    @rule(index=st.integers(0, 255))
+    def drop(self, index):
+        self.net.pool.pop(index % len(self.net.pool))
+
+    @precondition(lambda self: self.net.timers)
+    @rule(index=st.integers(0, 255))
+    def fire(self, index):
+        in_flight = set()
+        for _, kind, message in self.net.pool:
+            if kind == "bo-handoff":
+                return
+            in_flight |= _ids_in(message)
+        ready = [key for key in self.net.timers
+                 if self.early_timers or key[0] == WINDOW or key[1] not in in_flight]
+        if ready:
+            self._fire(ready[index % len(ready)])
+
+    @precondition(lambda self: self.handoffs and self.handoffs_made < 2
+                  and self.orderer.ordering is not None)
+    @rule()
+    def hand_over(self):
+        """The orderer state goes to the next authority; the timers stay
+        with the one that gave up duty, where they find no state."""
+        self.handoffs_made += 1
+        state = self.orderer.close().encode()
+        self.net.timers.clear()
+        self.net.pool.append((ORDERER, "bo-handoff", state))
+
+    @precondition(lambda self: self.faults < self.MAX_FAULTS)
+    @rule(station=st.integers(0, 3), block_id=st.integers(1, 6))
+    def mute(self, station, block_id):
+        self.faults += 1
+        self._station(station).muted.add(block_id)
+
+    @precondition(lambda self: self.faults < self.MAX_FAULTS)
+    @rule(station=st.integers(0, 3), block_id=st.integers(1, 6))
+    def fail_validation(self, station, block_id):
+        self.faults += 1
+        self.failing.add((self._station(station).id, block_id))
+
+    @invariant()
+    def stations_agree(self):
+        committed = {}
+        for station_id, blocks in self.net.commits.items():
+            ids = [block.block_id for block in blocks]
+            if len(set(ids)) != len(ids):
+                raise DoubleCommitError(f"station {station_id} committed {ids}")
+            for block in blocks:
+                first = committed.setdefault(block.block_id, (station_id, block))
+                if first[1] != block:
+                    raise ForkError(f"id {block.block_id}: station {first[0]} committed "
+                                    f"{first[1]}, station {station_id} {block}")
+
+    def teardown(self):
+        """Without loss, the network drains with every assigned id committed
+        at every station once the faults stop: deliver in order, and fire
+        a timer whenever nothing is in flight."""
+        if not hasattr(self, "net") or self.drops:
+            return
+        for station in self.stations.values():
+            station.muted.clear()
+        self.failing.clear()
+        net = self.net
+        for _ in range(2000):
+            if net.pool:
+                self._deliver(*net.pool.pop(0))
+            elif net.timers:
+                self._fire(next(iter(net.timers)))
+            else:
+                break
+        self.stations_agree()
+        ordering = self.orderer.ordering
+        assigned = ordering.next_block_id - 1
+        behind = {station_id: station.next_id for station_id, station in self.stations.items()
+                  if station.next_id <= assigned}
+        if net.pool or net.timers or ordering.assignments or behind:
+            raise StallError(f"ids up to {assigned} assigned, {sorted(ordering.assignments)} "
+                             f"outstanding, next ids of the stations behind {behind}, "
+                             f"{len(net.pool)} messages and {len(net.timers)} timers left")
+
+
+class HandoffModel(ProtocolModel):
+    handoffs = True
+
+
+class LossyModel(ProtocolModel):
+    """Variant (b): a message may be lost, and a void timer may fire while
+    messages about its id are in flight."""
+
+    drops = True
+    early_timers = True
+
+
+# derandomized, so a run finds the same cases every time; the expected
+# failures skip shrinking, which only costs time there
+_SEARCH = settings(max_examples=150, stateful_step_count=40, deadline=None,
+                   derandomize=True, database=None)
+_FIND = settings(_SEARCH, phases=[Phase.explicit, Phase.generate], report_multiple_bugs=False)
+
+
+def test_stations_agree_and_commit_every_id_when_nothing_is_lost():
+    run_state_machine_as_test(ProtocolModel, settings=_SEARCH)
+
+
+@pytest.mark.xfail(strict=True, raises=StallError,
+                   reason="votes that reach the orderer while its state is in flight "
+                          "commit its tally but never clear the assignment, and a handoff "
+                          "arms no void timer for the assignments it carries")
+def test_stations_agree_and_commit_every_id_across_orderer_handoffs():
+    run_state_machine_as_test(HandoffModel, settings=_FIND)
+
+
+@pytest.mark.xfail(strict=True, raises=ForkError,
+                   reason="ROADMAP item 3: a station that commits a block ignores the "
+                          "orderer's later void of its id, so the stations fork")
+def test_stations_agree_when_messages_are_lost_and_timers_fire_early():
+    run_state_machine_as_test(LossyModel, settings=_FIND)

@@ -1,6 +1,7 @@
 """Engine, network/energy models, agent behaviors, and scenario properties."""
 
 import collections
+import copy
 import dataclasses
 import gc
 import io
@@ -13,7 +14,7 @@ from proactlab import consensus, crypto, ledger, txbuild, wire
 from proactlab.crypto import SUITE_S1, SUITE_S2_C1
 from proactlab.sim import default_config, run
 from proactlab.consensus import StationProtocol
-from proactlab.sim.agents import FetchRequest, Packet, ReportMeta
+from proactlab.sim.agents import FetchRequest, FetchResponse, Packet, ReportMeta, World
 from proactlab.sim.energy import EnergyCoefficients, EnergyState
 from proactlab.sim.engine import US, Simulator, to_us
 from proactlab.sim.metrics import MetricsCollector
@@ -995,6 +996,46 @@ def test_a_run_creates_no_cyclic_garbage(make_config, monkeypatch):
     elif make_config is _finite_queues:
         assert world.net.total_dropped() > 0  # refusals, each retried
     assert found == 0, leftovers.most_common()
+
+
+def _fresh(payload):
+    """A copy of a payload that shares no object with it: wire and consensus
+    types go through their own codecs, fetch messages through deepcopy."""
+    if isinstance(payload, wire.Transaction):
+        return wire.decode_transaction(wire.encode_transaction(payload))
+    if isinstance(payload, wire.Block):
+        return wire.decode_block(wire.encode_block(payload))
+    if isinstance(payload, (FetchRequest, FetchResponse)):
+        return copy.deepcopy(payload)
+    if isinstance(payload, bytes):
+        return payload  # the orderer handoff, already encoded
+    return type(payload).decode(payload.encode())
+
+
+def _observed_run(cfg):
+    log = io.StringIO()
+    record = run(cfg, log)
+    return record.csv_row(), record.counters, record.committed_fingerprint, log.getvalue()
+
+
+@pytest.mark.parametrize("make_config", [_desk_like, _muted_miner, _rotating_orderers],
+                         ids=["attacks-and-fetches", "muted-miner", "rotating-orderers"])
+def test_a_receiver_that_gets_its_own_copy_changes_nothing(make_config, monkeypatch):
+    # agents share every sent object; a receiver that changed one would
+    # change what its sender reads later, and a run would depend on it
+    cfg = make_config(monkeypatch)
+    shared = _observed_run(cfg)
+    send = World.send
+
+    def copy_on_send(self, src, dst, kind, payload, size, meta=None, on_expired=None):
+        send(self, src, dst, kind, _fresh(payload), size, copy.deepcopy(meta), on_expired)
+
+    monkeypatch.setattr(World, "send", copy_on_send)
+    copied = _observed_run(cfg)
+    for name, plain, fresh in zip(("csv_row", "counters", "committed_fingerprint"),
+                                  shared, copied):
+        assert fresh == plain, f"{name} differs"
+    assert copied[3] == shared[3], "event log differs"
 
 
 def test_run_pauses_the_collector_and_restores_its_state():
