@@ -80,12 +80,12 @@ class Packet:
 
 
 def report_payload(drone_id: int, x: float, y: float, claims: Sequence[int],
-                   size: int) -> bytes:
+                   size: int) -> Tuple[bytes, int]:
+    """A ``size``-byte report as its text prefix and the count of the zero
+    bytes that pad it."""
     prefix = f"rpt|{drone_id}|{x:.1f}|{y:.1f}|" \
              f"{','.join(str(c) for c in claims)}|".encode()
-    if len(prefix) >= size:
-        return prefix[:size]
-    return prefix + bytes(size - len(prefix))
+    return prefix[:size], max(0, size - len(prefix))
 
 
 FetchReply = Tuple[FetchResponse, int, Optional[IncidentDraft]]
@@ -289,14 +289,16 @@ class Agent:
 
     def new_tx(self, suite: crypto.CryptoSuite, access_class: AccessClass,
                owners: Sequence[int], target: BlockTarget,
-               plaintext: bytes) -> Transaction:
-        """This node's next transaction, stamped now and counted as generated."""
+               plaintext: bytes, zeros: int = 0) -> Transaction:
+        """This node's next transaction, stamped now and counted as generated;
+        its payload is ``plaintext`` followed by ``zeros`` zero bytes."""
         self.seq += 1
         now = self.w.sim.now_us
         tx = txbuild.build_transaction(
             creator=self.id, tx_seq=self.seq, created_at_us=now, suite=suite,
             access_class=access_class, owners=owners, block_target=target,
-            plaintext=plaintext, registry=self.w.registry, backend=self.w.backend)
+            plaintext=plaintext, registry=self.w.registry, backend=self.w.backend,
+            zeros=zeros)
         self.w.metrics.tx_generated(tx.key(), now)
         return tx
 
@@ -353,8 +355,8 @@ class DroneAgent(Agent):
         claims = list(self.w.topo.truth.observed_from(x, y))
         if fabricated is not None:
             claims.append(fabricated[0])
-        payload = report_payload(self.id, x, y, claims, cfg.data_tx_size)
-        tx = self.new_tx(SUITE_S1, AccessClass.PUBLIC, (), BlockTarget.BLOCK_T2, payload)
+        prefix, zeros = report_payload(self.id, x, y, claims, cfg.data_tx_size)
+        tx = self.new_tx(SUITE_S1, AccessClass.PUBLIC, (), BlockTarget.BLOCK_T2, prefix, zeros)
         self._send_own_tx(tx, SUITE_S1,
                           {"report": ReportMeta(x, y, tuple(claims), fabricated, attack_id)})
 
@@ -440,7 +442,7 @@ class DroneAgent(Agent):
             if tx.access_class is not AccessClass.PUBLIC and \
                     self.w.registry.may_open(self.id, tx.owners):
                 suite = crypto.suite_for_class(tx.security_class)
-                self.energy.account_crypto(suite, len(tx.payload), now)
+                self.energy.account_crypto(suite, tx.payload_len(), now)
 
     def _serve_fetch(self, packet: Packet) -> None:
         request: FetchRequest = packet.payload
@@ -483,9 +485,8 @@ class DroneAgent(Agent):
     def _emit_incident(self, incident: IncidentDraft, attack_id: Optional[int]) -> None:
         """Security-incident transaction sealed to this drone's station."""
         body = incident.payload()
-        plaintext = body + bytes(max(0, self.w.cfg.t4_payload_bytes - len(body)))
-        tx = self.new_tx(self.suite, AccessClass.SINGLE, (self.gcs_id,),
-                         BlockTarget.BLOCK_T1, plaintext)
+        tx = self.new_tx(self.suite, AccessClass.SINGLE, (self.gcs_id,), BlockTarget.BLOCK_T1,
+                         body, max(0, self.w.cfg.t4_payload_bytes - len(body)))
         self._send_own_tx(tx, self.suite, {"incident_attack_id": attack_id})
 
 

@@ -25,8 +25,10 @@ def build_transaction(*, creator: int, tx_seq: int, created_at_us: int,
                       suite: CryptoSuite, access_class: AccessClass,
                       owners: Sequence[int], block_target: BlockTarget,
                       plaintext: bytes, registry: KeyRegistry,
-                      backend: HashBackend) -> Transaction:
-    """Seal (when private), fill the crypto metadata, sign, and store the derived facts."""
+                      backend: HashBackend, zeros: int = 0) -> Transaction:
+    """Seal (when private), fill the crypto metadata, sign, and store the
+    derived facts.  The payload is ``plaintext`` followed by ``zeros`` zero
+    bytes, which a public transaction holds as a count."""
     owners = tuple(owners)
     if access_class is AccessClass.PUBLIC:
         payload = plaintext
@@ -34,15 +36,15 @@ def build_transaction(*, creator: int, tx_seq: int, created_at_us: int,
     else:
         sealed_to = registry.sealing_key(owners).public_key
         payload = crypto.seal(suite, sealed_to, deterministic_nonce(creator, tx_seq),
-                              plaintext, backend)
-        enc_id, enc_par = suite.suite_id, suite.enc_par
+                              plaintext + bytes(zeros), backend)
+        enc_id, enc_par, zeros = suite.suite_id, suite.enc_par, 0
     return wire.new_transaction(
         lambda digest: crypto.sign(suite, registry.public_key(creator), digest, backend), backend,
         creator=creator, tx_seq=tx_seq, created_at_us=created_at_us, topic=0,
         access_class=access_class, owners=owners,
         security_class=suite.security_class, block_target=block_target,
         enc_id=enc_id, hash_id=suite.hash_variant.value,
-        enc_par=enc_par, hash_par=suite.hash_par, payload=payload)
+        enc_par=enc_par, hash_par=suite.hash_par, payload=payload, payload_zeros=zeros)
 
 
 def verify_transaction(tx: Transaction, registry: KeyRegistry,

@@ -84,6 +84,12 @@ _memo = partial(field, default=None, init=False, repr=False, compare=False)
 
 @dataclass(frozen=True, slots=True)
 class Transaction:
+    """One transaction.  Its payload is held as the bytes before their
+    trailing run of zeros (``payload``) plus the length of that run
+    (``payload_zeros``); the wire bytes and every digest are those of the
+    whole payload.  The form is canonical: a ``payload`` given with a zero
+    tail has that tail moved into (added to) the count."""
+
     creator: int
     tx_seq: int
     created_at_us: int
@@ -97,20 +103,32 @@ class Transaction:
     enc_par: str
     hash_par: str
     payload: bytes
+    payload_zeros: int
     signature: bytes
     _valid: Optional[bool] = _memo()
     _facts: Optional[Tuple[HashBackend, bytes, bytes, bytes]] = _memo()
     _size: Optional[int] = _memo()
 
+    def __post_init__(self) -> None:
+        if self.payload[-1:] == b"\0":
+            head = self.payload.rstrip(b"\0")
+            object.__setattr__(self, "payload_zeros",
+                               self.payload_zeros + len(self.payload) - len(head))
+            object.__setattr__(self, "payload", head)
+
     def key(self) -> Tuple[int, int]:
         return (self.creator, self.tx_seq)
+
+    def payload_len(self) -> int:
+        """The length of the whole payload, as written on the wire."""
+        return len(self.payload) + self.payload_zeros
 
     def plaintext_len(self) -> int:
         """Original payload size before sealing (the BTO baseline)."""
         if self.access_class is AccessClass.PUBLIC:
-            return len(self.payload)
+            return self.payload_len()
         suite = suite_for_class(self.security_class)
-        return len(self.payload) - NONCE_LEN - suite.tag_len
+        return self.payload_len() - NONCE_LEN - suite.tag_len
 
     def validate(self) -> None:
         """Raise WireError unless the fields agree; a passed object is not checked again."""
@@ -124,7 +142,7 @@ class Transaction:
         )
         if bad_owner_count:
             raise WireError(f"access class {self.access_class.name} cannot have {n_owners} owners")
-        if not self.payload:
+        if not self.payload_len():
             raise WireError("payload must be non-empty")
         suite = suite_for_class(self.security_class)
         if self.access_class is AccessClass.PUBLIC:
@@ -133,7 +151,7 @@ class Transaction:
         else:
             if self.enc_id != suite.suite_id:
                 raise WireError(f"enc_id {self.enc_id} does not match suite {suite.suite_id}")
-            if len(self.payload) <= NONCE_LEN + suite.tag_len:
+            if self.payload_len() <= NONCE_LEN + suite.tag_len:
                 raise WireError("sealed payload shorter than nonce plus tag")
         if self.hash_id != suite.hash_variant.value:
             raise WireError(f"hash_id {self.hash_id} does not match the suite")
@@ -211,7 +229,8 @@ _SIGNED_FIELDS = attrgetter(*Transaction.__match_args__[:-1])  # in layout order
 
 
 def _signing_bytes(creator, tx_seq, created_at_us, topic, access_class, owners, security_class,
-                   block_target, enc_id, hash_id, enc_par, hash_par, payload) -> bytes:
+                   block_target, enc_id, hash_id, enc_par, hash_par, payload,
+                   payload_zeros) -> bytes:
     """Every encoded field preceding the signature length: what a creator signs."""
     enc_par_bytes, hash_par_bytes = enc_par.encode(), hash_par.encode()
     return b"".join((
@@ -220,7 +239,7 @@ def _signing_bytes(creator, tx_seq, created_at_us, topic, access_class, owners, 
         struct.pack(_TX_SUITE, security_class, block_target, enc_id, hash_id),
         struct.pack(_ENC_PAR_LEN, len(enc_par_bytes)), enc_par_bytes,
         struct.pack(_HASH_PAR_LEN, len(hash_par_bytes)), hash_par_bytes,
-        struct.pack(_PAYLOAD_LEN, len(payload)), payload,
+        struct.pack(_PAYLOAD_LEN, len(payload) + payload_zeros), payload, bytes(payload_zeros),
     ))
 
 
@@ -281,7 +300,7 @@ def encoded_tx_size(tx: Transaction) -> int:
     """Wire size without materializing the encoding, derived once per object;
     the metadata strings count in UTF-8 bytes, as they are written."""
     if tx._size is None:
-        object.__setattr__(tx, "_size", _TX_BASE_LEN + 4 * len(tx.owners) + len(tx.payload)
+        object.__setattr__(tx, "_size", _TX_BASE_LEN + 4 * len(tx.owners) + tx.payload_len()
                            + len(tx.enc_par.encode() + tx.hash_par.encode()) + len(tx.signature))
     return tx._size
 
@@ -349,7 +368,7 @@ def _decode_transaction(reader: _Reader) -> Transaction:
     signature = reader.take(*reader.unpack(_SIG_LEN))
     tx = Transaction(creator, tx_seq, created, topic, access, tuple(owners),
                      sec, target, enc_id, hash_id, enc_par, hash_par,
-                     payload, signature)
+                     payload, 0, signature)
     tx.validate()
     return tx
 

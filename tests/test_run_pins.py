@@ -10,6 +10,9 @@ take those paths, and each pins three things:
 * ``committed_fingerprint``;
 * the full counter dict.
 
+One more test runs one of them under two values of ``PYTHONHASHSEED``, each
+in its own process, and requires the same event log, fingerprint and CSV row.
+
 The pins in ``pinned_runs.json`` move only with a declared behaviour change.
 Regenerate them with ``PYTHONPATH=src python tests/test_run_pins.py``.
 """
@@ -18,6 +21,9 @@ import base64
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,6 +93,41 @@ def test_a_run_does_what_its_pin_says(name, mode, monkeypatch):
     assert observed["counters"] == pin["counters"], "counters differ"
     if observed["event_log"] != pin["event_log"]:
         pytest.fail(first_difference(lines, pin["line_hashes"]))
+
+
+# Prints the event-log digest, the committed fingerprint and the CSV row of
+# one run as JSON; run with this directory and the package on the path.
+_RUN_ONE = """
+import dataclasses, json, sys
+import pytest
+from proactlab.sim import run
+from test_run_pins import CONFIGS, HashingSink
+name, mode = sys.argv[1:]
+with pytest.MonkeyPatch.context() as monkeypatch:
+    cfg = dataclasses.replace(CONFIGS[name](monkeypatch), mode=mode)
+    sink = HashingSink()
+    record = run(cfg, sink)
+print(json.dumps({"event_log": sink.digest.hexdigest(),
+                  "committed_fingerprint": record.committed_fingerprint,
+                  "csv_row": record.csv_row()}))
+"""
+
+
+def test_the_hash_seed_does_not_change_a_run():
+    # str hashes, and so the order of sets and dicts keyed by str, change
+    # with PYTHONHASHSEED; a run must not depend on them
+    import proactlab
+
+    path = os.pathsep.join([str(Path(proactlab.__file__).parents[1]), str(PINS_PATH.parent)])
+    runs = [subprocess.Popen(
+        [sys.executable, "-c", _RUN_ONE, "attacks-and-fetches", "parallel"],
+        env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+        stdout=subprocess.PIPE, text=True) for hash_seed in ("0", "12345")]
+    stdouts = [process.communicate(timeout=60)[0] for process in runs]
+    assert [process.returncode for process in runs] == [0, 0]
+    outputs = [json.loads(stdout) for stdout in stdouts]
+    assert outputs[0] == outputs[1]
+    assert outputs[0]["event_log"] == _pins()["attacks-and-fetches/parallel"]["event_log"]
 
 
 def _write_pins() -> None:

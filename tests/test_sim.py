@@ -998,6 +998,20 @@ def test_a_run_creates_no_cyclic_garbage(make_config, monkeypatch):
     assert found == 0, leftovers.most_common()
 
 
+def test_a_station_holds_the_zero_padding_of_committed_reports_as_a_count():
+    # 10 KB reports are a short text prefix and zero padding; stations keep
+    # every committed report for the whole run, so the padding must not be
+    # held as bytes, or it is most of a large run's memory
+    world = _world(t3_interval_s=0.5)
+    assert world.cfg.data_tx_size == 10240
+    world.run()
+    station = world.agents[world.topo.gcs_ids[0]]
+    committed = [tx for block in station.ledger.blocks for tx in block.transactions]
+    assert sum(tx.access_class is AccessClass.PUBLIC for tx in committed) > 50
+    held = sum(len(tx.payload) for tx in committed)
+    assert held < 0.05 * sum(tx.payload_len() for tx in committed)
+
+
 def _fresh(payload):
     """A copy of a payload that shares no object with it: wire and consensus
     types go through their own codecs, fetch messages through deepcopy."""

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,7 +96,7 @@ def test_encode_rejects_inconsistent_owners(registry, sim_backend):
 
 def test_encode_rejects_empty_payload(registry, sim_backend):
     tx = helpers.make_t3_data(registry, sim_backend)
-    bad = dataclasses.replace(tx, payload=b"")
+    bad = dataclasses.replace(tx, payload=b"", payload_zeros=0)  # its payload is all zeros
     with pytest.raises(WireError, match="payload"):
         wire.encode_transaction(bad)
 
@@ -233,6 +234,56 @@ def test_facts_stored_at_build_equal_those_a_decoded_copy_derives(backend):
                              wire.leaf_digest(fresh, backend), wire.commit_digest(fresh, backend))
         assert tx._facts[3] == hashlib.blake2b(encoded, digest_size=16).digest()
         assert wire.encoded_tx_size(tx) == wire.encoded_tx_size(fresh) == len(encoded)
+
+
+# The sequence number at which helpers.make_t1_command's sealed payload ends
+# in a zero byte, found by searching each backend once.
+_SEALED_ENDS_IN_ZERO_SEQ = {"simulated": 474, "spongent": 153}
+
+
+def _report(registry, backend, plaintext, zeros=0):
+    return txbuild.build_transaction(
+        creator=helpers.DRONE_A, tx_seq=1, created_at_us=0, suite=crypto.SUITE_S1,
+        access_class=AccessClass.PUBLIC, owners=(), block_target=BlockTarget.BLOCK_T2,
+        plaintext=plaintext, zeros=zeros, registry=registry, backend=backend)
+
+
+@pytest.mark.parametrize("backend", [crypto.SIMULATED_BACKEND, SPONGENT_BACKEND],
+                         ids=lambda backend: backend.name)
+@pytest.mark.parametrize("head, zeros", [(b"rpt|7|1.0", 0), (b"rpt|7|1.0", 40), (b"", 48),
+                                         (None, 0)],
+                         ids=["no-zero-tail", "partial-zero-tail", "all-zeros",
+                              "sealed-ends-in-zero"])
+def test_a_zero_tail_held_as_a_count_changes_no_wire_byte_or_digest(backend, head, zeros):
+    registry = helpers.make_registry(backend)
+    if head is None:
+        tx = helpers.make_t1_command(registry, backend,
+                                     seq=_SEALED_ENDS_IN_ZERO_SEQ[backend.name])
+        head = tx.payload
+        zeros = tx.payload_zeros
+        assert zeros > 0  # the sealed bytes ended in zero and were counted
+        whole = dataclasses.replace(tx, payload=head + bytes(zeros), payload_zeros=0)
+    else:
+        tx = _report(registry, backend, head, zeros)
+        whole = _report(registry, backend, head + bytes(zeros))
+    assert (tx.payload, tx.payload_zeros) == (whole.payload, whole.payload_zeros) == (head, zeros)
+    assert tx == whole and tx.payload_len() == len(head) + zeros
+    tx.validate()  # an all-zero payload is held as b"" and is still non-empty
+
+    encoded = wire.encode_transaction(tx)
+    assert encoded == wire.encode_transaction(whole)
+    assert encoded.endswith(struct.pack("<I", len(head) + zeros) + head + bytes(zeros)
+                            + bytes([len(tx.signature)]) + tx.signature)
+    assert wire.decode_transaction(encoded) == tx
+    assert wire.encoded_tx_size(tx) == len(encoded) == wire.encoded_tx_size(whole)
+
+    signed = encoded[:len(encoded) - 1 - len(tx.signature)]
+    variant = crypto.suite_for_class(tx.security_class).hash_variant
+    facts = (backend.digest(variant, signed), backend.digest224(encoded),
+             hashlib.blake2b(encoded, digest_size=16).digest())
+    for copy in (tx, whole):
+        assert (wire.content_digest(copy, backend), wire.leaf_digest(copy, backend),
+                wire.commit_digest(copy, backend)) == facts
 
 
 _payloads = st.binary(min_size=1, max_size=300)
