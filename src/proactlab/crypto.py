@@ -28,8 +28,8 @@ from a backend's ``prefix_state``, which is None where that memo shares it.
 from __future__ import annotations
 
 import functools
-import hashlib
 import struct
+from _blake2 import blake2b  # hashlib's own blake2b, without mapping OpenSSL
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -213,7 +213,7 @@ class SpongentBackend(HashBackend):
 
 
 # Hash objects only ever copied: cheaper than building one.
-_BLAKE2B = {variant: hashlib.blake2b(digest_size=size, person=b"sim-spongent")
+_BLAKE2B = {variant: blake2b(digest_size=size, person=b"sim-spongent")
             for variant, size in DIGEST_LEN.items()}
 
 
@@ -411,7 +411,7 @@ class KeyRegistry:
         self._groups: Dict[FrozenSet[int], KeyPair] = {}
 
     def _derive_pair(self, holder: int, label: bytes) -> KeyPair:
-        seed = hashlib.blake2b(
+        seed = blake2b(
             self._key_seed + label + struct.pack("<Q", holder),
             digest_size=PRIVATE_SEED_LEN,
         ).digest()

@@ -44,7 +44,7 @@ from .netmodel import Link, next_leg
 TxKey = Tuple[int, int]
 
 
-@dataclass
+@dataclass(slots=True)
 class ReportMeta:
     """Parsed form of a data report (the payload carries the same prefix)."""
 
@@ -55,7 +55,7 @@ class ReportMeta:
     attack_id: Optional[int] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class FetchRequest:
     requester: int
     key: Optional[TxKey]          # None = newest private transaction
@@ -63,14 +63,14 @@ class FetchRequest:
     attack_id: Optional[int] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class FetchResponse:
     key: Optional[TxKey]
     tx: Optional[Transaction]
     status: str                   # ok | denied | not-found
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     kind: str
     src: int
@@ -123,6 +123,7 @@ class World:
         self.sim_end_us = to_us(cfg.sim_duration_s)
         self.n_tgcs = len(topo.tgcs_ids)
         self.roster: List[Tuple[int, str, str]] = []  # (node_id, role, real id)
+        self._plans: Dict[Tuple[int, int], Tuple[Tuple[Link, int], ...]] = {}
 
     # --- role helpers ---
 
@@ -192,17 +193,21 @@ class World:
             return
         self._send_hop(packet, total, hops, 0, on_expired)
 
-    def _hops(self, src: int, dst: int) -> Optional[List[Tuple[Link, int]]]:
+    def _hops(self, src: int, dst: int) -> Optional[Sequence[Tuple[Link, int]]]:
         """Hop plan as (link, receiver) pairs; None when no route exists.
-        A drone and its station are one cell hop apart (see ``netmodel``)."""
-        net, swarm_of = self.net, self.topo.drone_uavn
-        if src in swarm_of:
-            if dst in swarm_of:
-                return self._mesh_route(src, dst)
-            return [(net.uplink[dst], dst)]
-        if dst in swarm_of:
-            return [(net.downlink[src], dst)]
-        return [(net.wired(src, dst), dst)]
+        A drone and its station are one cell hop apart (see ``netmodel``), so
+        every route but a mesh one is one fixed hop, planned once and shared."""
+        plan = self._plans.get((src, dst))
+        if plan is None:
+            net, swarm_of = self.net, self.topo.drone_uavn
+            if src in swarm_of:
+                if dst in swarm_of:
+                    return self._mesh_route(src, dst)
+                link = net.uplink[dst]
+            else:
+                link = net.downlink[src] if dst in swarm_of else net.wired(src, dst)
+            plan = self._plans[src, dst] = ((link, dst),)
+        return plan
 
     def _mesh_route(self, src: int, dst: int) -> Optional[List[Tuple[Link, int]]]:
         """Mesh hops on a shortest path over the swarm's current radio graph."""
@@ -231,24 +236,26 @@ class World:
 
     def _send_hop(self, packet: Packet, size: int, hops, index: int,
                   on_expired) -> None:
-        link, receiver = hops[index]
+        link = hops[index][0]
         sender = packet.src if index == 0 else hops[index - 1][1]
-        last = index == len(hops) - 1
-
-        def deliver() -> None:
-            if self.is_drone(receiver):
-                agent = self.agents[receiver]
-                agent.energy.account_rx(size, self.sim.now_us)
-                if not agent.energy.active and not last:
-                    return
-            if last:
-                self.agents[packet.dst].on_packet(packet)
-            else:
-                # the relay pays its transmit cost as the next hop's sender
-                self._send_hop(packet, size, hops, index + 1, on_expired)
-
-        self._send_on_link(link, size, deliver, on_expired,
+        arrive = partial(self._arrive, packet, size, hops, index, on_expired)
+        self._send_on_link(link, size, arrive, on_expired,
                            energy_payer=sender if self.is_drone(sender) else None)
+
+    def _arrive(self, packet: Packet, size: int, hops, index: int, on_expired) -> None:
+        """Hop ``index`` reached its receiver: the handler ``_send_hop`` schedules."""
+        receiver = hops[index][1]
+        last = index == len(hops) - 1
+        if self.is_drone(receiver):
+            agent = self.agents[receiver]
+            agent.energy.account_rx(size, self.sim.now_us)
+            if not agent.energy.active and not last:
+                return
+        if last:
+            self.agents[packet.dst].on_packet(packet)
+        else:
+            # the relay pays its transmit cost as the next hop's sender
+            self._send_hop(packet, size, hops, index + 1, on_expired)
 
     def _send_on_link(self, link: Link, size: int, deliver, on_expired,
                       energy_payer: Optional[int] = None, attempt: int = 0) -> None:
@@ -263,8 +270,8 @@ class World:
             return
         if attempt + 1 <= self.cfg.max_retries:
             delay = to_us(self.cfg.retry_backoff_s * (2 ** attempt))
-            self.sim.schedule_in(delay, lambda: self._send_on_link(
-                link, size, deliver, on_expired, energy_payer, attempt + 1))
+            self.sim.schedule_in(delay, partial(self._send_on_link, link, size, deliver,
+                                                on_expired, energy_payer, attempt + 1))
         elif on_expired is not None:
             on_expired()
 
@@ -366,7 +373,7 @@ class DroneAgent(Agent):
         size = wire.encoded_tx_size(tx)
         self.energy.account_crypto(suite, size, self.w.sim.now_us)
         self.w.send(self.id, self.gcs_id, "tx", tx, size, meta=meta,
-                    on_expired=lambda: self.w.metrics.tx_dropped(tx.key()))
+                    on_expired=partial(self.w.metrics.tx_dropped, tx.key()))
 
     # --- attacks ---
 
@@ -490,7 +497,7 @@ class DroneAgent(Agent):
         self._send_own_tx(tx, self.suite, {"incident_attack_id": attack_id})
 
 
-@dataclass
+@dataclass(slots=True)
 class ReportRecord:
     created_us: int
     arrived_us: int

@@ -8,11 +8,11 @@ the collector enforces single-assignment per transaction.
 from __future__ import annotations
 
 import functools
-import hashlib
 import operator
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from ..crypto import blake2b
 from .engine import US
 
 TxKey = Tuple[int, int]
@@ -164,7 +164,7 @@ class MetricsCollector:
         dec_mean_kj = (sum(consumed_j_per_drone) / len(consumed_j_per_drone) / 1000.0
                        if consumed_j_per_drone else 0.0)
         bto_mean = self._bto_sum / self._bto_count if self._bto_count else 0.0
-        fingerprint = hashlib.blake2b(
+        fingerprint = blake2b(
             b"".join(sorted(self._committed_digests)), digest_size=16).hexdigest()
         return MetricsRecord(
             seed=seed, mode=mode, n_uav=n_uav,

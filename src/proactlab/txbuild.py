@@ -6,17 +6,16 @@ whole scenario run is reproducible from its seed.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from typing import Sequence
 
 from . import crypto, wire
-from .crypto import CryptoSuite, HashBackend, KeyRegistry
+from .crypto import CryptoSuite, HashBackend, KeyRegistry, blake2b
 from .wire import AccessClass, BlockTarget, Transaction
 
 
 def deterministic_nonce(creator: int, tx_seq: int) -> bytes:
-    return hashlib.blake2b(
+    return blake2b(
         b"nonce" + struct.pack("<IQ", creator, tx_seq), digest_size=crypto.NONCE_LEN
     ).digest()
 

@@ -20,7 +20,6 @@ operations here are pure functions.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -34,6 +33,7 @@ from .crypto import (
     HashBackend,
     HashVariant,
     SecurityClass,
+    blake2b,
     suite_for_class,
 )
 
@@ -78,7 +78,8 @@ class BlockTarget(IntEnum):
     BLOCK_T2 = 2
 
 
-# Set by _with_facts, block_hash, validate, encoded_tx_size; a replace() copy lacks them.
+# Set by _with_facts, block_hash, validate, encoded_tx_size; a replace() copy lacks
+# them.  Transaction._key is the exception: __post_init__ sets it on every object.
 _memo = partial(field, default=None, init=False, repr=False, compare=False)
 
 
@@ -108,6 +109,7 @@ class Transaction:
     _valid: Optional[bool] = _memo()
     _facts: Optional[Tuple[HashBackend, bytes, bytes, bytes]] = _memo()
     _size: Optional[int] = _memo()
+    _key: Tuple[int, int] = _memo()
 
     def __post_init__(self) -> None:
         if self.payload[-1:] == b"\0":
@@ -115,9 +117,11 @@ class Transaction:
             object.__setattr__(self, "payload_zeros",
                                self.payload_zeros + len(self.payload) - len(head))
             object.__setattr__(self, "payload", head)
+        object.__setattr__(self, "_key", (self.creator, self.tx_seq))
 
     def key(self) -> Tuple[int, int]:
-        return (self.creator, self.tx_seq)
+        """(creator, tx_seq), one tuple per object, shared by every index that keys on it."""
+        return self._key
 
     def payload_len(self) -> int:
         """The length of the whole payload, as written on the wire."""
@@ -161,7 +165,7 @@ class Transaction:
         object.__setattr__(self, "_valid", True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TAEntry:
     """Header mirror of one transaction's access class and owners."""
 
@@ -253,7 +257,7 @@ def _with_facts(signing, security_class, backend, make: Callable[[bytes], Transa
     tx = make(content)
     encoded = signing + (struct.pack(_SIG_LEN, len(tx.signature)) + tx.signature)
     object.__setattr__(tx, "_facts", (backend, content, backend.digest224(
-        encoded, len(signing), state), hashlib.blake2b(encoded, digest_size=16).digest()))
+        encoded, len(signing), state), blake2b(encoded, digest_size=16).digest()))
     return tx
 
 

@@ -1,6 +1,9 @@
 """Command-line behavior: runs, sweeps, compare, selftest, exit codes."""
 
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,6 +48,28 @@ def test_run_writes_one_row_per_seed(fast_config, tmp_path, capsys):
     assert all(row["mode"] == "parallel" for row in rows)
     assert (out / "summary.txt").exists()
     assert "metrics.csv" in (out / "manifest.txt").read_text()
+
+
+_RUN_AND_REPORT_OPENSSL = """
+import sys
+from proactlab import cli
+assert cli.main(sys.argv[1:]) == 0
+print("_hashlib" in sys.modules)
+"""
+
+
+def test_a_run_does_not_load_openssl(fast_config, tmp_path):
+    # every digest is blake2b, served by the builtin _blake2; importing
+    # hashlib would load _hashlib and map OpenSSL's libcrypto (about 3.6 MB)
+    import proactlab
+
+    src = str(Path(proactlab.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_REPORT_OPENSSL, "run", "--config", str(fast_config),
+         "--seeds", "1", "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
 
 
 def test_run_is_byte_deterministic(fast_config, tmp_path):

@@ -18,6 +18,14 @@ import helpers
 BACKEND = crypto.SIMULATED_BACKEND
 
 
+def test_blake2b_is_the_one_hashlib_serves():
+    # crypto takes blake2b from _blake2, so no import maps OpenSSL's libcrypto
+    # (tests/test_cli.py checks a whole run); it must be the object hashlib serves
+    import hashlib
+
+    assert crypto.blake2b is hashlib.blake2b
+
+
 def test_suite_table_mapping():
     assert crypto.SUITE_S1.key_bits == 256
     assert crypto.SUITE_S1.hash_variant is HashVariant.SPONGENT_224

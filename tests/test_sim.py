@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import gc
 import io
+import tracemalloc
 import weakref
 
 import pytest
@@ -659,6 +660,28 @@ def test_full_cell_queue_refuses_every_retry_then_expires():
     assert world.net.packets_dropped == 0
     assert expired == [350_000]
     assert got == [(g, 2 * US + 2000)]
+
+
+def test_a_packet_in_flight_holds_little_memory():
+    # at swarm600's peak about 11,400 packets wait in saturated cell queues:
+    # each holds its Packet, one scheduled partial and the event, while its
+    # one-hop plan is shared by every send between the same two nodes
+    world = _world()
+    g = world.topo.gcs_ids[0]
+    drone = world.topo.drones_of_gcs(g)[0]
+    got = _arrivals(world, g)
+    world.send(drone, g, "tx", None, 1234)  # the plan and the queue exist
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(2000):
+            world.send(drone, g, "tx", None, 1234)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown / 2000 <= 600
+    world.sim.run()
+    assert len(got) == 2001
 
 
 # --- end-to-end properties ---

@@ -342,6 +342,19 @@ def test_a_replace_copy_derives_its_own_size(registry, sim_backend):
     assert wire.encoded_tx_size(tx) == 199
 
 
+@pytest.mark.parametrize("backend", [crypto.SIMULATED_BACKEND, SPONGENT_BACKEND],
+                         ids=lambda backend: backend.name)
+def test_a_transaction_stores_one_key_that_its_copies_equal(backend):
+    # metrics, ledger indexes and drone sets all hold the tuple key() returns
+    tx = helpers.make_t1_command(helpers.make_registry(backend), backend, seq=7)
+    assert tx.key() is tx.key() and tx.key() == (helpers.GCS_ID, 7)
+    decoded = wire.decode_transaction(wire.encode_transaction(tx))
+    replaced = dataclasses.replace(tx, topic=9)
+    assert decoded.key() == replaced.key() == tx.key()
+    assert decoded.key() is decoded.key() and replaced.key() is replaced.key()
+    assert dataclasses.replace(tx, tx_seq=8).key() == (helpers.GCS_ID, 8)
+
+
 def test_decode_rejects_non_utf8_metadata(registry, sim_backend):
     tx = helpers.make_t1_command(registry, sim_backend)
     data = bytearray(wire.encode_transaction(tx))
