@@ -102,7 +102,7 @@ class FullLedger:
         self._backend = backend
         self.blocks: List[Block] = []
         self.tip_digest: bytes = wire.ZERO_HASH
-        self._tx_index: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        self._tx_index: Dict[Tuple[int, int], int] = {}  # key -> block id
 
     @property
     def next_block_id(self) -> int:
@@ -116,17 +116,17 @@ class FullLedger:
             raise LedgerError("gap", f"block {block.block_id} leaves a gap at {expected}")
         self.blocks.append(block)
         self.tip_digest = wire.block_hash(block.header, self._backend)
-        self._tx_index.update(block.tx_locations)
+        self._tx_index.update(dict.fromkeys(block.tx_locations, block.block_id))
 
     def has_tx(self, key: Tuple[int, int]) -> bool:
         return key in self._tx_index
 
     def find_transaction(self, key: Tuple[int, int]) -> Optional[Transaction]:
-        loc = self._tx_index.get(key)
-        if loc is None:
+        block_id = self._tx_index.get(key)
+        if block_id is None:
             return None
-        block_id, idx = loc
-        return self.blocks[block_id].transactions[idx]
+        block = self.blocks[block_id]
+        return block.transactions[block.tx_locations[key]]
 
     def verify_chain(self) -> None:
         """Recompute every prev_hash link and Merkle root; raise on breakage."""
@@ -258,5 +258,5 @@ class DroneLedger:
     def find_transaction(self, key: Tuple[int, int]) -> Optional[Transaction]:
         for block in self.blocks:
             if key in block.tx_locations:
-                return block.transactions[block.tx_locations[key][1]]
+                return block.transactions[block.tx_locations[key]]
         return None

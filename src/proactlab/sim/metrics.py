@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..crypto import blake2b
 from .engine import US
@@ -35,7 +35,7 @@ class MetricsRecord:
     dec_mean_kj: float
     bto_mean: float
     counters: Dict[str, int]
-    committed_keys: FrozenSet[TxKey]
+    committed_keys: Tuple[TxKey, ...]    # ascending
     committed_fingerprint: str
     tbd_samples_s: List[float] = field(repr=False, default_factory=list)
 
@@ -78,8 +78,9 @@ class MetricsCollector:
             "fetch_neighbor": 0,
             "fetch_gcs": 0,
         }
-        self._tx_state: Dict[TxKey, str] = {}
-        self._tx_created_us: Dict[TxKey, int] = {}
+        # Unsettled key -> creation time; a settle pops it, so it counts once.
+        self._pending: Dict[TxKey, int] = {}
+        self._committed_keys: List[TxKey] = []
         self.tbd_samples_s: List[float] = []
         self._bto_sum = 0.0
         self._bto_count = 0
@@ -90,29 +91,23 @@ class MetricsCollector:
 
     def tx_generated(self, key: TxKey, created_at_us: int) -> None:
         self.counters["txs_generated"] += 1
-        self._tx_state[key] = "pending"
-        self._tx_created_us[key] = created_at_us
-
-    def _settle(self, key: TxKey, state: str) -> bool:
-        if self._tx_state.get(key) != "pending":
-            return False
-        self._tx_state[key] = state
-        return True
+        self._pending[key] = created_at_us
 
     def tx_committed(self, key: TxKey, commit_digest: bytes, commit_us: int) -> None:
-        if not self._settle(key, "committed"):
+        created = self._pending.pop(key, None)
+        if created is None:
             return
         self.counters["txs_committed"] += 1
+        self._committed_keys.append(key)
         self._committed_digests.append(commit_digest)
-        created = self._tx_created_us[key]
         self.tbd_samples_s.append((commit_us - created) / US)
 
     def tx_rejected(self, key: TxKey) -> None:
-        if self._settle(key, "rejected"):
+        if self._pending.pop(key, None) is not None:
             self.counters["txs_rejected_invalid"] += 1
 
     def tx_dropped(self, key: TxKey) -> None:
-        if self._settle(key, "dropped"):
+        if self._pending.pop(key, None) is not None:
             self.counters["txs_dropped_expired"] += 1
 
     # --- attacks ---
@@ -154,8 +149,7 @@ class MetricsCollector:
                  consumed_j_per_drone: List[float],
                  packets_dropped: int) -> MetricsRecord:
         self.counters["packets_dropped"] = packets_dropped
-        self.counters["txs_pending_at_end"] = sum(
-            1 for state in self._tx_state.values() if state == "pending")
+        self.counters["txs_pending_at_end"] = len(self._pending)
 
         injected = self.counters["attacks_injected"]
         adr = (self.counters["attacks_detected"] / injected) if injected else None
@@ -164,14 +158,17 @@ class MetricsCollector:
         dec_mean_kj = (sum(consumed_j_per_drone) / len(consumed_j_per_drone) / 1000.0
                        if consumed_j_per_drone else 0.0)
         bto_mean = self._bto_sum / self._bto_count if self._bto_count else 0.0
-        fingerprint = blake2b(
-            b"".join(sorted(self._committed_digests)), digest_size=16).hexdigest()
+        # The sorted digests fed one at a time: a join allocates 80 B per digest.
+        fingerprint = blake2b(digest_size=16)
+        self._committed_digests.sort()
+        for digest in self._committed_digests:
+            fingerprint.update(digest)
+        self._committed_keys.sort()
         return MetricsRecord(
             seed=seed, mode=mode, n_uav=n_uav,
             malicious_fraction=malicious_fraction, data_tx_size=data_tx_size,
             adr=adr, tbd_mean_s=tbd_mean, dec_mean_kj=dec_mean_kj,
             bto_mean=bto_mean, counters=dict(self.counters),
-            committed_keys=frozenset(key for key, state in self._tx_state.items()
-                                     if state == "committed"),
-            committed_fingerprint=fingerprint,
-            tbd_samples_s=list(self.tbd_samples_s))
+            committed_keys=tuple(self._committed_keys),
+            committed_fingerprint=fingerprint.hexdigest(),
+            tbd_samples_s=self.tbd_samples_s)

@@ -39,6 +39,7 @@ from .crypto import (
 
 HASH_LEN = DIGEST_LEN[HashVariant.SPONGENT_224]
 ZERO_HASH = bytes(HASH_LEN)
+COMMIT_LEN = 16  # blake2b-128
 WIRE_VERSION = 1
 
 # The fixed-width runs of the layouts above; each encoder and its decoder
@@ -107,7 +108,7 @@ class Transaction:
     payload_zeros: int
     signature: bytes
     _valid: Optional[bool] = _memo()
-    _facts: Optional[Tuple[HashBackend, bytes, bytes, bytes]] = _memo()
+    _facts: Optional[Tuple[HashBackend, bytes]] = _memo()  # content ‖ leaf ‖ commit
     _size: Optional[int] = _memo()
     _key: Tuple[int, int] = _memo()
 
@@ -223,10 +224,9 @@ class Block:
         return {owner: tuple(indices) for owner, indices in index.items()}
 
     @cached_property
-    def tx_locations(self) -> Dict[Tuple[int, int], Tuple[int, int]]:
-        """Transaction key -> (block_id, index), read by both ledger kinds."""
-        block_id = self.block_id
-        return {tx.key(): (block_id, i) for i, tx in enumerate(self.transactions)}
+    def tx_locations(self) -> Dict[Tuple[int, int], int]:
+        """Transaction key -> its index in this block, read by both ledger kinds."""
+        return {tx.key(): i for i, tx in enumerate(self.transactions)}
 
 
 _SIGNED_FIELDS = attrgetter(*Transaction.__match_args__[:-1])  # in layout order, unsigned
@@ -248,7 +248,7 @@ def _signing_bytes(creator, tx_seq, created_at_us, topic, access_class, owners, 
 
 
 def _with_facts(signing, security_class, backend, make: Callable[[bytes], Transaction]):
-    """``make(content digest)`` with (backend, content digest, Merkle leaf, commit
+    """``make(content digest)`` with (backend, content digest ‖ Merkle leaf ‖ commit
     digest) stored; the leaf continues the SPONGENT-224 state after ``signing``."""
     variant = suite_for_class(security_class).hash_variant
     state = backend.prefix_state(HashVariant.SPONGENT_224, signing)
@@ -256,8 +256,8 @@ def _with_facts(signing, security_class, backend, make: Callable[[bytes], Transa
                              state if variant is HashVariant.SPONGENT_224 else None)
     tx = make(content)
     encoded = signing + (struct.pack(_SIG_LEN, len(tx.signature)) + tx.signature)
-    object.__setattr__(tx, "_facts", (backend, content, backend.digest224(
-        encoded, len(signing), state), blake2b(encoded, digest_size=16).digest()))
+    object.__setattr__(tx, "_facts", (backend, content + backend.digest224(
+        encoded, len(signing), state) + blake2b(encoded, digest_size=COMMIT_LEN).digest()))
     return tx
 
 
@@ -270,28 +270,29 @@ def new_transaction(sign: Callable[[bytes], bytes], backend: HashBackend, **fiel
     return tx
 
 
-def _fact(tx: Transaction, index: int, backend: HashBackend) -> bytes:
-    """A stored fact, all derived afresh unless ``backend`` derived them: the
-    fields are immutable, so a stored fact equals a fresh computation."""
+def _stored_facts(tx: Transaction, backend: HashBackend) -> bytes:
+    """The stored facts, all derived afresh unless ``backend`` derived them: the
+    fields are immutable, so a stored fact equals a fresh computation.  The content
+    digest's length depends on the suite, so each part is sliced from the end."""
     if tx._facts is None or tx._facts[0] is not backend:
         _with_facts(_signing_bytes(*_SIGNED_FIELDS(tx)), tx.security_class, backend, lambda _: tx)
-    return tx._facts[index]
+    return tx._facts[1]
 
 
 def content_digest(tx: Transaction, backend: HashBackend) -> bytes:
     """The suite-variant digest of the signing bytes, which a creator signs."""
-    return _fact(tx, 1, backend)
+    return _stored_facts(tx, backend)[:-HASH_LEN - COMMIT_LEN]
 
 
 def leaf_digest(tx: Transaction, backend: HashBackend) -> bytes:
     """The SPONGENT-224 digest of the encoding; WireError for an invalid transaction."""
     tx.validate()
-    return _fact(tx, 2, backend)
+    return _stored_facts(tx, backend)[-HASH_LEN - COMMIT_LEN:-COMMIT_LEN]
 
 
 def commit_digest(tx: Transaction, backend: HashBackend) -> bytes:
     """The blake2b-128 of the encoding, on every backend: a committed fingerprint entry."""
-    return _fact(tx, 3, backend)
+    return _stored_facts(tx, backend)[-COMMIT_LEN:]
 
 
 def encode_transaction(tx: Transaction) -> bytes:

@@ -119,6 +119,20 @@ def test_append_rejects_gap_and_duplicate(registry):
     assert err.value.code == "duplicate"
 
 
+def test_full_ledger_finds_each_stored_transaction(registry):
+    # the index holds a block id per key; the block maps the key to its slot
+    full = FullLedger(BACKEND)
+    for block_id in range(4):
+        txs = [helpers.make_t1_command(registry, BACKEND, seq=10 * block_id + i)
+               for i in range(3)]
+        full.append_block(_block(registry, block_id, full.tip_digest, txs))
+    for block in (full.blocks[0], full.blocks[2], full.blocks[-1]):
+        for tx in block.transactions:
+            assert full.has_tx(tx.key()) and full.find_transaction(tx.key()) is tx
+    absent = (helpers.GCS_ID, 3)  # the creator's sequence number between blocks 0 and 1
+    assert not full.has_tx(absent) and full.find_transaction(absent) is None
+
+
 # --- access control ---
 
 
@@ -317,7 +331,7 @@ def test_block_facts_equal_a_fresh_recomputation(registry):
     for owner, indices in block.owner_index.items():
         assert indices == tuple(i for i, e in enumerate(block.header.ta_list)
                                 if owner in e.owners)
-    assert block.tx_locations == {tx.key(): (6, i) for i, tx in enumerate(txs)}
+    assert block.tx_locations == {tx.key(): i for i, tx in enumerate(txs)}
 
 
 def test_tampered_copy_derives_its_own_facts(registry):
@@ -331,7 +345,7 @@ def test_tampered_copy_derives_its_own_facts(registry):
         != block.encoded_size
     assert tampered.tx_overheads == (wire.tx_overhead(forged_tx),)
     assert set(tampered.owner_index) == {helpers.DRONE_B}
-    assert tampered.tx_locations == {forged_tx.key(): (7, 0)}
+    assert tampered.tx_locations == {forged_tx.key(): 0}
     # the cache does not take part in equality or hashing
     fresh = dataclasses.replace(block)
     assert fresh == block and hash(fresh) == hash(block)

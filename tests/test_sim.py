@@ -4,6 +4,7 @@ import collections
 import copy
 import dataclasses
 import gc
+import hashlib
 import io
 import tracemalloc
 import weakref
@@ -239,6 +240,63 @@ def test_detection_double_counting_guarded():
     collector.attack_detected(aid)
     collector.attack_detected(aid)
     assert collector.counters["attacks_detected"] == 1
+
+
+def _finalize(collector):
+    return collector.finalize(seed=1, mode="parallel", n_uav=1, malicious_fraction=0.0,
+                              data_tx_size=1, consumed_j_per_drone=[], packets_dropped=0)
+
+
+def test_each_transaction_settles_once():
+    collector = MetricsCollector()
+    for seq in range(6):
+        collector.tx_generated((1, seq), to_us(seq))
+    collector.tx_committed((1, 4), b"\1" * 16, to_us(5))
+    collector.tx_committed((1, 0), bytes(16), to_us(5))
+    collector.tx_rejected((1, 1))
+    collector.tx_dropped((1, 2))
+    # a second settle of any kind, and any settle of an unknown key, count nothing
+    collector.tx_committed((1, 4), b"\2" * 16, to_us(9))
+    collector.tx_rejected((1, 0))
+    collector.tx_dropped((1, 1))
+    collector.tx_committed((1, 2), b"\3" * 16, to_us(9))
+    for settle in (collector.tx_rejected, collector.tx_dropped):
+        settle((7, 7))
+    collector.tx_committed((7, 7), b"\4" * 16, to_us(9))
+    record = _finalize(collector)
+    counters = record.counters
+    assert [counters[name] for name in ("txs_generated", "txs_committed", "txs_rejected_invalid",
+                                        "txs_dropped_expired", "txs_pending_at_end")] \
+        == [6, 2, 1, 1, 2]  # (1, 3) and (1, 5) are left pending
+    assert collector.conservation_ok()
+    assert record.committed_keys == tuple(sorted([(1, 4), (1, 0)]))
+    assert record.tbd_samples_s == [1.0, 5.0]
+    assert record.committed_fingerprint == hashlib.blake2b(
+        bytes(16) + b"\1" * 16, digest_size=16).hexdigest()
+
+
+def test_finalize_holds_a_few_pointers_per_committed_transaction():
+    # a run's peak RSS comes at its end, so finalize may add only a few
+    # pointers per committed transaction; a join of the digests adds ~100 B
+    n = 20_000
+    rng = random.Random(1)
+    keys = [(rng.randrange(1000), seq) for seq in range(n)]
+    rng.shuffle(keys)
+    digests = [rng.randbytes(16) for _ in range(n)]
+    collector = MetricsCollector()
+    for key, digest in zip(keys, digests):
+        collector.tx_generated(key, 0)
+        collector.tx_committed(key, digest, 1)
+    tracemalloc.start()
+    try:
+        record = _finalize(collector)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 32
+    assert record.committed_keys == tuple(sorted(keys))
+    assert record.committed_fingerprint == hashlib.blake2b(
+        b"".join(sorted(digests)), digest_size=16).hexdigest()
 
 
 # --- scenario-level behavior ---
@@ -682,6 +740,38 @@ def test_a_packet_in_flight_holds_little_memory():
     assert grown / 2000 <= 600
     world.sim.run()
     assert len(got) == 2001
+
+
+def test_a_sender_without_energy_drops_its_transaction():
+    world = _world()
+    g = world.topo.gcs_ids[0]
+    drone = world.agents[world.topo.drones_of_gcs(g)[0]]
+    got = _arrivals(world, g)
+    drone.energy.remaining_j = 1e-9  # signing the report empties the battery
+    drone._send_report()
+    world.sim.run()
+    counters = world.metrics.counters
+    assert not drone.energy.active
+    assert counters["txs_generated"] == counters["txs_dropped_expired"] == 1
+    assert got == [] and world.net.uplink[g].free_at_us == 0  # nothing was queued
+
+
+def test_a_relay_that_dies_mid_path_forwards_nothing():
+    world = _world()
+    swarm = world.topo.uavns[0].drone_ids
+    _line_up(world, swarm, 250.0)  # each drone reaches only its neighbours
+    got = _arrivals(world, swarm[3])
+    expired = []
+    relay, next_relay = (world.agents[d] for d in swarm[1:3])
+    relay.energy.remaining_j = 1e-9  # receiving the first hop empties the battery
+    world.send(swarm[0], swarm[3], "fetch-req", None, 1234,
+               on_expired=lambda: expired.append(world.sim.now_us))
+    world.sim.run()
+    assert not relay.energy.active
+    assert next_relay.energy.consumed_j == 0  # nothing reached the second relay
+    assert got == []
+    # the loss is counted nowhere (ROADMAP item 4 gives it one loss point)
+    assert expired == [] and world.net.total_dropped() == 0
 
 
 # --- end-to-end properties ---

@@ -230,9 +230,15 @@ def test_facts_stored_at_build_equal_those_a_decoded_copy_derives(backend):
         encoded = wire.encode_transaction(tx)
         fresh = wire.decode_transaction(encoded)
         assert fresh._facts is None
-        assert tx._facts == (backend, wire.content_digest(fresh, backend),
-                             wire.leaf_digest(fresh, backend), wire.commit_digest(fresh, backend))
-        assert tx._facts[3] == hashlib.blake2b(encoded, digest_size=16).digest()
+        stored = tx._facts
+        assert stored[0] is backend
+        derived = (wire.content_digest(fresh, backend), wire.leaf_digest(fresh, backend),
+                   wire.commit_digest(fresh, backend))
+        assert (wire.content_digest(tx, backend), wire.leaf_digest(tx, backend),
+                wire.commit_digest(tx, backend)) == derived
+        assert tx._facts is stored  # read from the record, not derived again
+        assert stored[1] == b"".join(derived)
+        assert derived[2] == hashlib.blake2b(encoded, digest_size=16).digest()
         assert wire.encoded_tx_size(tx) == wire.encoded_tx_size(fresh) == len(encoded)
 
 
