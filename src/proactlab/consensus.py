@@ -170,11 +170,13 @@ def renumber_after_void(entries: Dict[int, V], voided_id: int,
     return renumbered
 
 
-def rotate_bo(ca_ids: Sequence[int], now_s: float, t_bo_s: float) -> int:
-    """Round-robin orderer duty among the control authorities."""
+def rotate_bo(ca_ids: Sequence[int], now_us: int, t_bo_us: int) -> int:
+    """Round-robin orderer duty among the control authorities, in turns of
+    ``t_bo_us``.  Time is in integer microseconds, so each turn starts
+    exactly on its boundary."""
     if not ca_ids:
         raise ConsensusError("no control authorities")
-    return ca_ids[int(now_s // t_bo_s) % len(ca_ids)]
+    return ca_ids[now_us // t_bo_us % len(ca_ids)]
 
 
 # --- block orderer ----------------------------------------------------------

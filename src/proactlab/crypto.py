@@ -62,13 +62,6 @@ class SecurityClass(IntEnum):
     S2_C2 = 3
 
 
-class SecurityLevel(IntEnum):
-    """Caller-facing security requirement; the tier is picked by duration."""
-
-    S1 = 1
-    S2 = 2
-
-
 SBOX = (0xE, 0xD, 0xB, 0x0, 0x2, 0x1, 0x4, 0xF, 0x7, 0xA, 0x8, 0x5, 0x9, 0xC, 0x3, 0x6)
 
 # state bits, rate bits, digest bits, rounds, LFSR width, LFSR taps, LFSR seed
@@ -295,15 +288,13 @@ SHORT_MISSION_MAX_S = 600.0
 LONG_MISSION_MAX_S = 3600.0
 
 
-def select_suite(level: SecurityLevel, mission_duration_s: float) -> CryptoSuite:
-    """Pick the cipher/hash tier for a security level and mission length.
+def select_suite(mission_duration_s: float) -> CryptoSuite:
+    """Pick the temporary-security (S2) cipher/hash tier for a mission length.
 
-    Permanent-security data always gets the 256-bit tier.  Temporary
-    security uses the 64-bit tier below ten minutes and the 128-bit tier up
-    to one hour; longer missions have no supported tier.
+    S2 uses the 64-bit tier below ten minutes and the 128-bit tier up to one
+    hour; longer missions have no supported tier.  Permanent-security data
+    always gets the 256-bit tier, which callers name as ``SUITE_S1``.
     """
-    if level is SecurityLevel.S1:
-        return SUITE_S1
     if mission_duration_s <= 0:
         raise UnsupportedTierError("mission duration must be positive for S2")
     if mission_duration_s < SHORT_MISSION_MAX_S:
@@ -428,9 +419,6 @@ class KeyRegistry:
 
     def has_node(self, node_id: int) -> bool:
         return node_id in self._nodes
-
-    def is_ca(self, node_id: int) -> bool:
-        return node_id in self._cas
 
     def public_key(self, node_id: int) -> bytes:
         try:

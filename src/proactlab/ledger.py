@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from . import crypto, txbuild, wire
 from .crypto import HashBackend, KeyRegistry
-from .wire import AccessClass, Block, BlockTarget, Transaction, WireError
+from .wire import Block, BlockTarget, Transaction, WireError
 
 
 class LedgerError(Exception):
@@ -201,14 +201,10 @@ def check_access(requester: int, request_signature: bytes, tx: Transaction,
     if not request_is_genuine(requester, tx.creator, tx.tx_seq, request_signature,
                               registry, backend):
         return AccessDecision(Verdict.DENY, IncidentDraft(requester, "forgery", tx.key()))
-    if (tx.access_class is AccessClass.PUBLIC or requester in tx.owners
-            or registry.is_ca(requester)):
+    if registry.may_open(requester, tx.owners):
         return AccessDecision(Verdict.ALLOW)
     return AccessDecision(Verdict.DENY,
                           IncidentDraft(requester, "unauthorized-access", tx.key()))
-
-
-DEFAULT_DRONE_CAPACITY = 4 * 1024 * 1024
 
 
 class DroneLedger:
@@ -222,7 +218,7 @@ class DroneLedger:
     ``tx_locations``; the ledger keeps no per-transaction state.
     """
 
-    def __init__(self, drone_id: int, capacity_bytes: int = DEFAULT_DRONE_CAPACITY):
+    def __init__(self, drone_id: int, capacity_bytes: int):
         self.drone_id = drone_id
         self.capacity_bytes = capacity_bytes
         self.blocks: List[Block] = []  # ascending block_id

@@ -58,7 +58,7 @@ class ReportMeta:
 @dataclass(slots=True)
 class FetchRequest:
     requester: int
-    key: Optional[TxKey]          # None = newest private transaction
+    key: Optional[TxKey]          # None = a probe for the target's private data
     signature: bytes
     attack_id: Optional[int] = None
 
@@ -124,6 +124,7 @@ class World:
         self.n_tgcs = len(topo.tgcs_ids)
         self.roster: List[Tuple[int, str, str]] = []  # (node_id, role, real id)
         self._plans: Dict[Tuple[int, int], Tuple[Tuple[Link, int], ...]] = {}
+        self.t_bo_us = to_us(cfg.t_bo_s)
 
     # --- role helpers ---
 
@@ -168,8 +169,7 @@ class World:
         return self.sim.now_us < self.sim_end_us
 
     def acting_bo(self) -> int:
-        now_s = self.sim.now_us / 1e6
-        return rotate_bo(self.topo.ca_ids, now_s, self.cfg.t_bo_s)
+        return rotate_bo(self.topo.ca_ids, self.sim.now_us, self.t_bo_us)
 
     def suite_for_uavn(self, uavn_id: int) -> crypto.CryptoSuite:
         if self.cfg.force_s1:
@@ -188,10 +188,16 @@ class World:
         hops = self._hops(src, dst)
         if hops is None:
             self.net.packets_dropped += 1
-            if on_expired is not None:
-                on_expired()
+            self._lost(on_expired)
             return
         self._send_hop(packet, total, hops, 0, on_expired)
+
+    @staticmethod
+    def _lost(on_expired) -> None:
+        """Where every lost packet ends: no route, a sender or a relay out of
+        energy, or its retries used up.  Its sender hears of it if it asked."""
+        if on_expired is not None:
+            on_expired()
 
     def _hops(self, src: int, dst: int) -> Optional[Sequence[Tuple[Link, int]]]:
         """Hop plan as (link, receiver) pairs; None when no route exists.
@@ -250,6 +256,7 @@ class World:
             agent = self.agents[receiver]
             agent.energy.account_rx(size, self.sim.now_us)
             if not agent.energy.active and not last:
+                self._lost(on_expired)
                 return
         if last:
             self.agents[packet.dst].on_packet(packet)
@@ -263,8 +270,7 @@ class World:
             payer = self.agents[energy_payer]
             payer.energy.account_tx(size, self.sim.now_us)
             if not payer.energy.active:
-                if on_expired is not None:
-                    on_expired()
+                self._lost(on_expired)
                 return
         if link.send(self.sim, size, deliver):
             return
@@ -272,8 +278,8 @@ class World:
             delay = to_us(self.cfg.retry_backoff_s * (2 ** attempt))
             self.sim.schedule_in(delay, partial(self._send_on_link, link, size, deliver,
                                                 on_expired, energy_payer, attempt + 1))
-        elif on_expired is not None:
-            on_expired()
+        else:
+            self._lost(on_expired)
 
     def broadcast_tgcs(self, src: int, kind: str, payload: object, size: int,
                        include_bo: bool = False) -> None:
@@ -446,10 +452,9 @@ class DroneAgent(Agent):
             if key not in self._known_set:
                 self._known_set.add(key)
                 self.known_refs.append(key)
-            if tx.access_class is not AccessClass.PUBLIC and \
-                    self.w.registry.may_open(self.id, tx.owners):
-                suite = crypto.suite_for_class(tx.security_class)
-                self.energy.account_crypto(suite, tx.payload_len(), now)
+            # an owner opens it: a public transaction has no owners
+            suite = crypto.suite_for_class(tx.security_class)
+            self.energy.account_crypto(suite, tx.payload_len(), now)
 
     def _serve_fetch(self, packet: Packet) -> None:
         request: FetchRequest = packet.payload
@@ -464,30 +469,15 @@ class DroneAgent(Agent):
         self.w.send(self.id, packet.src, "fetch-resp", response, size)
 
     def _answer_probe(self, request: FetchRequest) -> FetchReply:
-        """A keyless request asks for this drone's private data; the access
-        decision follows ownership, not whether a matching transaction
-        happens to be stored right now."""
-        registry = self.w.registry
+        """A keyless request asks for this drone's private data, which only
+        the drone itself and a CA may read.  Only another drone sends one
+        (``_attack``), so it is denied: as unauthorized when its signature is
+        genuine, as a forgery when it is not."""
         genuine = ledger.request_is_genuine(request.requester, 0, 0, request.signature,
-                                            registry, self.w.backend)
-        if genuine and (request.requester == self.id or registry.is_ca(request.requester)):
-            tx = self._newest_private_tx()
-            if tx is None:
-                return FetchResponse(None, None, "not-found"), 64, None
-            return FetchResponse(tx.key(), tx, "ok"), wire.encoded_tx_size(tx), None
+                                            self.w.registry, self.w.backend)
         reason = "unauthorized-access" if genuine else "forgery"
         return (FetchResponse(None, None, "denied"), 64,
                 IncidentDraft(request.requester, reason, (self.id, 0)))
-
-    def _newest_private_tx(self) -> Optional[Transaction]:
-        newest: Optional[Transaction] = None
-        for block in self.ledger.blocks:
-            for i in block.owner_index[self.id]:
-                tx = block.transactions[i]
-                if tx.access_class is AccessClass.SINGLE:
-                    if newest is None or tx.created_at_us > newest.created_at_us:
-                        newest = tx
-        return newest
 
     def _emit_incident(self, incident: IncidentDraft, attack_id: Optional[int]) -> None:
         """Security-incident transaction sealed to this drone's station."""
@@ -537,17 +527,16 @@ class GcsAgent(Agent):
     def _command_group(self) -> None:
         cfg = self.w.cfg
         rng = self.w.rngs["groups"]
-        my_uavns = [u for u in self.w.topo.uavns if u.gcs_id == self.id]
-        if my_uavns:
-            uavn = rng.choice(my_uavns)
-            size = min(rng.randint(cfg.group_min, cfg.group_max), len(uavn.drone_ids))
-            if size >= 2:
-                members = tuple(sorted(rng.sample(uavn.drone_ids, size)))
-                self.w.registry.group_keygen(self.ca_id, members)
-                suite = self.w.suite_for_uavn(uavn.uavn_id)
-                self.intake_tx(self.new_tx(suite, AccessClass.GROUP, members,
-                                           BlockTarget.BLOCK_T1,
-                                           bytes(cfg.command_payload_bytes)))
+        # every station has at least one swarm (uavn_per_gcs >= 1)
+        uavn = rng.choice([u for u in self.w.topo.uavns if u.gcs_id == self.id])
+        size = min(rng.randint(cfg.group_min, cfg.group_max), len(uavn.drone_ids))
+        if size >= 2:
+            members = tuple(sorted(rng.sample(uavn.drone_ids, size)))
+            self.w.registry.group_keygen(self.ca_id, members)
+            suite = self.w.suite_for_uavn(uavn.uavn_id)
+            self.intake_tx(self.new_tx(suite, AccessClass.GROUP, members,
+                                       BlockTarget.BLOCK_T1,
+                                       bytes(cfg.command_payload_bytes)))
 
     # --- transaction intake and detection ---
 
@@ -817,7 +806,7 @@ class CaAgent(ProtocolAgent):
             self.orderer.open(OrderingState(next_block_id=1,
                                             sequential=cfg.mode == "sequential"))
         if len(self.w.topo.ca_ids) > 1:
-            sim.schedule_at(to_us(cfg.t_bo_s), self._rotation_tick)
+            sim.schedule_at(self.w.t_bo_us, self._rotation_tick)
 
     # --- genesis ---
 
@@ -870,11 +859,11 @@ class CaAgent(ProtocolAgent):
         return self.w.workload_open()
 
     def _rotation_tick(self) -> None:
-        now_s = self.w.sim.now_us / 1e6
         acting = self.w.acting_bo()
         if self.orderer.ordering is not None and acting != self.id:
             state = self.orderer.close().encode()
             self.w.send(self.id, acting, "bo-handoff", state, len(state))
         if self.w.workload_open():
-            next_boundary = (int(now_s // self.w.cfg.t_bo_s) + 1) * self.w.cfg.t_bo_s
-            self.w.sim.schedule_at(to_us(next_boundary), self._rotation_tick)
+            t_bo_us = self.w.t_bo_us
+            self.w.sim.schedule_at((self.w.sim.now_us // t_bo_us + 1) * t_bo_us,
+                                   self._rotation_tick)

@@ -17,10 +17,10 @@ from .engine import US
 
 @dataclass(frozen=True)
 class EnergyCoefficients:
-    e_tx_uj_per_byte: float = 2.0
-    e_rx_uj_per_byte: float = 1.0
-    p_flight_w: float = 250.0
-    initial_j: float = 3_600_000.0
+    e_tx_uj_per_byte: float
+    e_rx_uj_per_byte: float
+    p_flight_w: float
+    initial_j: float
 
 
 class EnergyState:

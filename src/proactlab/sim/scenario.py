@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional, TextIO
 
 from .. import consensus, crypto
-from ..crypto import KeyRegistry, SecurityLevel, select_suite
+from ..crypto import KeyRegistry, select_suite
 
 from .agents import CaAgent, DroneAgent, GcsAgent, TgcsAgent, World
 from .engine import Simulator
@@ -174,7 +174,7 @@ def build_world(cfg: ScenarioConfig, event_log: Optional[TextIO] = None) -> Worl
 
     for uavn in topo.uavns:
         duration = rngs["missions"].uniform(cfg.mission_min_s, cfg.mission_max_s)
-        world.uavn_suite[uavn.uavn_id] = select_suite(SecurityLevel.S2, duration)
+        world.uavn_suite[uavn.uavn_id] = select_suite(duration)
 
     n_malicious = round(cfg.malicious_fraction * len(drone_ids))
     world.malicious = set(rngs["malice"].sample(drone_ids, n_malicious))

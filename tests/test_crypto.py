@@ -7,7 +7,6 @@ from proactlab import crypto, wire
 from proactlab.crypto import (
     HashVariant,
     SecurityClass,
-    SecurityLevel,
     TamperedError,
     UnsupportedTierError,
     select_suite,
@@ -41,30 +40,23 @@ def test_signature_and_tag_lengths_follow_key_bits():
     assert crypto.SUITE_S1.tag_len == 28
 
 
-def test_select_suite_s1_ignores_duration():
-    for duration in (1, 300, 10_000):
-        suite = select_suite(SecurityLevel.S1, duration)
-        assert suite.key_bits == 256
-        assert suite.hash_variant is HashVariant.SPONGENT_224
-
-
 def test_select_suite_short_mission():
-    suite = select_suite(SecurityLevel.S2, 540)
+    suite = select_suite(540)
     assert suite.key_bits == 64
     assert suite.hash_variant is HashVariant.SPONGENT_88
 
 
 def test_select_suite_boundary_at_600s_goes_to_128():
-    assert select_suite(SecurityLevel.S2, 600).key_bits == 128
-    assert select_suite(SecurityLevel.S2, 599.999).key_bits == 64
-    assert select_suite(SecurityLevel.S2, 3600).key_bits == 128
+    assert select_suite(600).key_bits == 128
+    assert select_suite(599.999).key_bits == 64
+    assert select_suite(3600).key_bits == 128
 
 
 def test_select_suite_rejects_unsupported_tier():
     with pytest.raises(UnsupportedTierError):
-        select_suite(SecurityLevel.S2, 3601)
+        select_suite(3601)
     with pytest.raises(UnsupportedTierError):
-        select_suite(SecurityLevel.S2, 0)
+        select_suite(0)
 
 
 def test_only_three_class_suites_exist():

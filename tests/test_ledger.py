@@ -15,11 +15,13 @@ from proactlab.ledger import (
     sign_access_request,
     validate_block,
 )
+from proactlab.sim import default_config
 from proactlab.wire import AccessClass, BlockTarget
 
 import helpers
 
 BACKEND = crypto.SIMULATED_BACKEND
+CAPACITY = default_config().drone_capacity_bytes
 
 
 def _block(registry, block_id, prev_hash, txs, block_type=BlockTarget.BLOCK_T1,
@@ -228,7 +230,7 @@ def test_block_larger_than_capacity_rejected(registry):
 
 
 def test_drone_ledger_rejects_foreign_blocks(registry):
-    dl = DroneLedger(helpers.DRONE_B)
+    dl = DroneLedger(helpers.DRONE_B, CAPACITY)
     block = _drone_block(registry, 1, seqs=[1], owner=helpers.DRONE_A)
     with pytest.raises(LedgerError) as err:
         dl.store_block(block)
@@ -236,7 +238,7 @@ def test_drone_ledger_rejects_foreign_blocks(registry):
 
 
 def test_drone_ledger_rejects_ground_only_blocks(registry):
-    dl = DroneLedger(helpers.DRONE_A)
+    dl = DroneLedger(helpers.DRONE_A, CAPACITY)
     tx = helpers.make_t3_data(registry, BACKEND)
     block = _block(registry, 1, wire.ZERO_HASH, [tx], block_type=BlockTarget.BLOCK_T2)
     with pytest.raises(LedgerError) as err:
@@ -290,13 +292,13 @@ def test_mixed_owner_block_stored_for_owners_only(registry):
     mine = helpers.make_t1_command(registry, BACKEND, owner=helpers.DRONE_A, seq=1)
     theirs = helpers.make_t1_command(registry, BACKEND, owner=helpers.DRONE_B, seq=2)
     block = _block(registry, 5, wire.ZERO_HASH, [theirs, mine])
-    stranger = DroneLedger(helpers.GROUP_MEMBERS[-1])
+    stranger = DroneLedger(helpers.GROUP_MEMBERS[-1], CAPACITY)
     with pytest.raises(LedgerError) as err:
         stranger.store_block(block)
     assert err.value.code == "not_owner"
     assert stranger.blocks == [] and not stranger.has_tx(mine.key())
     for owner in (helpers.DRONE_A, helpers.DRONE_B):
-        dl = DroneLedger(owner)
+        dl = DroneLedger(owner, CAPACITY)
         dl.store_block(block)
         # the whole block is held, so every transaction in it is indexed
         assert dl.has_tx(mine.key()) and dl.has_tx(theirs.key())
