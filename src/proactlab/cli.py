@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import crypto, selfcheck
 from .config import load_scenarios
 from .sim.metrics import CSV_COLUMNS, MetricsRecord, _fmt
-from .sim.scenario import ConfigError, ScenarioConfig, default_config, run
+from .sim.scenario import CONSENSUS_MODES, ConfigError, ScenarioConfig, default_config, run
 
 OUT_DIR_ENV = "PROACTLAB_OUT_DIR"
 
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", help="scenario file (INI); defaults built in")
     run_p.add_argument("--seeds", default="1", help="comma-separated seed list")
     run_p.add_argument("--out", help=f"output directory (or ${OUT_DIR_ENV})")
-    run_p.add_argument("--mode", choices=["parallel", "sequential"],
+    run_p.add_argument("--mode", choices=CONSENSUS_MODES,
                        help="override the configured consensus mode")
     run_p.add_argument("--force", action="store_true",
                        help="overwrite existing output files")

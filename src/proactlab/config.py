@@ -3,15 +3,16 @@
 Section headers group related keys; a key may appear in any section, but
 only once per file ([DEFAULT] is an ordinary section).  Keys are exactly the
 ScenarioConfig field names.  A comma-separated value list on a numeric key
-declares a sweep axis; multiple axes expand to their cross-product in
-declaration order.
+declares a sweep axis of distinct values; multiple axes expand to their
+cross-product, the first declared axis varying slowest.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
-from typing import Dict, List, Tuple
+import itertools
+from typing import Dict, List
 
 from .sim.scenario import ConfigError, ScenarioConfig
 
@@ -53,7 +54,7 @@ def load_scenarios(path) -> List[ScenarioConfig]:
         raise ConfigError([f"cannot read scenario file {path}"])
 
     base: Dict[str, object] = {}
-    sweeps: List[Tuple[str, List[object]]] = []
+    sweeps: Dict[str, List[object]] = {}
     problems: List[str] = []
     section_of: Dict[str, str] = {}
     for section, items in sections:
@@ -69,22 +70,17 @@ def load_scenarios(path) -> List[ScenarioConfig]:
                 values = [_parse_scalar(key, part) for part in raw.split(",") if part.strip()]
                 if not values:
                     problems.append(f"{key}: empty sweep list")
-                    continue
-                sweeps.append((key, values))
+                elif len(set(values)) < len(values):
+                    problems.append(f"{key}: sweep list repeats a value")
+                else:
+                    sweeps[key] = values
             else:
                 base[key] = _parse_scalar(key, raw)
     if problems:
         raise ConfigError(problems)
 
-    configs = [ScenarioConfig(**base)]
-    for field_name, values in sweeps:
-        configs = [dataclasses.replace(cfg, **{field_name: value})
-                   for value in values for cfg in configs]
-    # keep declaration order: first axis varies slowest
-    if sweeps:
-        configs.sort(key=lambda cfg: tuple(
-            values.index(getattr(cfg, field_name))
-            for field_name, values in sweeps))
+    configs = [ScenarioConfig(**base, **dict(zip(sweeps, point)))
+               for point in itertools.product(*sweeps.values())]
     for cfg in configs:
         cfg.validate()
     return configs

@@ -43,6 +43,17 @@ from .netmodel import Link, next_leg
 
 TxKey = Tuple[int, int]
 
+# Fixed model inputs that no scenario varies.
+UAV_RANGE_M = 300.0              # drone-to-drone radio range
+COMMAND_PAYLOAD_BYTES = 100      # a station's or an authority's command
+T4_PAYLOAD_BYTES = 1024          # a security-incident transaction, padded
+DRAIN_LIMIT_S = 1800.0           # how long the engine runs past the workload
+PACKET_OVERHEAD_BYTES = 16       # added to every packet's payload size
+RETRY_BACKOFF_S = 0.05           # doubles with each retry of a refused send
+ASSEMBLY_INTERVAL_S = 0.1        # a miner's assembly tick
+MAX_BLOCK_BYTES = 512 * 1024     # encoded transactions per block, at most
+MAX_PENDING_BLOCKS = 4           # a miner drafts no more while this many wait
+
 
 @dataclass(slots=True)
 class ReportMeta:
@@ -130,8 +141,8 @@ class World:
 
     def energy_for_drone(self) -> EnergyState:
         cfg = self.cfg
-        coeffs = EnergyCoefficients(cfg.e_tx_uj_per_byte, cfg.e_rx_uj_per_byte,
-                                    cfg.p_flight_w, cfg.initial_energy_j)
+        coeffs = EnergyCoefficients(cfg.e_rx_uj_per_byte, cfg.p_flight_w,
+                                    cfg.initial_energy_j)
         return EnergyState(coeffs, self.sim_end_us)
 
     def run(self) -> None:
@@ -145,7 +156,7 @@ class World:
         try:
             for node_id in sorted(self.agents):
                 self.agents[node_id].start()
-            self.sim.run(horizon_us=self.sim_end_us + to_us(self.cfg.drain_limit_s))
+            self.sim.run(horizon_us=self.sim_end_us + to_us(DRAIN_LIMIT_S))
         finally:
             if enabled:
                 gc.enable()
@@ -182,7 +193,7 @@ class World:
              size: int, meta: Optional[dict] = None,
              on_expired=None) -> None:
         packet = Packet(kind, src, dst, payload, meta)
-        total = size + self.cfg.packet_overhead_bytes
+        total = size + PACKET_OVERHEAD_BYTES
         if self.sim.event_log is not None:
             self.sim.log(str(src), kind, f"to={dst} bytes={total}")
         hops = self._hops(src, dst)
@@ -217,7 +228,7 @@ class World:
 
     def _mesh_route(self, src: int, dst: int) -> Optional[List[Tuple[Link, int]]]:
         """Mesh hops on a shortest path over the swarm's current radio graph."""
-        now, cfg, topo = self.sim.now_us, self.cfg, self.topo
+        now, topo = self.sim.now_us, self.topo
         uavn = topo.uavns[topo.drone_uavn[src]]
         mesh = self.net.mesh[uavn.uavn_id]
         frontier = [src]
@@ -228,7 +239,7 @@ class World:
                 for peer in uavn.drone_ids:
                     if peer in parents:
                         continue
-                    if topo.distance(node, peer, now) <= cfg.uav_range_m:
+                    if topo.distance(node, peer, now) <= UAV_RANGE_M:
                         parents[peer] = node
                         if peer == dst:
                             hops = []
@@ -275,7 +286,7 @@ class World:
         if link.send(self.sim, size, deliver):
             return
         if attempt + 1 <= self.cfg.max_retries:
-            delay = to_us(self.cfg.retry_backoff_s * (2 ** attempt))
+            delay = to_us(RETRY_BACKOFF_S * (2 ** attempt))
             self.sim.schedule_in(delay, partial(self._send_on_link, link, size, deliver,
                                                 on_expired, energy_payer, attempt + 1))
         else:
@@ -421,7 +432,7 @@ class DroneAgent(Agent):
         for peer in self.w.topo.peers_of_drone(self.id):
             agent = self.w.agents[peer]
             if agent.ledger.has_tx(key) and \
-                    self.w.topo.distance(self.id, peer, now) <= self.w.cfg.uav_range_m:
+                    self.w.topo.distance(self.id, peer, now) <= UAV_RANGE_M:
                 self.w.send(self.id, peer, "fetch-req", request, 96)
                 return
         self.w.send(self.id, self.gcs_id, "fetch-req", request, 96)
@@ -483,7 +494,7 @@ class DroneAgent(Agent):
         """Security-incident transaction sealed to this drone's station."""
         body = incident.payload()
         tx = self.new_tx(self.suite, AccessClass.SINGLE, (self.gcs_id,), BlockTarget.BLOCK_T1,
-                         body, max(0, self.w.cfg.t4_payload_bytes - len(body)))
+                         body, max(0, T4_PAYLOAD_BYTES - len(body)))
         self._send_own_tx(tx, self.suite, {"incident_attack_id": attack_id})
 
 
@@ -522,7 +533,7 @@ class GcsAgent(Agent):
             suite = self.w.suite_for_uavn(self.w.topo.drone_uavn[drone])
             self.intake_tx(self.new_tx(suite, AccessClass.SINGLE, (drone,),
                                        BlockTarget.BLOCK_T1,
-                                       bytes(self.w.cfg.command_payload_bytes)))
+                                       bytes(COMMAND_PAYLOAD_BYTES)))
 
     def _command_group(self) -> None:
         cfg = self.w.cfg
@@ -536,7 +547,7 @@ class GcsAgent(Agent):
             suite = self.w.suite_for_uavn(uavn.uavn_id)
             self.intake_tx(self.new_tx(suite, AccessClass.GROUP, members,
                                        BlockTarget.BLOCK_T1,
-                                       bytes(cfg.command_payload_bytes)))
+                                       bytes(COMMAND_PAYLOAD_BYTES)))
 
     # --- transaction intake and detection ---
 
@@ -678,8 +689,7 @@ class TgcsAgent(ProtocolAgent, GcsAgent):
 
     def start(self) -> None:
         super().start()
-        self.arm("assembly", self.w.rngs["workload"].uniform(
-            0, self.w.cfg.assembly_interval_s))
+        self.arm("assembly", self.w.rngs["workload"].uniform(0, ASSEMBLY_INTERVAL_S))
 
     def miner_intake(self, tx: Transaction) -> None:
         key = tx.key()
@@ -687,7 +697,7 @@ class TgcsAgent(ProtocolAgent, GcsAgent):
             return
         self._intake_keys.add(key)
         self.intake.append(tx)
-        self.arm("assembly", self.w.cfg.assembly_interval_s)
+        self.arm("assembly", ASSEMBLY_INTERVAL_S)
 
     def on_packet(self, packet: Packet) -> None:
         kind, station = packet.kind, self.station
@@ -714,8 +724,7 @@ class TgcsAgent(ProtocolAgent, GcsAgent):
 
     def on_timer(self, kind: str, block_id: int) -> None:
         """The assembly tick, this agent's only timer."""
-        cfg = self.w.cfg
-        if self.intake and self.station.backlog < cfg.max_pending_blocks:
+        if self.intake and self.station.backlog < MAX_PENDING_BLOCKS:
             batch, overflow = self._take_batch()
             valid = [tx for tx in batch if self._tx_valid(tx)]
             self.intake = overflow
@@ -724,7 +733,7 @@ class TgcsAgent(ProtocolAgent, GcsAgent):
             if drafts:
                 self.station.submit(drafts, self.w.sim.now_us)
         if self.intake or self.w.workload_open():
-            self.arm("assembly", cfg.assembly_interval_s)
+            self.arm("assembly", ASSEMBLY_INTERVAL_S)
 
     def _take_batch(self) -> Tuple[List[Transaction], List[Transaction]]:
         cfg = self.w.cfg
@@ -737,7 +746,7 @@ class TgcsAgent(ProtocolAgent, GcsAgent):
             size = wire.encoded_tx_size(tx)
             target = tx.block_target
             if counts[target] + 1 > cfg.max_txs_per_block or \
-                    sizes[target] + size > cfg.max_block_bytes:
+                    sizes[target] + size > MAX_BLOCK_BYTES:
                 overflow.append(tx)
             else:
                 counts[target] += 1
@@ -832,7 +841,7 @@ class CaAgent(ProtocolAgent):
     def _command_stations(self) -> None:
         for gcs in self.my_gcs_ids:
             tx = self.new_tx(SUITE_S1, AccessClass.SINGLE, (gcs,), BlockTarget.BLOCK_T2,
-                             bytes(self.w.cfg.command_payload_bytes))
+                             bytes(COMMAND_PAYLOAD_BYTES))
             self.w.send(self.id, gcs, "tx", tx, wire.encoded_tx_size(tx))
 
     # --- orderer duty ---

@@ -14,10 +14,11 @@ from ..crypto import CryptoSuite
 
 from .engine import US
 
+E_TX_UJ_PER_BYTE = 2.0  # radio transmit cost, which no scenario varies
+
 
 @dataclass(frozen=True)
 class EnergyCoefficients:
-    e_tx_uj_per_byte: float
     e_rx_uj_per_byte: float
     p_flight_w: float
     initial_j: float
@@ -52,7 +53,7 @@ class EnergyState:
 
     def account_tx(self, n_bytes: int, now_us: int) -> None:
         self.update_flight(now_us)
-        self._drain(self.coeffs.e_tx_uj_per_byte * n_bytes * 1e-6)
+        self._drain(E_TX_UJ_PER_BYTE * n_bytes * 1e-6)
 
     def account_rx(self, n_bytes: int, now_us: int) -> None:
         self.update_flight(now_us)

@@ -22,6 +22,16 @@ from .metrics import MetricsCollector, MetricsRecord
 from .netmodel import LinkModel, Network, place_topology
 
 
+CONSENSUS_MODES = ("parallel", "sequential")
+
+# Fixed model inputs that no scenario varies: the range a swarm's mission
+# length is drawn from (its upper end is the longest mission S2 covers), the
+# wireless link latency and the wired link bandwidth (bytes per second).
+MISSION_RANGE_S = (300.0, crypto.LONG_MISSION_MAX_S)
+WIRELESS_LATENCY_S = 0.002
+WIRED_BW_BPS = 12_500_000.0
+
+
 class ConfigError(Exception):
     def __init__(self, problems):
         self.problems = list(problems)
@@ -38,7 +48,6 @@ class ScenarioConfig:
     uav_per_uavn: int = 10
     # geometry
     gcs_range_m: float = 1000.0
-    uav_range_m: float = 300.0
     disc_radius_m: float = 600.0
     gcs_spacing_m: float = 2500.0
     uav_speed_min: float = 20.0
@@ -49,8 +58,6 @@ class ScenarioConfig:
     w_detect_s: float = 4.0
     # workload
     data_tx_size: int = 10240
-    command_payload_bytes: int = 100
-    t4_payload_bytes: int = 1024
     t1_interval_s: float = 1.0
     t2_interval_s: float = 10.0
     t3_interval_s: float = 2.0
@@ -58,30 +65,21 @@ class ScenarioConfig:
     group_min: int = 5
     group_max: int = 10
     fetch_interval_s: float = 5.0
-    mission_min_s: float = 300.0
-    mission_max_s: float = 3600.0
     # attacks
     malicious_fraction: float = 0.2
     attack_interval_s: float = 10.0
     # run control
     sim_duration_s: float = 30.0
-    drain_limit_s: float = 1800.0
     seed: int = 1
     mode: str = "parallel"
     hash_backend: str = "simulated"
     force_s1: bool = False
     # network
-    wireless_latency_s: float = 0.002
     wireless_bw_bps: float = 1_250_000.0
     wireless_queue_bytes: int = 0
     wired_latency_s: float = 0.005
-    wired_bw_bps: float = 12_500_000.0
-    wired_queue_bytes: int = 0
-    packet_overhead_bytes: int = 16
     max_retries: int = 3
-    retry_backoff_s: float = 0.05
     # energy
-    e_tx_uj_per_byte: float = 2.0
     e_rx_uj_per_byte: float = 1.0
     p_flight_w: float = 250.0
     initial_energy_j: float = 3_600_000.0
@@ -91,10 +89,7 @@ class ScenarioConfig:
     t_bis_s: float = 0.05
     t_blk_s: float = 5.0
     t_bo_s: float = 600.0
-    assembly_interval_s: float = 0.1
     max_txs_per_block: int = 128
-    max_block_bytes: int = 512 * 1024
-    max_pending_blocks: int = 4
 
     @property
     def n_uav(self) -> int:
@@ -112,16 +107,14 @@ class ScenarioConfig:
             problems.append("malicious_fraction must lie in [0, 1]")
         if self.sim_duration_s <= 0:
             problems.append("sim_duration_s must be positive")
-        if self.mode not in ("parallel", "sequential"):
-            problems.append("mode must be parallel or sequential")
+        if self.mode not in CONSENSUS_MODES:
+            problems.append(f"mode must be {' or '.join(CONSENSUS_MODES)}")
         if self.hash_backend not in ("simulated", "spongent"):
             problems.append("hash_backend must be simulated or spongent")
         if self.data_tx_size < 64:
             problems.append("data_tx_size must be at least 64 bytes")
         if self.group_min < 2 or self.group_max < self.group_min:
-            problems.append("group size bounds must satisfy 2 <= min <= max")
-        if not 0 < self.mission_min_s <= self.mission_max_s <= 3600.0:
-            problems.append("mission bounds must satisfy 0 < min <= max <= 3600")
+            problems.append("group_min and group_max must satisfy 2 <= group_min <= group_max")
         if self.disc_radius_m >= self.gcs_range_m:
             problems.append("disc_radius_m must be below gcs_range_m")
         if self.t_bis_s >= self.t_blk_s:
@@ -151,9 +144,8 @@ def build_world(cfg: ScenarioConfig, event_log: Optional[TextIO] = None) -> Worl
         sensing_range_m=cfg.r_detect_m, rng=rngs["place"])
 
     sim = Simulator(event_log)
-    wireless = LinkModel(cfg.wireless_latency_s, cfg.wireless_bw_bps,
-                         cfg.wireless_queue_bytes)
-    wired = LinkModel(cfg.wired_latency_s, cfg.wired_bw_bps, cfg.wired_queue_bytes)
+    wireless = LinkModel(WIRELESS_LATENCY_S, cfg.wireless_bw_bps, cfg.wireless_queue_bytes)
+    wired = LinkModel(cfg.wired_latency_s, WIRED_BW_BPS)
     net = Network(topo, wireless, wired)
 
     registry = KeyRegistry(backend, f"scenario:{cfg.seed}".encode())
@@ -173,7 +165,7 @@ def build_world(cfg: ScenarioConfig, event_log: Optional[TextIO] = None) -> Worl
         world.roster.append((drone, "uav", f"owner-{drone}"))
 
     for uavn in topo.uavns:
-        duration = rngs["missions"].uniform(cfg.mission_min_s, cfg.mission_max_s)
+        duration = rngs["missions"].uniform(*MISSION_RANGE_S)
         world.uavn_suite[uavn.uavn_id] = select_suite(duration)
 
     n_malicious = round(cfg.malicious_fraction * len(drone_ids))

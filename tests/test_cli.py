@@ -10,6 +10,7 @@ import pytest
 
 from proactlab import cli
 from proactlab.config import load_scenarios
+from proactlab.sim.scenario import ConfigError
 
 FAST_CONFIG = """\
 [topology]
@@ -138,6 +139,39 @@ def test_unparseable_scenario_file_exits_1(tmp_path, capsys, text, named):
     assert rc == 1
     assert named in capsys.readouterr().err
     assert not (tmp_path / "o" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("text, key", [
+    ("uav_per_uavn = 0\n", "uav_per_uavn"),
+    ("gcs_per_ca = 1\n", "tgcs_per_ca"),
+    ("malicious_fraction = 1.5\n", "malicious_fraction"),
+    ("sim_duration_s = 0\n", "sim_duration_s"),
+    ("mode = lottery\n", "mode"),
+    ("hash_backend = sha256\n", "hash_backend"),
+    ("data_tx_size = 63\n", "data_tx_size"),
+    ("group_max = 4\n", "group_max"),
+    ("disc_radius_m = 1000\n", "disc_radius_m"),
+    ("t_bis_s = 5\n", "t_bis_s"),
+    ("force_s1 = maybe\n", "force_s1"),
+    ("t3_interval_s = ,\n", "t3_interval_s"),
+    ("data_tx_size = 1024, 2048, 1024\n", "data_tx_size"),
+    ("wired_bw_bps = 1e6\n", "wired_bw_bps"),
+], ids=["count-below-1", "tgcs-above-gcs", "fraction-above-1", "zero-duration",
+        "unknown-mode", "unknown-backend", "tiny-report", "group-bounds",
+        "disc-beyond-range", "t_bis-above-t_blk", "bool-word", "empty-sweep",
+        "repeated-sweep-value", "retired-key"])
+def test_each_config_problem_names_its_key(tmp_path, text, key):
+    path = tmp_path / "bad.ini"
+    path.write_text("[run]\n" + text)
+    with pytest.raises(ConfigError) as err:
+        load_scenarios(path)
+    assert len(err.value.problems) == 1 and key in err.value.problems[0]
+
+
+def test_bool_keys_read_their_words(tmp_path):
+    path = tmp_path / "flags.ini"
+    path.write_text("[run]\nforce_s1 = yes, No\n")
+    assert [cfg.force_s1 for cfg in load_scenarios(path)] == [True, False]
 
 
 def test_sweep_expands_cross_product(tmp_path):
