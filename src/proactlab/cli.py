@@ -1,8 +1,6 @@
-"""Command-line front door: seeded scenario runs, paired-mode comparison,
-and the built-in self-tests.
+"""Command-line front door: seeded scenario runs and paired-mode comparison.
 
-Exit codes: 0 success, 1 validation error, 2 runtime failure, 3 selftest
-failure.
+Exit codes: 0 success, 1 validation error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import crypto, selfcheck
 from .config import load_scenarios
 from .sim.metrics import CSV_COLUMNS, MetricsRecord, _fmt
 from .sim.scenario import CONSENSUS_MODES, ConfigError, ScenarioConfig, default_config, run
@@ -62,6 +59,8 @@ def _parse_seeds(text: str) -> List[int]:
         raise ConfigError([f"seeds: cannot parse {text!r}"]) from None
     if not seeds:
         raise ConfigError(["seeds: empty list"])
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(["seeds: list repeats a value"])
     return seeds
 
 
@@ -186,28 +185,6 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_selftest(_args) -> int:
-    results = selfcheck.run_all()
-    failed = 0
-    for result in results:
-        status = "PASS" if result.passed else "FAIL"
-        detail = f"  {result.detail}" if result.detail else ""
-        print(f"{status} {result.name}{detail}")
-        failed += not result.passed
-    print(f"{len(results) - failed}/{len(results)} checks passed")
-    return 3 if failed else 0
-
-
-def cmd_selftest_vectors(_args) -> int:
-    failures = 0
-    for variant, label, message, expected in selfcheck.PINNED_VECTORS:
-        got = crypto.spongent(variant, message).hex()
-        marker = "" if got == expected else "  MISMATCH"
-        print(f"{variant.name} {label} {got}{marker}")
-        failures += got != expected
-    return 3 if failures else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="proactlab",
@@ -232,12 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--force", action="store_true")
     cmp_p.set_defaults(func=cmd_compare)
 
-    st_p = sub.add_parser("selftest", help="run the built-in correctness checks")
-    st_p.set_defaults(func=cmd_selftest)
-
-    sv_p = sub.add_parser("selftest-vectors",
-                          help="print the pinned hash vectors")
-    sv_p.set_defaults(func=cmd_selftest_vectors)
     return parser
 
 

@@ -230,14 +230,7 @@ class SimulatedBackend(HashBackend):
 
 SPONGENT_BACKEND = SpongentBackend()
 SIMULATED_BACKEND = SimulatedBackend()
-_BACKENDS = {b.name: b for b in (SPONGENT_BACKEND, SIMULATED_BACKEND)}
-
-
-def get_backend(name: str) -> HashBackend:
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise CryptoError(f"unknown hash backend {name!r}") from None
+BACKENDS = {b.name: b for b in (SIMULATED_BACKEND, SPONGENT_BACKEND)}
 
 
 @dataclass(frozen=True)

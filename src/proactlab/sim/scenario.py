@@ -109,8 +109,8 @@ class ScenarioConfig:
             problems.append("sim_duration_s must be positive")
         if self.mode not in CONSENSUS_MODES:
             problems.append(f"mode must be {' or '.join(CONSENSUS_MODES)}")
-        if self.hash_backend not in ("simulated", "spongent"):
-            problems.append("hash_backend must be simulated or spongent")
+        if self.hash_backend not in crypto.BACKENDS:
+            problems.append(f"hash_backend must be {' or '.join(crypto.BACKENDS)}")
         if self.data_tx_size < 64:
             problems.append("data_tx_size must be at least 64 bytes")
         if self.group_min < 2 or self.group_max < self.group_min:
@@ -133,7 +133,7 @@ _RNG_STREAMS = ("place", "missions", "malice", "workload", "groups", "attack",
 
 def build_world(cfg: ScenarioConfig, event_log: Optional[TextIO] = None) -> World:
     cfg.validate()
-    backend = crypto.get_backend(cfg.hash_backend)
+    backend = crypto.BACKENDS[cfg.hash_backend]
     rngs = {name: random.Random(f"{cfg.seed}:{name}") for name in _RNG_STREAMS}
 
     topo = place_topology(

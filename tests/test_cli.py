@@ -1,5 +1,7 @@
-"""Command-line behavior: runs, sweeps, compare, selftest, exit codes."""
+"""Command-line behavior: runs, sweeps, compare, exit codes, and the README's
+list of commands."""
 
+import argparse
 import csv
 import os
 import subprocess
@@ -227,21 +229,9 @@ def test_compare_emits_paired_rows(fast_config, tmp_path):
         assert row["committed_identical"] == "yes"
 
 
-def test_selftest_passes_and_exits_0(capsys):
-    assert cli.main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert "checks passed" in out
-
-
-def test_selftest_vectors_prints_hex(capsys):
-    assert cli.main(["selftest-vectors"]) == 0
-    out = capsys.readouterr().out
-    assert "a0c6c93510fe871f385a7f" in out
-
-
-def test_bad_seeds_rejected(fast_config, tmp_path):
-    assert cli.main(["run", "--config", str(fast_config), "--seeds", "a,b",
+@pytest.mark.parametrize("seeds", ["a,b", "1,1"], ids=["unparseable", "repeated"])
+def test_bad_seeds_rejected(fast_config, tmp_path, seeds):
+    assert cli.main(["run", "--config", str(fast_config), "--seeds", seeds,
                      "--out", str(tmp_path / "o")]) == 1
 
 
@@ -266,3 +256,13 @@ def test_example_config_loads():
     path = Path(__file__).resolve().parent.parent / "configs" / "desk.ini"
     (cfg,) = load_scenarios(path)
     assert cfg.n_uav == 200
+
+
+def test_readme_lists_each_command():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    listed = {line.split()[1] for line in block.splitlines()
+              if line.startswith("proactlab ")}
+    (sub,) = [action for action in cli.build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    assert listed == set(sub.choices)

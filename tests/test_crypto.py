@@ -225,7 +225,7 @@ PINNED_PRIMITIVES = {
 
 @pytest.mark.parametrize("name", sorted(PINNED_PRIMITIVES))
 def test_primitive_outputs_are_pinned(name):
-    backend = crypto.get_backend(name)
+    backend = crypto.BACKENDS[name]
     pinned = PINNED_PRIMITIVES[name]
     registry = helpers.make_registry(backend)
     public = registry.public_key(helpers.GCS_ID)

@@ -19,6 +19,7 @@ ALLOWED = {
     "open_sealed",   # the inverse of seal(); the tests open sealed payloads with it
     "encode_block",  # the block encoder, kept as the inverse of decode_block
     "decode_block",  # the block decoder; fuzz-tested against hostile bytes
+    "decode_transaction",  # the transaction decoder; fuzz-tested against hostile bytes
     "verify_chain",  # the chain check that runs will call (ROADMAP item 3)
 }
 
