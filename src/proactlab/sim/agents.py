@@ -8,9 +8,9 @@ commit side effects (ledger append, metrics, ``committed-block`` sends and
 drone copies), and serve as their protocol's port: each callback runs
 synchronously, in the order the protocol calls it.
 
-Agents interact by message passing over the network model, with three
-exceptions: the shared key registry stands in for key distribution, a drone
-asks its peers' ledgers which of them holds a transaction
+Agents interact by packets (``World.send`` hands them to ``netmodel.Network``)
+with three exceptions: the shared key registry stands in for key distribution,
+a drone asks its peers' ledgers which of them holds a transaction
 (``fetch_transaction`` reads ``ledger.has_tx``), and a station skips drones
 whose battery is empty (``_command_drones`` reads ``energy.active``).
 """
@@ -39,17 +39,15 @@ from ..wire import AccessClass, Block, BlockTarget, Transaction
 
 from .energy import EnergyCoefficients, EnergyState
 from .engine import to_us
-from .netmodel import Link, next_leg
+from .netmodel import Packet, next_leg
 
 TxKey = Tuple[int, int]
 
 # Fixed model inputs that no scenario varies.
-UAV_RANGE_M = 300.0              # drone-to-drone radio range
 COMMAND_PAYLOAD_BYTES = 100      # a station's or an authority's command
 T4_PAYLOAD_BYTES = 1024          # a security-incident transaction, padded
 DRAIN_LIMIT_S = 1800.0           # how long the engine runs past the workload
 PACKET_OVERHEAD_BYTES = 16       # added to every packet's payload size
-RETRY_BACKOFF_S = 0.05           # doubles with each retry of a refused send
 ASSEMBLY_INTERVAL_S = 0.1        # a miner's assembly tick
 MAX_BLOCK_BYTES = 512 * 1024     # encoded transactions per block, at most
 MAX_PENDING_BLOCKS = 4           # a miner drafts no more while this many wait
@@ -81,15 +79,6 @@ class FetchResponse:
     status: str                   # ok | denied | not-found
 
 
-@dataclass(slots=True)
-class Packet:
-    kind: str
-    src: int
-    dst: int
-    payload: object
-    meta: Optional[dict] = None
-
-
 def report_payload(drone_id: int, x: float, y: float, claims: Sequence[int],
                    size: int) -> Tuple[bytes, int]:
     """A ``size``-byte report as its text prefix and the count of the zero
@@ -116,7 +105,7 @@ def answer_fetch(request: FetchRequest, tx: Optional[Transaction],
 
 
 class World:
-    """Shared wiring: engine, links, topology, registry, metrics, rng streams."""
+    """Shared wiring: engine, network, topology, registry, metrics, rng streams."""
 
     def __init__(self, cfg, sim, net, topo, registry, backend, metrics, rngs):
         self.cfg = cfg
@@ -127,14 +116,13 @@ class World:
         self.backend = backend
         self.metrics = metrics
         self.rngs = rngs
-        self.agents: Dict[int, object] = {}
+        self.agents: Dict[int, object] = net.receivers  # each takes its own packets
         self.malicious: Set[int] = set()
         self.uavn_suite: Dict[int, crypto.CryptoSuite] = {}
         self.gcs_to_tgcs: Dict[int, int] = {}
         self.sim_end_us = to_us(cfg.sim_duration_s)
         self.n_tgcs = len(topo.tgcs_ids)
         self.roster: List[Tuple[int, str, str]] = []  # (node_id, role, real id)
-        self._plans: Dict[Tuple[int, int], Tuple[Tuple[Link, int], ...]] = {}
         self.t_bo_us = to_us(cfg.t_bo_s)
 
     # --- role helpers ---
@@ -173,9 +161,6 @@ class World:
             action()
             self.sim.schedule_in(interval_us, partial(self._tick, interval_us, action, alive))
 
-    def is_drone(self, node_id: int) -> bool:
-        return node_id in self.topo.drone_uavn
-
     def workload_open(self) -> bool:
         return self.sim.now_us < self.sim_end_us
 
@@ -189,108 +174,12 @@ class World:
 
     # --- message transport ---
 
-    def send(self, src: int, dst: int, kind: str, payload: object,
-             size: int, meta: Optional[dict] = None,
-             on_expired=None) -> None:
-        packet = Packet(kind, src, dst, payload, meta)
+    def send(self, src: int, dst: int, kind: str, payload: object, size: int,
+             meta: Optional[dict] = None, on_expired=None) -> None:
         total = size + PACKET_OVERHEAD_BYTES
         if self.sim.event_log is not None:
             self.sim.log(str(src), kind, f"to={dst} bytes={total}")
-        hops = self._hops(src, dst)
-        if hops is None:
-            self.net.packets_dropped += 1
-            self._lost(on_expired)
-            return
-        self._send_hop(packet, total, hops, 0, on_expired)
-
-    @staticmethod
-    def _lost(on_expired) -> None:
-        """Where every lost packet ends: no route, a sender or a relay out of
-        energy, or its retries used up.  Its sender hears of it if it asked."""
-        if on_expired is not None:
-            on_expired()
-
-    def _hops(self, src: int, dst: int) -> Optional[Sequence[Tuple[Link, int]]]:
-        """Hop plan as (link, receiver) pairs; None when no route exists.
-        A drone and its station are one cell hop apart (see ``netmodel``), so
-        every route but a mesh one is one fixed hop, planned once and shared."""
-        plan = self._plans.get((src, dst))
-        if plan is None:
-            net, swarm_of = self.net, self.topo.drone_uavn
-            if src in swarm_of:
-                if dst in swarm_of:
-                    return self._mesh_route(src, dst)
-                link = net.uplink[dst]
-            else:
-                link = net.downlink[src] if dst in swarm_of else net.wired(src, dst)
-            plan = self._plans[src, dst] = ((link, dst),)
-        return plan
-
-    def _mesh_route(self, src: int, dst: int) -> Optional[List[Tuple[Link, int]]]:
-        """Mesh hops on a shortest path over the swarm's current radio graph."""
-        now, topo = self.sim.now_us, self.topo
-        uavn = topo.uavns[topo.drone_uavn[src]]
-        mesh = self.net.mesh[uavn.uavn_id]
-        frontier = [src]
-        parents = {src: src}
-        while frontier:
-            nxt: List[int] = []
-            for node in frontier:
-                for peer in uavn.drone_ids:
-                    if peer in parents:
-                        continue
-                    if topo.distance(node, peer, now) <= UAV_RANGE_M:
-                        parents[peer] = node
-                        if peer == dst:
-                            hops = []
-                            while peer != src:
-                                hops.append((mesh, peer))
-                                peer = parents[peer]
-                            return hops[::-1]
-                        nxt.append(peer)
-            frontier = nxt
-        return None
-
-    def _send_hop(self, packet: Packet, size: int, hops, index: int,
-                  on_expired) -> None:
-        link = hops[index][0]
-        sender = packet.src if index == 0 else hops[index - 1][1]
-        arrive = partial(self._arrive, packet, size, hops, index, on_expired)
-        self._send_on_link(link, size, arrive, on_expired,
-                           energy_payer=sender if self.is_drone(sender) else None)
-
-    def _arrive(self, packet: Packet, size: int, hops, index: int, on_expired) -> None:
-        """Hop ``index`` reached its receiver: the handler ``_send_hop`` schedules."""
-        receiver = hops[index][1]
-        last = index == len(hops) - 1
-        if self.is_drone(receiver):
-            agent = self.agents[receiver]
-            agent.energy.account_rx(size, self.sim.now_us)
-            if not agent.energy.active and not last:
-                self._lost(on_expired)
-                return
-        if last:
-            self.agents[packet.dst].on_packet(packet)
-        else:
-            # the relay pays its transmit cost as the next hop's sender
-            self._send_hop(packet, size, hops, index + 1, on_expired)
-
-    def _send_on_link(self, link: Link, size: int, deliver, on_expired,
-                      energy_payer: Optional[int] = None, attempt: int = 0) -> None:
-        if energy_payer is not None:
-            payer = self.agents[energy_payer]
-            payer.energy.account_tx(size, self.sim.now_us)
-            if not payer.energy.active:
-                self._lost(on_expired)
-                return
-        if link.send(self.sim, size, deliver):
-            return
-        if attempt + 1 <= self.cfg.max_retries:
-            delay = to_us(RETRY_BACKOFF_S * (2 ** attempt))
-            self.sim.schedule_in(delay, partial(self._send_on_link, link, size, deliver,
-                                                on_expired, energy_payer, attempt + 1))
-        else:
-            self._lost(on_expired)
+        self.net.transmit(Packet(kind, src, dst, payload, meta), total, on_expired)
 
     def broadcast_tgcs(self, src: int, kind: str, payload: object, size: int,
                        include_bo: bool = False) -> None:
@@ -334,7 +223,7 @@ class DroneAgent(Agent):
         self.gcs_id = world.topo.gcs_of_drone(drone_id)
         self.malicious = drone_id in world.malicious
         self.ledger = DroneLedger(drone_id, world.cfg.drone_capacity_bytes)
-        self.energy = world.energy_for_drone()
+        self.energy = world.net.energy[drone_id] = world.energy_for_drone()
         self.known_refs: List[TxKey] = []
         self._known_set: Set[TxKey] = set()
 
@@ -431,8 +320,7 @@ class DroneAgent(Agent):
                                                           self.w.registry, self.w.backend))
         for peer in self.w.topo.peers_of_drone(self.id):
             agent = self.w.agents[peer]
-            if agent.ledger.has_tx(key) and \
-                    self.w.topo.distance(self.id, peer, now) <= UAV_RANGE_M:
+            if agent.ledger.has_tx(key) and self.w.topo.in_range(self.id, peer, now):
                 self.w.send(self.id, peer, "fetch-req", request, 96)
                 return
         self.w.send(self.id, self.gcs_id, "fetch-req", request, 96)

@@ -1,10 +1,10 @@
-"""Network links, synthetic placement, drone motion, and ground truth.
+"""Transport (links, hop plans, retries, losses), placement, motion, ground truth.
 
 Wireless capacity is modeled per radio cell: all drones under one ground
 station share one uplink and one downlink queue, and each swarm shares one
 mesh channel.  Ground links are point-to-point and directional.  Delivery
-time is base latency plus serialization plus queueing; a packet is dropped
-when a finite queue would overflow.
+time is base latency plus serialization plus queueing; a finite queue
+refuses a packet that would overflow it, and the sender retries or drops it.
 
 Cell invariant: a drone never leaves its station's radio range, since its
 swarm disc lies inside that range and ``next_leg`` flies only chords of the
@@ -16,10 +16,15 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .energy import EnergyState
 from .engine import US, Simulator, to_us
+
+UAV_RANGE_M = 300.0              # drone-to-drone radio range; no scenario varies it
+RETRY_BACKOFF_S = 0.05           # doubles with each retry of a refused send
 
 
 class PlacementError(Exception):
@@ -46,8 +51,7 @@ class Link:
         backlog_us = max(0, self.free_at_us - now_us)
         return int(backlog_us * self.model.bandwidth_bps / US)
 
-    def send(self, sim: Simulator, size_bytes: int,
-             deliver: Callable[[], None]) -> bool:
+    def send(self, sim: Simulator, size_bytes: int, deliver: Callable[[], None]) -> bool:
         now = sim.now_us
         limit = self.model.queue_limit_bytes
         if limit and self.queued_bytes(now) + size_bytes > limit:
@@ -60,17 +64,32 @@ class Link:
         return True
 
 
-class Network:
-    """Each station's uplink and downlink cell and each swarm's mesh, keyed
-    by station or swarm id and built once, and one wired link per ordered
-    station pair.  By the cell invariant a drone is one hop from its station."""
+@dataclass(slots=True)
+class Packet:
+    kind: str
+    src: int
+    dst: int
+    payload: object
+    meta: Optional[dict] = None
 
-    def __init__(self, topo: Topology, wireless: LinkModel, wired: LinkModel):
+
+class Network:
+    """The transport: each station's two cells, each swarm's mesh and a wire
+    per ordered station pair, and the hop plans, retries and losses on them."""
+
+    def __init__(self, sim: Simulator, topo: Topology, wireless: LinkModel,
+                 wired: LinkModel, max_retries: int):
+        self.sim = sim
+        self.topo = topo
+        self.max_retries = max_retries
         self._wired_model = wired
         self.uplink = {gcs: Link(wireless) for gcs in topo.gcs_ids}
         self.downlink = {gcs: Link(wireless) for gcs in topo.gcs_ids}
         self.mesh = {uavn.uavn_id: Link(wireless) for uavn in topo.uavns}
         self._wires: Dict[Tuple[int, int], Link] = {}
+        self._plans: Dict[Tuple[int, int], Tuple[Tuple[Link, int], ...]] = {}
+        self.receivers: Dict[int, object] = {}       # node id -> agent with on_packet
+        self.energy: Dict[int, EnergyState] = {}     # drone id -> battery paying its radio
         self.packets_dropped = 0   # no-route losses
 
     def wired(self, src: int, dst: int) -> Link:
@@ -83,6 +102,97 @@ class Network:
         links = chain(self.uplink.values(), self.downlink.values(),
                       self.mesh.values(), self._wires.values())
         return self.packets_dropped + sum(link.dropped for link in links)
+
+    def transmit(self, packet: Packet, size: int, on_expired) -> None:
+        """Carry ``packet`` hop by hop to ``receivers[packet.dst].on_packet``."""
+        hops = self._hops(packet.src, packet.dst)
+        if hops is None:
+            self.packets_dropped += 1
+            self._lost(on_expired)
+            return
+        self.send_hop(packet, size, hops, 0, on_expired)
+
+    @staticmethod
+    def _lost(on_expired) -> None:
+        """Every lost packet ends here; its sender hears of it if it asked."""
+        if on_expired is not None:
+            on_expired()
+
+    def _hops(self, src: int, dst: int) -> Optional[Sequence[Tuple[Link, int]]]:
+        """None without a route; by the cell invariant a non-mesh plan is one shared hop."""
+        plan = self._plans.get((src, dst))
+        if plan is None:
+            swarm_of = self.topo.drone_uavn
+            if src in swarm_of:
+                if dst in swarm_of:
+                    return self._mesh_route(src, dst)
+                link = self.uplink[dst]
+            else:
+                link = self.downlink[src] if dst in swarm_of else self.wired(src, dst)
+            plan = self._plans[src, dst] = ((link, dst),)
+        return plan
+
+    def _mesh_route(self, src: int, dst: int) -> Optional[List[Tuple[Link, int]]]:
+        """Mesh hops on a shortest path over the swarm's current radio graph."""
+        now, topo = self.sim.now_us, self.topo
+        uavn = topo.uavns[topo.drone_uavn[src]]
+        mesh = self.mesh[uavn.uavn_id]
+        frontier = [src]
+        parents = {src: src}
+        while frontier:
+            nxt: List[int] = []
+            for node in frontier:
+                for peer in uavn.drone_ids:
+                    if peer in parents:
+                        continue
+                    if topo.in_range(node, peer, now):
+                        parents[peer] = node
+                        if peer == dst:
+                            hops = []
+                            while peer != src:
+                                hops.append((mesh, peer))
+                                peer = parents[peer]
+                            return hops[::-1]
+                        nxt.append(peer)
+            frontier = nxt
+        return None
+
+    def send_hop(self, packet: Packet, size: int, hops, index: int, on_expired) -> None:
+        sender = packet.src if index == 0 else hops[index - 1][1]
+        arrive = partial(self.arrive, packet, size, hops, index, on_expired)
+        self.send_on_link(hops[index][0], size, arrive, on_expired, self.energy.get(sender))
+
+    def arrive(self, packet: Packet, size: int, hops, index: int, on_expired) -> None:
+        """Hop ``index`` reached its receiver: the handler ``send_hop`` schedules."""
+        receiver = hops[index][1]
+        last = index == len(hops) - 1
+        energy = self.energy.get(receiver)
+        if energy is not None:
+            energy.account_rx(size, self.sim.now_us)
+            if not energy.active and not last:
+                self._lost(on_expired)
+                return
+        if last:
+            self.receivers[packet.dst].on_packet(packet)
+        else:
+            # the relay pays its transmit cost as the next hop's sender
+            self.send_hop(packet, size, hops, index + 1, on_expired)
+
+    def send_on_link(self, link: Link, size: int, deliver, on_expired,
+                     payer: Optional[EnergyState] = None, attempt: int = 0) -> None:
+        if payer is not None:
+            payer.account_tx(size, self.sim.now_us)
+            if not payer.active:
+                self._lost(on_expired)
+                return
+        if link.send(self.sim, size, deliver):
+            return
+        if attempt < self.max_retries:
+            delay = to_us(RETRY_BACKOFF_S * (2 ** attempt))
+            self.sim.schedule_in(delay, partial(self.send_on_link, link, size, deliver,
+                                                on_expired, payer, attempt + 1))
+        else:
+            self._lost(on_expired)
 
 
 @dataclass
@@ -169,9 +279,11 @@ class Topology:
         bx, by = self.position(b, now_us)
         return math.hypot(ax - bx, ay - by)
 
+    def in_range(self, a: int, b: int, now_us: int) -> bool:   # drones a and b hear each other
+        return self.distance(a, b, now_us) <= UAV_RANGE_M
 
-def _point_in_disc(cx: float, cy: float, radius: float,
-                   rng: random.Random) -> Tuple[float, float]:
+
+def _point_in_disc(cx: float, cy: float, radius: float, rng: random.Random) -> Tuple[float, float]:
     r = radius * math.sqrt(rng.random())
     theta = rng.uniform(0.0, 2.0 * math.pi)
     return (cx + r * math.cos(theta), cy + r * math.sin(theta))

@@ -146,7 +146,7 @@ def build_world(cfg: ScenarioConfig, event_log: Optional[TextIO] = None) -> Worl
     sim = Simulator(event_log)
     wireless = LinkModel(WIRELESS_LATENCY_S, cfg.wireless_bw_bps, cfg.wireless_queue_bytes)
     wired = LinkModel(cfg.wired_latency_s, WIRED_BW_BPS)
-    net = Network(topo, wireless, wired)
+    net = Network(sim, topo, wireless, wired, cfg.max_retries)
 
     registry = KeyRegistry(backend, f"scenario:{cfg.seed}".encode())
     metrics = MetricsCollector()

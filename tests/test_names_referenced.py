@@ -20,7 +20,7 @@ ALLOWED = {
     "encode_block",  # the block encoder, kept as the inverse of decode_block
     "decode_block",  # the block decoder; fuzz-tested against hostile bytes
     "decode_transaction",  # the transaction decoder; fuzz-tested against hostile bytes
-    "verify_chain",  # the chain check that runs will call (ROADMAP item 3)
+    "verify_chain",  # the chain check that runs will call (ROADMAP item 5)
 }
 
 

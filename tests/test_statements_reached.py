@@ -1,14 +1,14 @@
-"""Tooling guard: runs reach every statement of the agents, the consensus
-protocol and the ledgers.
+"""Tooling guard: runs reach every statement of the agents, the transport,
+the consensus protocol and the ledgers.
 
 A statement that no run executes can break without any test noticing, and
 one that no configuration can reach should not exist.  This runs a fixed set
 of small scenarios and the loss-free model check of ``test_consensus.py``
 under a line collector (``sys.settrace``; the stdlib only), then fails on
-any statement of ``sim/agents.py``, ``consensus.py`` or ``ledger.py`` that
-none of them reached.  Every ``raise`` is exempt.  So is each statement in
-``ALLOWED``, keyed by file, function and statement text (not by line
-number), with the reason no run reaches it.
+any statement of ``sim/agents.py``, ``sim/netmodel.py``, ``consensus.py`` or
+``ledger.py`` that none of them reached.  Every ``raise`` is exempt.  So is
+each statement in ``ALLOWED``, keyed by file, function and statement text
+(not by line number), with the reason no run reaches it.
 
 After each run, outside the collector, the guard checks what the run is
 there for: that the path it stands for ran, that every transaction
@@ -26,7 +26,7 @@ from hypothesis.stateful import run_state_machine_as_test
 import proactlab
 from proactlab import consensus, ledger
 from proactlab.crypto import SecurityClass
-from proactlab.sim import agents, default_config
+from proactlab.sim import agents, default_config, netmodel
 from proactlab.sim.scenario import build_world
 
 from test_consensus import _SEARCH, ProtocolModel
@@ -41,7 +41,7 @@ from test_sim import (
     _rotating_orderers,
 )
 
-MODULES = (agents, consensus, ledger)
+MODULES = (agents, consensus, ledger, netmodel)
 
 _OWNER_ASKS = ("a keyed request comes only from fetch_transaction, for a key from the "
                "requester's own block copies, signed by the requester: an owner")
@@ -53,6 +53,8 @@ _LATE_VOTES = ("a rejection quorum forms only on an outstanding id: the votes a 
 _CODEC = "runs hand messages over as objects; the tests check and fuzz the decoders"
 _HOSTILE = ("a hostile block: every simulated miner builds valid blocks (ROADMAP item 5 "
             "adds a faulty one); tests/test_ledger.py checks each issue")
+_FINALIZE = ("only scenario.run reads the drop total, when it finalizes the record; this "
+             "guard calls World.run to keep each world, and every pinned CSV row checks it")
 
 # (file, function, statement text) -> why no run reaches it.  The text is
 # the statement's first line as ast.unparse writes it, after its block's header.
@@ -85,6 +87,14 @@ ALLOWED = {
     ("consensus.py", "OrdererProtocol.open",
      "for nbr in self._stash: ordering.receive_nbr(nbr)"): _HANDOFF,
     ("consensus.py", "OrdererProtocol.on_nbr", "if acting: self._stash.append(nbr)"): _HANDOFF,
+    ("sim/netmodel.py", "Network.total_dropped",
+     "links = chain(self.uplink.values(), self.downlink.values(), self.mesh.values(), "
+     "self._wires.values())"): _FINALIZE,
+    ("sim/netmodel.py", "Network.total_dropped",
+     "return self.packets_dropped + sum((link.dropped for link in links))"): _FINALIZE,
+    ("sim/netmodel.py", "Topology.position", "return self.static_pos[node_id]"):
+        "a run asks only drones' positions; tests/test_sim.py checks the cell invariant "
+        "against a station's",
     ("ledger.py", "FullLedger.find_transaction", "if block_id is None: return None"):
         "a drone asks its station only for keys from the copies the station sent it",
     ("ledger.py", "check_access",
