@@ -224,8 +224,9 @@ class DroneAgent(Agent):
         self.malicious = drone_id in world.malicious
         self.ledger = DroneLedger(drone_id, world.cfg.drone_capacity_bytes)
         self.energy = world.net.energy[drone_id] = world.energy_for_drone()
-        self.known_refs: List[TxKey] = []
-        self._known_set: Set[TxKey] = set()
+        self.sole_owner = (drone_id,)  # the owners of every command this drone receives
+        # The keys of the transactions this drone owns, in the order they arrived.
+        self.known_refs: Dict[TxKey, None] = {}
 
     @property
     def suite(self) -> crypto.CryptoSuite:
@@ -306,7 +307,7 @@ class DroneAgent(Agent):
 
     def _fetch_known(self) -> None:
         if self.known_refs:
-            self.fetch_transaction(self.w.rngs["fetch"].choice(self.known_refs))
+            self.fetch_transaction(self.w.rngs["fetch"].choice(list(self.known_refs)))
 
     def fetch_transaction(self, key: TxKey) -> None:
         """Serve locally when stored; otherwise ask an in-range neighbor that
@@ -347,10 +348,7 @@ class DroneAgent(Agent):
         self.w.metrics.bto_sample(block.tx_overheads)
         for i in block.owner_index[self.id]:
             tx = block.transactions[i]
-            key = tx.key()
-            if key not in self._known_set:
-                self._known_set.add(key)
-                self.known_refs.append(key)
+            self.known_refs[tx.key()] = None  # a key stored again keeps its place
             # an owner opens it: a public transaction has no owners
             suite = crypto.suite_for_class(tx.security_class)
             self.energy.account_crypto(suite, tx.payload_len(), now)
@@ -416,10 +414,10 @@ class GcsAgent(Agent):
 
     def _command_drones(self) -> None:
         for drone in self.w.topo.drones_of_gcs(self.id):
-            if not self.w.agents[drone].energy.active:
+            agent = self.w.agents[drone]
+            if not agent.energy.active:
                 continue
-            suite = self.w.suite_for_uavn(self.w.topo.drone_uavn[drone])
-            self.intake_tx(self.new_tx(suite, AccessClass.SINGLE, (drone,),
+            self.intake_tx(self.new_tx(agent.suite, AccessClass.SINGLE, agent.sole_owner,
                                        BlockTarget.BLOCK_T1,
                                        bytes(COMMAND_PAYLOAD_BYTES)))
 
@@ -671,7 +669,7 @@ class TgcsAgent(ProtocolAgent, GcsAgent):
         if block.header.miner == self.id:
             self.w.metrics.block_committed()
             for tx in block.transactions:
-                self.w.metrics.tx_committed(tx.key(), wire.commit_digest(tx, self.w.backend), now)
+                self.w.metrics.tx_committed(tx.key(), wire.commit_record(tx, self.w.backend), now)
             size = block.encoded_size
             for gcs in self.w.topo.gcs_ids:
                 if gcs not in self.w.topo.tgcs_ids:

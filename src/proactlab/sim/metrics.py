@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..crypto import blake2b
+from ..wire import COMMIT_LEN
 from .engine import US
 
 TxKey = Tuple[int, int]
@@ -84,7 +85,8 @@ class MetricsCollector:
         self.tbd_samples_s: List[float] = []
         self._bto_sum = 0.0
         self._bto_count = 0
-        self._committed_digests: List[bytes] = []
+        # Each committed transaction's facts record, kept, not copied (wire.commit_record).
+        self._committed_records: List[bytes] = []
         self._attack_detected: Set[int] = set()
 
     # --- transaction lifecycle ---
@@ -93,13 +95,13 @@ class MetricsCollector:
         self.counters["txs_generated"] += 1
         self._pending[key] = created_at_us
 
-    def tx_committed(self, key: TxKey, commit_digest: bytes, commit_us: int) -> None:
+    def tx_committed(self, key: TxKey, record: bytes, commit_us: int) -> None:
         created = self._pending.pop(key, None)
         if created is None:
             return
         self.counters["txs_committed"] += 1
         self._committed_keys.append(key)
-        self._committed_digests.append(commit_digest)
+        self._committed_records.append(record)
         self.tbd_samples_s.append((commit_us - created) / US)
 
     def tx_rejected(self, key: TxKey) -> None:
@@ -158,11 +160,13 @@ class MetricsCollector:
         dec_mean_kj = (sum(consumed_j_per_drone) / len(consumed_j_per_drone) / 1000.0
                        if consumed_j_per_drone else 0.0)
         bto_mean = self._bto_sum / self._bto_count if self._bto_count else 0.0
-        # The sorted digests fed one at a time: a join allocates 80 B per digest.
+        # The sorted commit digests fed one at a time: a join allocates 80 B per digest.
+        # Each record starts with its fixed-length commit digest, so the records sort
+        # as their digests do, and records with equal digests feed equal bytes.
         fingerprint = blake2b(digest_size=16)
-        self._committed_digests.sort()
-        for digest in self._committed_digests:
-            fingerprint.update(digest)
+        self._committed_records.sort()
+        for record in self._committed_records:
+            fingerprint.update(record[:COMMIT_LEN])
         self._committed_keys.sort()
         return MetricsRecord(
             seed=seed, mode=mode, n_uav=n_uav,

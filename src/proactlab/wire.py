@@ -79,8 +79,9 @@ class BlockTarget(IntEnum):
     BLOCK_T2 = 2
 
 
-# Set by _with_facts, block_hash, validate, encoded_tx_size; a replace() copy lacks
-# them.  Transaction._key is the exception: __post_init__ sets it on every object.
+# Set by _with_facts (_facts and _facts_by together), block_hash, validate and
+# encoded_tx_size; a replace() copy lacks them.  Transaction._key is the exception:
+# __post_init__ sets it on every object.
 _memo = partial(field, default=None, init=False, repr=False, compare=False)
 
 
@@ -108,7 +109,8 @@ class Transaction:
     payload_zeros: int
     signature: bytes
     _valid: Optional[bool] = _memo()
-    _facts: Optional[Tuple[HashBackend, bytes]] = _memo()  # content ‖ leaf ‖ commit
+    _facts: Optional[bytes] = _memo()  # commit ‖ content ‖ leaf, read in place
+    _facts_by: Optional[HashBackend] = _memo()  # the backend that derived _facts
     _size: Optional[int] = _memo()
     _key: Tuple[int, int] = _memo()
 
@@ -248,16 +250,18 @@ def _signing_bytes(creator, tx_seq, created_at_us, topic, access_class, owners, 
 
 
 def _with_facts(signing, security_class, backend, make: Callable[[bytes], Transaction]):
-    """``make(content digest)`` with (backend, content digest ‖ Merkle leaf ‖ commit
-    digest) stored; the leaf continues the SPONGENT-224 state after ``signing``."""
+    """``make(content digest)`` with commit digest ‖ content digest ‖ Merkle leaf
+    stored, and ``backend`` beside them; the leaf continues the SPONGENT-224 state
+    after ``signing``."""
     variant = suite_for_class(security_class).hash_variant
     state = backend.prefix_state(HashVariant.SPONGENT_224, signing)
     content = backend.digest(variant, signing, len(signing),
                              state if variant is HashVariant.SPONGENT_224 else None)
     tx = make(content)
     encoded = signing + (struct.pack(_SIG_LEN, len(tx.signature)) + tx.signature)
-    object.__setattr__(tx, "_facts", (backend, content + backend.digest224(
-        encoded, len(signing), state) + blake2b(encoded, digest_size=COMMIT_LEN).digest()))
+    object.__setattr__(tx, "_facts", blake2b(encoded, digest_size=COMMIT_LEN).digest()
+                       + content + backend.digest224(encoded, len(signing), state))
+    object.__setattr__(tx, "_facts_by", backend)
     return tx
 
 
@@ -273,26 +277,28 @@ def new_transaction(sign: Callable[[bytes], bytes], backend: HashBackend, **fiel
 def _stored_facts(tx: Transaction, backend: HashBackend) -> bytes:
     """The stored facts, all derived afresh unless ``backend`` derived them: the
     fields are immutable, so a stored fact equals a fresh computation.  The content
-    digest's length depends on the suite, so each part is sliced from the end."""
-    if tx._facts is None or tx._facts[0] is not backend:
+    digest's length depends on the suite; the fixed-length parts bound it."""
+    if tx._facts_by is not backend:
         _with_facts(_signing_bytes(*_SIGNED_FIELDS(tx)), tx.security_class, backend, lambda _: tx)
-    return tx._facts[1]
+    return tx._facts
+
+
+def commit_record(tx: Transaction, backend: HashBackend) -> bytes:
+    """The stored facts record itself, not a copy.  Its first ``COMMIT_LEN`` bytes
+    are the commit digest, the blake2b-128 of the encoding on every backend, so
+    records sort as their commit digests do."""
+    return _stored_facts(tx, backend)
 
 
 def content_digest(tx: Transaction, backend: HashBackend) -> bytes:
     """The suite-variant digest of the signing bytes, which a creator signs."""
-    return _stored_facts(tx, backend)[:-HASH_LEN - COMMIT_LEN]
+    return _stored_facts(tx, backend)[COMMIT_LEN:-HASH_LEN]
 
 
 def leaf_digest(tx: Transaction, backend: HashBackend) -> bytes:
     """The SPONGENT-224 digest of the encoding; WireError for an invalid transaction."""
     tx.validate()
-    return _stored_facts(tx, backend)[-HASH_LEN - COMMIT_LEN:-COMMIT_LEN]
-
-
-def commit_digest(tx: Transaction, backend: HashBackend) -> bytes:
-    """The blake2b-128 of the encoding, on every backend: a committed fingerprint entry."""
-    return _stored_facts(tx, backend)[-COMMIT_LEN:]
+    return _stored_facts(tx, backend)[-HASH_LEN:]
 
 
 def encode_transaction(tx: Transaction) -> bytes:

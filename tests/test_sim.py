@@ -785,8 +785,29 @@ def test_small_run_conserves_and_chains(registry):
         expected = {tx.key() for block in chain
                     if block.header.block_type is wire.BlockTarget.BLOCK_T1
                     for tx in block.transactions if drone_id in tx.owners}
-        assert agent._known_set == expected
-        assert len(agent.known_refs) == len(agent._known_set)
+        assert agent.known_refs.keys() == expected  # a dict holds each key once
+
+
+def test_committed_transactions_hold_their_facts_once():
+    """Per committed transaction the run keeps one facts record, which the
+    collector holds itself rather than a copy, and a station's commands to one
+    drone share one owners tuple."""
+    world = _world(seed=11)
+    world.run()
+    chain = world.agents[world.topo.gcs_ids[0]].ledger.blocks
+    committed = {tx.key(): tx for block in chain for tx in block.transactions}
+    metrics = world.metrics
+    assert len(metrics._committed_records) == metrics.counters["txs_committed"] > 0
+    for key, record in zip(metrics._committed_keys, metrics._committed_records):
+        assert type(committed[key]._facts) is bytes
+        assert record is committed[key]._facts
+    owners = collections.defaultdict(list)
+    for tx in committed.values():
+        if tx.access_class is AccessClass.SINGLE and tx.owners[0] in world.topo.drone_uavn:
+            owners[tx.owners].append(tx.owners)
+    assert max(map(len, owners.values())) > 1
+    for drone_owners in owners.values():
+        assert all(each is drone_owners[0] for each in drone_owners)
 
 
 def test_run_raises_when_conservation_breaks(monkeypatch):

@@ -218,6 +218,11 @@ def test_stored_digests_equal_a_fresh_computation_on_each_backend(registry, sim_
     assert wire.block_hash(header, sim_backend) != wire.block_hash(header, SPONGENT_BACKEND)
 
 
+def _commit_digest(tx, backend):
+    """The commit digest: the fixed-length head of the stored facts record."""
+    return wire.commit_record(tx, backend)[:wire.COMMIT_LEN]
+
+
 @pytest.mark.parametrize("backend", [crypto.SIMULATED_BACKEND, SPONGENT_BACKEND],
                          ids=lambda backend: backend.name)
 def test_facts_stored_at_build_equal_those_a_decoded_copy_derives(backend):
@@ -229,16 +234,17 @@ def test_facts_stored_at_build_equal_those_a_decoded_copy_derives(backend):
     for tx in built:
         encoded = wire.encode_transaction(tx)
         fresh = wire.decode_transaction(encoded)
-        assert fresh._facts is None
+        assert fresh._facts is None and fresh._facts_by is None
         stored = tx._facts
-        assert stored[0] is backend
-        derived = (wire.content_digest(fresh, backend), wire.leaf_digest(fresh, backend),
-                   wire.commit_digest(fresh, backend))
-        assert (wire.content_digest(tx, backend), wire.leaf_digest(tx, backend),
-                wire.commit_digest(tx, backend)) == derived
+        assert tx._facts_by is backend
+        derived = (_commit_digest(fresh, backend), wire.content_digest(fresh, backend),
+                   wire.leaf_digest(fresh, backend))
+        assert (_commit_digest(tx, backend), wire.content_digest(tx, backend),
+                wire.leaf_digest(tx, backend)) == derived
         assert tx._facts is stored  # read from the record, not derived again
-        assert stored[1] == b"".join(derived)
-        assert derived[2] == hashlib.blake2b(encoded, digest_size=16).digest()
+        assert wire.commit_record(tx, backend) is stored
+        assert stored == b"".join(derived)
+        assert derived[0] == hashlib.blake2b(encoded, digest_size=16).digest()
         assert wire.encoded_tx_size(tx) == wire.encoded_tx_size(fresh) == len(encoded)
 
 
@@ -289,7 +295,7 @@ def test_a_zero_tail_held_as_a_count_changes_no_wire_byte_or_digest(backend, hea
              hashlib.blake2b(encoded, digest_size=16).digest())
     for copy in (tx, whole):
         assert (wire.content_digest(copy, backend), wire.leaf_digest(copy, backend),
-                wire.commit_digest(copy, backend)) == facts
+                _commit_digest(copy, backend)) == facts
 
 
 _payloads = st.binary(min_size=1, max_size=300)

@@ -13,11 +13,13 @@ congested, on seed 1, it records:
   --seconds S --trace 1``, with ``S`` the ``run_seconds`` of this
   repository's ``BENCHMARK.json``, and the end-to-end medians and span counts that
   ``run.py`` prints only to its log when it traces;
-* from two probe processes of its own (``PROBE``): cProfile's total call
-  count for one ``scenario.run``, and, from an unprofiled run, the cyclic
-  collector's collections per generation and its time (read through
-  ``gc.callbacks``, which cProfile and the tracer cannot see), the events
-  fired and the CSV digest.
+* from three probe processes of its own (``PROBE``): cProfile's total call
+  count for one ``scenario.run``; the peak of the memory that ``tracemalloc``
+  traces during one ``scenario.run``, which, unlike ``peak_rss_mb``, repeats
+  to the byte and excludes what the imports allocate; and, from a run under
+  neither, the cyclic collector's collections per generation and its time
+  (read through ``gc.callbacks``, which cProfile and the tracer cannot see),
+  the events fired and the CSV digest.
 
 It adds the Tier-1 suite's wall time and its ten slowest tests
 (``--durations=10``), the checkout's commit, a digest of its sources and a
@@ -32,7 +34,9 @@ is numbered as the one commit that would hold them, and its ``commit`` reads
 Work counts are the figures that do not depend on the host: call, event,
 collection, byte and span counts, ratios of them, and digests.
 ``--compare`` prints each work count that differs between two recordings,
-and exits 1 if any does.
+and exits 1 if any does; it also lists, without counting them as
+differences, the work counts that only one of them records, such as a
+probe figure added after the older one was made.
 """
 
 from __future__ import annotations
@@ -89,13 +93,16 @@ CAVEATS = [
      "end-to-end medians and the span counts here are read from its log lines."),
     ((), "The probes run with PYTHONHASHSEED=0, each in a fresh process.  The collector "
          "figures start from a full collection after the imports."),
+    ((), "peak_traced_bytes is tracemalloc's peak over one scenario.run, started after the "
+         "imports: the memory Python's allocators hand out, not the process's RSS."),
     ((("src/proactlab/sim/agents.py", r"gc\.disable\(\)", True),),
      "World.run pauses the collector for the event loop, so the collector figures cover "
      "build_world and finalize only."),
 ]
 
 # One probe run of a workload's scenario, in the checkout's own interpreter
-# environment.  argv: mode (gc | profile), INI path, seed.  Prints one JSON line.
+# environment.  argv: mode (gc | profile | memory), INI path, seed.  Prints one
+# JSON line.
 PROBE = r"""
 import dataclasses, gc, hashlib, json, sys, time
 from proactlab import config
@@ -111,6 +118,13 @@ if mode == "profile":
     scenario.run(cfg)
     profile.disable()
     print(json.dumps({"calls": pstats.Stats(profile).total_calls}))
+    sys.exit(0)
+if mode == "memory":
+    import tracemalloc
+    gc.collect()
+    tracemalloc.start()
+    scenario.run(cfg)
+    print(json.dumps({"peak_traced_bytes": tracemalloc.get_traced_memory()[1]}))
     sys.exit(0)
 
 worlds, collections, clock = [], [0, 0, 0], {"busy_s": 0.0}
@@ -208,7 +222,7 @@ def probe(checkout: Path, workload: str) -> dict:
     ini = str(checkout / "perfbench" / "workloads" / f"{workload}.ini")
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONHASHSEED="0")
     found = {}
-    for mode in ("gc", "profile"):
+    for mode in ("gc", "profile", "memory"):
         out = _run([sys.executable, "-c", PROBE, mode, ini, str(SEED)], checkout, env)
         found.update(json.loads(out.strip().splitlines()[-1]))
     return found
@@ -266,21 +280,28 @@ def work_counts(recorded: dict) -> dict:
         for name, value in run["spans"].items():
             counts[f"{workload}.{name}"] = value
         found = figures["probe"]
-        for name in ("calls", "events_fired", "gc_collections", "csv_digest"):
-            counts[f"{workload}.probe.{name}"] = found[name]
+        for name in ("calls", "events_fired", "gc_collections", "csv_digest",
+                     "peak_traced_bytes"):
+            if name in found:  # an older recording lacks the later probe figures
+                counts[f"{workload}.probe.{name}"] = found[name]
     return counts
 
 
 def compare(old_path: Path, new_path: Path) -> int:
     old = work_counts(json.loads(old_path.read_text()))
     new = work_counts(json.loads(new_path.read_text()))
-    differing = sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
+    shared = old.keys() & new.keys()
+    differing = sorted(name for name in shared if old[name] != new[name])
     for name in differing:
-        before, after = old.get(name), new.get(name)
+        before, after = old[name], new[name]
         both_ints = isinstance(before, int) and isinstance(after, int)
         delta = f" ({after - before:+})" if both_ints else ""
         print(f"{name}: {before} -> {after}{delta}")
-    print(f"{len(differing)} of {len(old.keys() | new.keys())} work counts differ")
+    for name in sorted(old.keys() ^ new.keys()):
+        side, value = ("OLD", old[name]) if name in old else ("NEW", new[name])
+        print(f"{name}: only in {side}: {value}")
+    print(f"{len(differing)} of {len(shared)} shared work counts differ; "
+          f"{len(old.keys() ^ new.keys())} recorded in only one")
     return 1 if differing else 0
 
 
