@@ -8,9 +8,10 @@ commit side effects (ledger append, metrics, ``committed-block`` sends and
 drone copies), and serve as their protocol's port: each callback runs
 synchronously, in the order the protocol calls it.
 
-Agents interact by packets (``World.send`` hands them to ``netmodel.Network``)
-with three exceptions: the shared key registry stands in for key distribution,
-a drone asks its peers' ledgers which of them holds a transaction
+Agents interact by packets (``World.post`` sizes each by its kind's rule in
+``PACKET_SIZE``, and ``World.send`` hands it to ``netmodel.Network``) with
+three exceptions: the shared key registry stands in for key distribution, a
+drone asks its peers' ledgers which of them holds a transaction
 (``fetch_transaction`` reads ``ledger.has_tx``), and a station skips drones
 whose battery is empty (``_command_drones`` reads ``energy.active``).
 """
@@ -88,20 +89,34 @@ def report_payload(drone_id: int, x: float, y: float, claims: Sequence[int],
     return prefix[:size], max(0, size - len(prefix))
 
 
-FetchReply = Tuple[FetchResponse, int, Optional[IncidentDraft]]
+FetchReply = Tuple[FetchResponse, Optional[IncidentDraft]]
 
 
 def answer_fetch(request: FetchRequest, tx: Optional[Transaction],
                  registry: crypto.KeyRegistry, backend: crypto.HashBackend) -> FetchReply:
     """The reply to a keyed fetch for the transaction held under its key
-    (None when none is): the response, its size, and the incident a denial
-    raises.  What to do with the incident is the server's choice."""
+    (None when none is): the response and the incident a denial raises.
+    What to do with the incident is the server's choice."""
     if tx is None:
-        return FetchResponse(request.key, None, "not-found"), 64, None
+        return FetchResponse(request.key, None, "not-found"), None
     decision = check_access(request.requester, request.signature, tx, registry, backend)
     if decision.verdict is Verdict.ALLOW:
-        return FetchResponse(tx.key(), tx, "ok"), wire.encoded_tx_size(tx), None
-    return FetchResponse(tx.key(), None, "denied"), 64, decision.incident
+        return FetchResponse(tx.key(), tx, "ok"), None
+    return FetchResponse(tx.key(), None, "denied"), decision.incident
+
+
+# Each packet kind's one size rule, before PACKET_OVERHEAD_BYTES.  A rule looks
+# up ``wire.encoded_tx_size`` at each call, so a rebinding of it is seen.
+PACKET_SIZE: Dict[str, Callable[[object], int]] = {
+    **dict.fromkeys(("tx", "tx-forward"), lambda tx: wire.encoded_tx_size(tx)),
+    **dict.fromkeys(("genesis", "block", "committed-block", "block-copy"),
+                    lambda block: block.encoded_size),
+    **dict.fromkeys(("nbr", "assign", "ack", "block-error", "void"),
+                    lambda message: len(message.encode())),
+    "bo-handoff": len,  # the orderer state travels encoded
+    "fetch-req": lambda request: 96,
+    "fetch-resp": lambda reply: 64 if reply.tx is None else wire.encoded_tx_size(reply.tx),
+}
 
 
 class World:
@@ -174,21 +189,19 @@ class World:
 
     # --- message transport ---
 
+    def post(self, src: int, dsts: Sequence[int], kind: str, payload: object,
+             meta: Optional[dict] = None, on_expired=None) -> None:
+        """Send ``payload`` to each of ``dsts`` in turn, sized once by its kind's rule."""
+        size = PACKET_SIZE[kind](payload)
+        for dst in dsts:
+            self.send(src, dst, kind, payload, size, meta=meta, on_expired=on_expired)
+
     def send(self, src: int, dst: int, kind: str, payload: object, size: int,
              meta: Optional[dict] = None, on_expired=None) -> None:
         total = size + PACKET_OVERHEAD_BYTES
         if self.sim.event_log is not None:
             self.sim.log(str(src), kind, f"to={dst} bytes={total}")
         self.net.transmit(Packet(kind, src, dst, payload, meta), total, on_expired)
-
-    def broadcast_tgcs(self, src: int, kind: str, payload: object, size: int,
-                       include_bo: bool = False) -> None:
-        for tgcs in self.topo.tgcs_ids:
-            if tgcs == src:
-                continue
-            self.send(src, tgcs, kind, payload, size)
-        if include_bo:
-            self.send(src, self.acting_bo(), kind, payload, size)
 
 
 class Agent:
@@ -277,9 +290,8 @@ class DroneAgent(Agent):
     def _send_own_tx(self, tx: Transaction, suite: crypto.CryptoSuite, meta: dict) -> None:
         """Pay the signing energy and send this drone's transaction to its
         station; it counts as dropped if the send expires."""
-        size = wire.encoded_tx_size(tx)
-        self.energy.account_crypto(suite, size, self.w.sim.now_us)
-        self.w.send(self.id, self.gcs_id, "tx", tx, size, meta=meta,
+        self.energy.account_crypto(suite, wire.encoded_tx_size(tx), self.w.sim.now_us)
+        self.w.post(self.id, (self.gcs_id,), "tx", tx, meta=meta,
                     on_expired=partial(self.w.metrics.tx_dropped, tx.key()))
 
     # --- attacks ---
@@ -295,7 +307,7 @@ class DroneAgent(Agent):
                                                               self.w.registry,
                                                               self.w.backend),
                                    attack_id)
-            self.w.send(self.id, target, "fetch-req", request, 96)
+            self.w.post(self.id, (target,), "fetch-req", request)
         else:
             attack_id = self.w.metrics.attack_injected()
             now = self.w.sim.now_us
@@ -322,9 +334,9 @@ class DroneAgent(Agent):
         for peer in self.w.topo.peers_of_drone(self.id):
             agent = self.w.agents[peer]
             if agent.ledger.has_tx(key) and self.w.topo.in_range(self.id, peer, now):
-                self.w.send(self.id, peer, "fetch-req", request, 96)
+                self.w.post(self.id, (peer,), "fetch-req", request)
                 return
-        self.w.send(self.id, self.gcs_id, "fetch-req", request, 96)
+        self.w.post(self.id, (self.gcs_id,), "fetch-req", request)
 
     # --- packet handling ---
 
@@ -356,14 +368,14 @@ class DroneAgent(Agent):
     def _serve_fetch(self, packet: Packet) -> None:
         request: FetchRequest = packet.payload
         if request.key is None:
-            response, size, incident = self._answer_probe(request)
+            response, incident = self._answer_probe(request)
         else:
-            response, size, incident = answer_fetch(
+            response, incident = answer_fetch(
                 request, self.ledger.find_transaction(request.key),
                 self.w.registry, self.w.backend)
         if incident is not None and not self.malicious:
             self._emit_incident(incident, request.attack_id)
-        self.w.send(self.id, packet.src, "fetch-resp", response, size)
+        self.w.post(self.id, (packet.src,), "fetch-resp", response)
 
     def _answer_probe(self, request: FetchRequest) -> FetchReply:
         """A keyless request asks for this drone's private data, which only
@@ -373,7 +385,7 @@ class DroneAgent(Agent):
         genuine = ledger.request_is_genuine(request.requester, 0, 0, request.signature,
                                             self.w.registry, self.w.backend)
         reason = "unauthorized-access" if genuine else "forgery"
-        return (FetchResponse(None, None, "denied"), 64,
+        return (FetchResponse(None, None, "denied"),
                 IncidentDraft(request.requester, reason, (self.id, 0)))
 
     def _emit_incident(self, incident: IncidentDraft, attack_id: Optional[int]) -> None:
@@ -442,7 +454,7 @@ class GcsAgent(Agent):
         if target == self.id:
             self.w.agents[self.id].miner_intake(tx)
         else:
-            self.w.send(self.id, target, "tx-forward", tx, wire.encoded_tx_size(tx))
+            self.w.post(self.id, (target,), "tx-forward", tx)
 
     def on_packet(self, packet: Packet) -> None:
         if packet.kind == "tx":
@@ -506,8 +518,8 @@ class GcsAgent(Agent):
         """Stations answer from the full chain and raise no incident on a denial."""
         request: FetchRequest = packet.payload
         tx = None if request.key is None else self.ledger.find_transaction(request.key)
-        response, size, _ = answer_fetch(request, tx, self.w.registry, self.w.backend)
-        self.w.send(self.id, packet.src, "fetch-resp", response, size)
+        response, _ = answer_fetch(request, tx, self.w.registry, self.w.backend)
+        self.w.post(self.id, (packet.src,), "fetch-resp", response)
 
     # --- chain intake ---
 
@@ -526,10 +538,8 @@ class GcsAgent(Agent):
         if block.header.block_type is not BlockTarget.BLOCK_T1:
             return
         owners = block.owner_index
-        size = block.encoded_size
-        for drone in self.w.topo.drones_of_gcs(self.id):
-            if drone in owners:
-                self.w.send(self.id, drone, "block-copy", block, size)
+        self.w.post(self.id, [d for d in self.w.topo.drones_of_gcs(self.id) if d in owners],
+                    "block-copy", block)
 
 
 class ProtocolAgent(Agent):
@@ -552,15 +562,13 @@ class ProtocolAgent(Agent):
         self.on_timer(kind, block_id)
 
     def to_orderer(self, kind: str, message) -> None:
-        self.w.send(self.id, self.w.acting_bo(), kind, message, _wire_size(message))
+        self.w.post(self.id, (self.w.acting_bo(),), kind, message)
 
     def broadcast(self, kind: str, message, to_orderer: bool = False) -> None:
-        self.w.broadcast_tgcs(self.id, kind, message, _wire_size(message),
-                              include_bo=to_orderer)
-
-
-def _wire_size(message) -> int:
-    return message.encoded_size if isinstance(message, Block) else len(message.encode())
+        dsts = [tgcs for tgcs in self.w.topo.tgcs_ids if tgcs != self.id]
+        if to_orderer:
+            dsts.append(self.w.acting_bo())
+        self.w.post(self.id, dsts, kind, message)
 
 
 class TgcsAgent(ProtocolAgent, GcsAgent):
@@ -670,10 +678,8 @@ class TgcsAgent(ProtocolAgent, GcsAgent):
             self.w.metrics.block_committed()
             for tx in block.transactions:
                 self.w.metrics.tx_committed(tx.key(), wire.commit_record(tx, self.w.backend), now)
-            size = block.encoded_size
-            for gcs in self.w.topo.gcs_ids:
-                if gcs not in self.w.topo.tgcs_ids:
-                    self.w.send(self.id, gcs, "committed-block", block, size)
+            self.w.post(self.id, [g for g in self.w.topo.gcs_ids
+                                  if g not in self.w.topo.tgcs_ids], "committed-block", block)
         self.distribute_copies(block)
 
     def reclaim(self, draft: Block) -> None:
@@ -718,9 +724,7 @@ class CaAgent(ProtocolAgent):
                 registry=self.w.registry, backend=self.w.backend))
         genesis = wire.build_block(0, BlockTarget.BLOCK_T2, self.id, 0,
                                    wire.ZERO_HASH, txs, self.w.backend)
-        size = genesis.encoded_size
-        for gcs in self.w.topo.gcs_ids:
-            self.w.send(self.id, gcs, "genesis", genesis, size)
+        self.w.post(self.id, self.w.topo.gcs_ids, "genesis", genesis)
 
     # --- authority commands ---
 
@@ -728,7 +732,7 @@ class CaAgent(ProtocolAgent):
         for gcs in self.my_gcs_ids:
             tx = self.new_tx(SUITE_S1, AccessClass.SINGLE, (gcs,), BlockTarget.BLOCK_T2,
                              bytes(COMMAND_PAYLOAD_BYTES))
-            self.w.send(self.id, gcs, "tx", tx, wire.encoded_tx_size(tx))
+            self.w.post(self.id, (gcs,), "tx", tx)
 
     # --- orderer duty ---
 
@@ -756,8 +760,7 @@ class CaAgent(ProtocolAgent):
     def _rotation_tick(self) -> None:
         acting = self.w.acting_bo()
         if self.orderer.ordering is not None and acting != self.id:
-            state = self.orderer.close().encode()
-            self.w.send(self.id, acting, "bo-handoff", state, len(state))
+            self.w.post(self.id, (acting,), "bo-handoff", self.orderer.close().encode())
         if self.w.workload_open():
             t_bo_us = self.w.t_bo_us
             self.w.sim.schedule_at((self.w.sim.now_us // t_bo_us + 1) * t_bo_us,

@@ -60,7 +60,7 @@ _FINALIZE = ("only scenario.run reads the drop total, when it finalizes the reco
 # the statement's first line as ast.unparse writes it, after its block's header.
 ALLOWED = {
     ("sim/agents.py", "answer_fetch",
-     "return (FetchResponse(tx.key(), None, 'denied'), 64, decision.incident)"): _OWNER_ASKS,
+     "return (FetchResponse(tx.key(), None, 'denied'), decision.incident)"): _OWNER_ASKS,
     ("sim/agents.py", "GcsAgent._detect_false", "if site_id in record.claims: continue"):
         "a fabricated site id is 1,000,000 plus the attack id, above every real site's",
     ("sim/agents.py", "GcsAgent.absorb_committed",

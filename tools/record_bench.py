@@ -81,6 +81,11 @@ CAVEATS = [
      "tracer.py's NET_METHODS names World._send_hop and World._send_on_link, which this "
      "checkout does not define; net.spans counts netmodel.Network's public methods "
      "instead (item 1b)."),
+    ((("perfbench/tracer.py", r'"World\.broadcast_tgcs"', True),
+      ("src/proactlab/sim/agents.py", r"def broadcast_tgcs\b", False)),
+     "tracer.py's NET_METHODS names World.broadcast_tgcs, which this checkout does not "
+     "define; World.post, which sizes each send and calls World.send, counts in the "
+     "agents layer (item 1b)."),
     ((("src/proactlab/sim/metrics.py", r"def bto_sample\(self, overheads", True),),
      "metrics.bto_samples counts stored block copies, one bto_sample call each."),
     ((("src/proactlab/sim/metrics.py", r"def bto_sample\(self, overhead\b", True),),
