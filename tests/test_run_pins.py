@@ -1,14 +1,21 @@
 """Pins of what a run does, not only its CSV row.
 
 ``perfbench/pinned.json`` pins one 12-column row per run, and none of those
-runs voids a block, rotates the orderer or has a packet refused.  The eight
-small runs here (four configurations, each in parallel and sequential mode)
-take those paths, and each pins three things:
+runs voids a block, rotates the orderer or has a packet refused.  Twelve runs
+are pinned here:
+
+* eight small ones (four configurations, each in parallel and sequential
+  mode) that take those paths;
+* the benchmark's desk and congested workloads, seeds 1 and 2, read from
+  their INI files in ``perfbench/workloads/``.
+
+Each pins four things:
 
 * the digest of its event log, with a two-byte hash of every line, so a
   mismatch names the number and the text of the first line that differs;
 * ``committed_fingerprint``;
-* the full counter dict.
+* the full counter dict;
+* its ``metrics.csv`` row.
 
 One more test runs one of them under two values of ``PYTHONHASHSEED``, each
 in its own process, and requires the same event log, fingerprint and CSV row.
@@ -28,14 +35,32 @@ from pathlib import Path
 
 import pytest
 
+from proactlab import config
 from proactlab.sim import run
 
 from test_sim import _desk_like, _finite_queues, _muted_miner, _rotating_orderers
 
 PINS_PATH = Path(__file__).with_name("pinned_runs.json")
+WORKLOADS = Path(__file__).parents[1] / "perfbench" / "workloads"
 CONFIGS = {"attacks-and-fetches": _desk_like, "muted-miner": _muted_miner,
            "rotating-orderers": _rotating_orderers, "finite-queues": _finite_queues}
 MODES = ("parallel", "sequential")
+
+
+def _in_mode(make_config, mode):
+    return lambda monkeypatch: dataclasses.replace(make_config(monkeypatch), mode=mode)
+
+
+def _workload(name, seed):
+    return lambda monkeypatch: dataclasses.replace(
+        config.load_scenarios(WORKLOADS / f"{name}.ini")[0], seed=seed)
+
+
+# pin name -> the config of its run, made with a monkeypatch
+RUNS = {**{f"{name}/{mode}": _in_mode(make_config, mode)
+           for name, make_config in CONFIGS.items() for mode in MODES},
+        **{f"{name}/seed{seed}": _workload(name, seed)
+           for name in ("desk", "congested") for seed in (1, 2)}}
 
 
 def _line_hash(line: str) -> bytes:
@@ -55,16 +80,16 @@ class HashingSink:
         self.lines.append(line)
 
 
-def observe(name: str, mode: str, monkeypatch):
+def observe(name: str, monkeypatch):
     """The pinned fields of one run, and its event-log lines."""
-    cfg = dataclasses.replace(CONFIGS[name](monkeypatch), mode=mode)
     sink = HashingSink()
-    record = run(cfg, sink)
+    record = run(RUNS[name](monkeypatch), sink)
     line_hashes = b"".join(_line_hash(line) for line in sink.lines)
     observed = {"event_log": sink.digest.hexdigest(),
                 "line_hashes": base64.b64encode(line_hashes).decode(),
                 "committed_fingerprint": record.committed_fingerprint,
-                "counters": dict(record.counters)}
+                "counters": dict(record.counters),
+                "csv_row": record.csv_row()}
     return observed, sink.lines
 
 
@@ -83,14 +108,14 @@ def _pins():
     return json.loads(PINS_PATH.read_text())
 
 
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_a_run_does_what_its_pin_says(name, mode, monkeypatch):
-    pin = _pins()[f"{name}/{mode}"]
-    observed, lines = observe(name, mode, monkeypatch)
+@pytest.mark.parametrize("name", sorted(RUNS), ids=lambda name: name.replace("/", "-"))
+def test_a_run_does_what_its_pin_says(name, monkeypatch):
+    pin = _pins()[name]
+    observed, lines = observe(name, monkeypatch)
     assert observed["committed_fingerprint"] == pin["committed_fingerprint"], \
         "committed_fingerprint differs"
     assert observed["counters"] == pin["counters"], "counters differ"
+    assert observed["csv_row"] == pin["csv_row"], "CSV row differs"
     if observed["event_log"] != pin["event_log"]:
         pytest.fail(first_difference(lines, pin["line_hashes"]))
 
@@ -98,15 +123,13 @@ def test_a_run_does_what_its_pin_says(name, mode, monkeypatch):
 # Prints the event-log digest, the committed fingerprint and the CSV row of
 # one run as JSON; run with this directory and the package on the path.
 _RUN_ONE = """
-import dataclasses, json, sys
+import json, sys
 import pytest
 from proactlab.sim import run
-from test_run_pins import CONFIGS, HashingSink
-name, mode = sys.argv[1:]
+from test_run_pins import RUNS, HashingSink
 with pytest.MonkeyPatch.context() as monkeypatch:
-    cfg = dataclasses.replace(CONFIGS[name](monkeypatch), mode=mode)
     sink = HashingSink()
-    record = run(cfg, sink)
+    record = run(RUNS[sys.argv[1]](monkeypatch), sink)
 print(json.dumps({"event_log": sink.digest.hexdigest(),
                   "committed_fingerprint": record.committed_fingerprint,
                   "csv_row": record.csv_row()}))
@@ -120,7 +143,7 @@ def test_the_hash_seed_does_not_change_a_run():
 
     path = os.pathsep.join([str(Path(proactlab.__file__).parents[1]), str(PINS_PATH.parent)])
     runs = [subprocess.Popen(
-        [sys.executable, "-c", _RUN_ONE, "attacks-and-fetches", "parallel"],
+        [sys.executable, "-c", _RUN_ONE, "attacks-and-fetches/parallel"],
         env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
         stdout=subprocess.PIPE, text=True) for hash_seed in ("0", "12345")]
     stdouts = [process.communicate(timeout=60)[0] for process in runs]
@@ -132,10 +155,9 @@ def test_the_hash_seed_does_not_change_a_run():
 
 def _write_pins() -> None:
     pins = {}
-    for name in sorted(CONFIGS):
-        for mode in MODES:
-            with pytest.MonkeyPatch.context() as monkeypatch:
-                pins[f"{name}/{mode}"] = observe(name, mode, monkeypatch)[0]
+    for name in sorted(RUNS):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            pins[name] = observe(name, monkeypatch)[0]
     PINS_PATH.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
 
 
