@@ -372,15 +372,8 @@ def open_sealed(suite: CryptoSuite, recipient_public: bytes, sealed: bytes,
 PRIVATE_SEED_LEN = 32
 
 
-@dataclass(frozen=True)
-class KeyPair:
-    holder: int
-    private_seed: bytes
-    public_key: bytes
-
-
 class KeyRegistry:
-    """Key pairs plus the possession lists that say who may open a payload.
+    """Public keys plus the possession lists that say who may open a payload.
 
     A single-owner payload is openable only by its owner and a CA; a group
     payload only by the group's members and a CA.  Attacker capability is a
@@ -390,38 +383,41 @@ class KeyRegistry:
     def __init__(self, backend: HashBackend, key_seed: bytes):
         self._backend = backend
         self._key_seed = key_seed
-        self._nodes: Dict[int, KeyPair] = {}
+        self._nodes: Dict[int, bytes] = {}
         self._cas: set[int] = set()
-        self._groups: Dict[FrozenSet[int], KeyPair] = {}
+        self._groups: Dict[FrozenSet[int], bytes] = {}
 
-    def _derive_pair(self, holder: int, label: bytes) -> KeyPair:
+    def _derive_public(self, holder: int, label: bytes) -> bytes:
+        """The holder's public key: the 224-bit digest of its private seed,
+        which is blake2b-256 of key seed ‖ label ‖ holder (u64, little-endian)."""
         seed = blake2b(
             self._key_seed + label + struct.pack("<Q", holder),
             digest_size=PRIVATE_SEED_LEN,
         ).digest()
-        return KeyPair(holder, seed, self._backend.digest224(seed))
+        return self._backend.digest224(seed)
 
-    def register_node(self, node_id: int, is_ca: bool = False) -> KeyPair:
+    def register_node(self, node_id: int, is_ca: bool = False) -> bytes:
+        """Register a node under the label ``node``; returns its public key."""
         if node_id in self._nodes:
             raise CryptoError(f"node {node_id} already registered")
-        pair = self._derive_pair(node_id, b"node")
-        self._nodes[node_id] = pair
+        public = self._nodes[node_id] = self._derive_public(node_id, b"node")
         if is_ca:
             self._cas.add(node_id)
-        return pair
+        return public
 
     def has_node(self, node_id: int) -> bool:
         return node_id in self._nodes
 
     def public_key(self, node_id: int) -> bytes:
         try:
-            return self._nodes[node_id].public_key
+            return self._nodes[node_id]
         except KeyError:
             raise CryptoError(f"node {node_id} has no registered key") from None
 
-    def group_keygen(self, ca_id: int, members: Iterable[int]) -> KeyPair:
-        """CA-issued group key pair; every member and the CA may open.
-        Group ids count up from 0x8000_0000 in issue order."""
+    def group_keygen(self, ca_id: int, members: Iterable[int]) -> bytes:
+        """CA-issued group key, derived under the label ``group``; every
+        member and the CA may open.  Returns its public key.  Group ids count
+        up from 0x8000_0000 in issue order."""
         member_set = frozenset(members)
         if not member_set:
             raise CryptoError("group must have at least one member")
@@ -429,18 +425,18 @@ class KeyRegistry:
             raise CryptoError(f"node {ca_id} is not a registered CA")
         if member_set not in self._groups:
             group_id = 0x8000_0000 + len(self._groups)
-            self._groups[member_set] = self._derive_pair(group_id, b"group")
+            self._groups[member_set] = self._derive_public(group_id, b"group")
         return self._groups[member_set]
 
-    def sealing_key(self, owners: Sequence[int]) -> KeyPair:
-        """Key pair a creator seals to: the owner's for single ownership,
+    def sealing_key(self, owners: Sequence[int]) -> bytes:
+        """Public key a creator seals to: the owner's for single ownership,
         the group's for shared ownership."""
         if len(owners) == 1:
             return self._nodes[owners[0]]
-        pair = self._groups.get(frozenset(owners))
-        if pair is None:
+        public = self._groups.get(frozenset(owners))
+        if public is None:
             raise CryptoError(f"no group key registered for members {sorted(owners)}")
-        return pair
+        return public
 
     def may_open(self, agent_id: int, owners: Sequence[int]) -> bool:
         if not owners:

@@ -11,7 +11,7 @@ import struct
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import crypto, txbuild, wire
 from .crypto import HashBackend, KeyRegistry
@@ -171,40 +171,34 @@ class AccessDecision:
             raise LedgerError("incident", "deny decisions must carry an incident draft")
 
 
-def access_request_bytes(requester: int, creator: int, tx_seq: int) -> bytes:
-    return b"txreq" + struct.pack("<IIQ", requester, creator, tx_seq)
+def access_request_bytes(requester: int, key: Tuple[int, int]) -> bytes:
+    return b"txreq" + struct.pack("<IIQ", requester, *key)
 
 
-def sign_access_request(requester: int, creator: int, tx_seq: int,
+def sign_access_request(requester: int, key: Tuple[int, int],
                         registry: KeyRegistry, backend: HashBackend) -> bytes:
     """Requests are signed under the permanent-security suite rules."""
-    digest = backend.digest224(access_request_bytes(requester, creator, tx_seq))
+    digest = backend.digest224(access_request_bytes(requester, key))
     return crypto.sign(crypto.SUITE_S1, registry.public_key(requester), digest, backend)
 
 
-def request_is_genuine(requester: int, creator: int, tx_seq: int, signature: bytes,
-                       registry: KeyRegistry, backend: HashBackend) -> bool:
-    """Whether a registered requester signed this access request."""
-    digest = backend.digest224(access_request_bytes(requester, creator, tx_seq))
-    return registry.has_node(requester) and crypto.verify(
-        crypto.SUITE_S1, registry.public_key(requester), digest,
-        signature, backend)
-
-
-def check_access(requester: int, request_signature: bytes, tx: Transaction,
-                 registry: KeyRegistry, backend: HashBackend) -> AccessDecision:
-    """Access-control decision for one transaction request.
+def check_access(requester: int, request_signature: bytes, key: Tuple[int, int],
+                 owners: Sequence[int], registry: KeyRegistry,
+                 backend: HashBackend) -> AccessDecision:
+    """Access-control decision for one request for what is held under
+    ``key``, which ``owners`` may open.
 
     The request signature is verified before any disclosure; a denial
     always carries a security-incident draft naming the requester.
     """
-    if not request_is_genuine(requester, tx.creator, tx.tx_seq, request_signature,
-                              registry, backend):
-        return AccessDecision(Verdict.DENY, IncidentDraft(requester, "forgery", tx.key()))
-    if registry.may_open(requester, tx.owners):
+    digest = backend.digest224(access_request_bytes(requester, key))
+    if not (registry.has_node(requester) and crypto.verify(
+            crypto.SUITE_S1, registry.public_key(requester), digest,
+            request_signature, backend)):
+        return AccessDecision(Verdict.DENY, IncidentDraft(requester, "forgery", key))
+    if registry.may_open(requester, owners):
         return AccessDecision(Verdict.ALLOW)
-    return AccessDecision(Verdict.DENY,
-                          IncidentDraft(requester, "unauthorized-access", tx.key()))
+    return AccessDecision(Verdict.DENY, IncidentDraft(requester, "unauthorized-access", key))
 
 
 class DroneLedger:

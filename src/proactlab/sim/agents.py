@@ -67,17 +67,14 @@ class ReportMeta:
 
 @dataclass(slots=True)
 class FetchRequest:
+    """A signed request for what is held under ``key``.  No transaction has
+    ``tx_seq`` 0, so ``(target, 0)`` names the target drone's private data:
+    a probe.  The reply is the transaction, or None."""
+
     requester: int
-    key: Optional[TxKey]          # None = a probe for the target's private data
+    key: TxKey
     signature: bytes
     attack_id: Optional[int] = None
-
-
-@dataclass(slots=True)
-class FetchResponse:
-    key: Optional[TxKey]
-    tx: Optional[Transaction]
-    status: str                   # ok | denied | not-found
 
 
 def report_payload(drone_id: int, x: float, y: float, claims: Sequence[int],
@@ -87,22 +84,6 @@ def report_payload(drone_id: int, x: float, y: float, claims: Sequence[int],
     prefix = f"rpt|{drone_id}|{x:.1f}|{y:.1f}|" \
              f"{','.join(str(c) for c in claims)}|".encode()
     return prefix[:size], max(0, size - len(prefix))
-
-
-FetchReply = Tuple[FetchResponse, Optional[IncidentDraft]]
-
-
-def answer_fetch(request: FetchRequest, tx: Optional[Transaction],
-                 registry: crypto.KeyRegistry, backend: crypto.HashBackend) -> FetchReply:
-    """The reply to a keyed fetch for the transaction held under its key
-    (None when none is): the response and the incident a denial raises.
-    What to do with the incident is the server's choice."""
-    if tx is None:
-        return FetchResponse(request.key, None, "not-found"), None
-    decision = check_access(request.requester, request.signature, tx, registry, backend)
-    if decision.verdict is Verdict.ALLOW:
-        return FetchResponse(tx.key(), tx, "ok"), None
-    return FetchResponse(tx.key(), None, "denied"), decision.incident
 
 
 # Each packet kind's one size rule, before PACKET_OVERHEAD_BYTES.  A rule looks
@@ -115,7 +96,7 @@ PACKET_SIZE: Dict[str, Callable[[object], int]] = {
                     lambda message: len(message.encode())),
     "bo-handoff": len,  # the orderer state travels encoded
     "fetch-req": lambda request: 96,
-    "fetch-resp": lambda reply: 64 if reply.tx is None else wire.encoded_tx_size(reply.tx),
+    "fetch-resp": lambda tx: 64 if tx is None else wire.encoded_tx_size(tx),
 }
 
 
@@ -302,9 +283,9 @@ class DroneAgent(Agent):
         if rng.random() < 0.5 and peers:
             attack_id = self.w.metrics.attack_injected()
             target = rng.choice(peers)
-            request = FetchRequest(self.id, None,
-                                   ledger.sign_access_request(self.id, 0, 0,
-                                                              self.w.registry,
+            key = (target, 0)  # the target's private data
+            request = FetchRequest(self.id, key,
+                                   ledger.sign_access_request(self.id, key, self.w.registry,
                                                               self.w.backend),
                                    attack_id)
             self.w.post(self.id, (target,), "fetch-req", request)
@@ -329,8 +310,8 @@ class DroneAgent(Agent):
             return
         now = self.w.sim.now_us
         request = FetchRequest(self.id, key,
-                               ledger.sign_access_request(self.id, key[0], key[1],
-                                                          self.w.registry, self.w.backend))
+                               ledger.sign_access_request(self.id, key, self.w.registry,
+                                                          self.w.backend))
         for peer in self.w.topo.peers_of_drone(self.id):
             agent = self.w.agents[peer]
             if agent.ledger.has_tx(key) and self.w.topo.in_range(self.id, peer, now):
@@ -346,8 +327,7 @@ class DroneAgent(Agent):
         elif packet.kind == "fetch-req":
             self._serve_fetch(packet)
         elif packet.kind == "fetch-resp":
-            response: FetchResponse = packet.payload
-            if response.status == "ok":
+            if packet.payload is not None:
                 counter = "fetch_gcs" if packet.src == self.gcs_id else "fetch_neighbor"
                 self.w.metrics.counters[counter] += 1
 
@@ -366,27 +346,24 @@ class DroneAgent(Agent):
             self.energy.account_crypto(suite, tx.payload_len(), now)
 
     def _serve_fetch(self, packet: Packet) -> None:
+        """Reply with the transaction held under the requested key, or None
+        when none is or the requester may not read it.  This drone's private
+        data, ``(self.id, 0)``, only the drone itself and a CA may read.  An
+        honest drone reports each denial to its station before it replies."""
         request: FetchRequest = packet.payload
-        if request.key is None:
-            response, incident = self._answer_probe(request)
+        if request.key == (self.id, 0):
+            tx, owners = None, self.sole_owner
         else:
-            response, incident = answer_fetch(
-                request, self.ledger.find_transaction(request.key),
-                self.w.registry, self.w.backend)
-        if incident is not None and not self.malicious:
-            self._emit_incident(incident, request.attack_id)
-        self.w.post(self.id, (packet.src,), "fetch-resp", response)
-
-    def _answer_probe(self, request: FetchRequest) -> FetchReply:
-        """A keyless request asks for this drone's private data, which only
-        the drone itself and a CA may read.  Only another drone sends one
-        (``_attack``), so it is denied: as unauthorized when its signature is
-        genuine, as a forgery when it is not."""
-        genuine = ledger.request_is_genuine(request.requester, 0, 0, request.signature,
-                                            self.w.registry, self.w.backend)
-        reason = "unauthorized-access" if genuine else "forgery"
-        return (FetchResponse(None, None, "denied"),
-                IncidentDraft(request.requester, reason, (self.id, 0)))
+            tx = self.ledger.find_transaction(request.key)
+            owners = None if tx is None else tx.owners
+        if owners is not None:
+            decision = check_access(request.requester, request.signature, request.key,
+                                    owners, self.w.registry, self.w.backend)
+            if decision.verdict is Verdict.DENY:
+                tx = None
+                if not self.malicious:
+                    self._emit_incident(decision.incident, request.attack_id)
+        self.w.post(self.id, (packet.src,), "fetch-resp", tx)
 
     def _emit_incident(self, incident: IncidentDraft, attack_id: Optional[int]) -> None:
         """Security-incident transaction sealed to this drone's station."""
@@ -517,9 +494,12 @@ class GcsAgent(Agent):
     def _serve_fetch(self, packet: Packet) -> None:
         """Stations answer from the full chain and raise no incident on a denial."""
         request: FetchRequest = packet.payload
-        tx = None if request.key is None else self.ledger.find_transaction(request.key)
-        response, _ = answer_fetch(request, tx, self.w.registry, self.w.backend)
-        self.w.post(self.id, (packet.src,), "fetch-resp", response)
+        tx = self.ledger.find_transaction(request.key)
+        if tx is not None and check_access(
+                request.requester, request.signature, request.key, tx.owners,
+                self.w.registry, self.w.backend).verdict is Verdict.DENY:
+            tx = None
+        self.w.post(self.id, (packet.src,), "fetch-resp", tx)
 
     # --- chain intake ---
 

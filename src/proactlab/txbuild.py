@@ -33,7 +33,7 @@ def build_transaction(*, creator: int, tx_seq: int, created_at_us: int,
         payload = plaintext
         enc_id, enc_par = 0, ""
     else:
-        sealed_to = registry.sealing_key(owners).public_key
+        sealed_to = registry.sealing_key(owners)
         payload = crypto.seal(suite, sealed_to, deterministic_nonce(creator, tx_seq),
                               plaintext + bytes(zeros), backend)
         enc_id, enc_par, zeros = suite.suite_id, suite.enc_par, 0

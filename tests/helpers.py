@@ -13,10 +13,11 @@ GCS2_ID = 11
 DRONE_A = 100
 DRONE_B = 101
 GROUP_MEMBERS = tuple(range(100, 107))
+KEY_SEED = b"test"
 
 
 def make_registry(backend: HashBackend) -> KeyRegistry:
-    registry = KeyRegistry(backend, key_seed=b"test")
+    registry = KeyRegistry(backend, key_seed=KEY_SEED)
     registry.register_node(CA_ID, is_ca=True)
     registry.register_node(GCS_ID)
     registry.register_node(GCS2_ID)

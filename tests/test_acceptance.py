@@ -259,9 +259,9 @@ def test_criterion_10_security_scenarios():
     forged_rejected = not txbuild.verify_transaction(forged, registry, BACKEND)
 
     # unauthorized access denied with an incident draft
-    sig = ledger.sign_access_request(helpers.DRONE_B, genuine.creator,
-                                     genuine.tx_seq, registry, BACKEND)
-    decision = ledger.check_access(helpers.DRONE_B, sig, genuine, registry, BACKEND)
+    sig = ledger.sign_access_request(helpers.DRONE_B, genuine.key(), registry, BACKEND)
+    decision = ledger.check_access(helpers.DRONE_B, sig, genuine.key(), genuine.owners,
+                                   registry, BACKEND)
     denied = decision.verdict is ledger.Verdict.DENY and \
         decision.incident is not None and \
         decision.incident.reason == "unauthorized-access"

@@ -1,5 +1,8 @@
 """Suite selection, signing, sealing, and key-possession enforcement."""
 
+import hashlib
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -129,7 +132,7 @@ def test_any_single_byte_corruption_is_detected(data, corrupt_at):
 
 def _open(registry, suite, owners, sealed):
     """Open a payload with the key it was sealed to."""
-    return crypto.open_sealed(suite, registry.sealing_key(owners).public_key, sealed,
+    return crypto.open_sealed(suite, registry.sealing_key(owners), sealed,
                               BACKEND)
 
 
@@ -137,7 +140,7 @@ def test_group_key_openable_by_all_members(registry):
     members = helpers.GROUP_MEMBERS
     group = registry.group_keygen(helpers.CA_ID, members)
     suite = crypto.SUITE_S2_C1
-    sealed = crypto.seal(suite, group.public_key, bytes(8), b"task", BACKEND)
+    sealed = crypto.seal(suite, group, bytes(8), b"task", BACKEND)
     assert registry.sealing_key(members) == group
     for member in members:
         assert registry.may_open(member, members)
@@ -155,7 +158,7 @@ def test_ca_can_open_any_group_payload(registry):
     members = helpers.GROUP_MEMBERS[:3]
     group = registry.group_keygen(helpers.CA_ID, members)
     suite = crypto.SUITE_S2_C2
-    sealed = crypto.seal(suite, group.public_key, bytes(8), b"secret", BACKEND)
+    sealed = crypto.seal(suite, group, bytes(8), b"secret", BACKEND)
     assert registry.may_open(helpers.CA_ID, members)
     assert _open(registry, suite, members, sealed) == b"secret"
 
@@ -182,10 +185,12 @@ def test_group_keygen_requires_ca(registry):
 
 
 def test_public_key_derived_from_seed(registry):
-    pair = registry.sealing_key((helpers.DRONE_A,))
-    assert pair.public_key == BACKEND.digest224(pair.private_seed)
-    assert pair.public_key == registry.public_key(helpers.DRONE_A)
-    assert len(pair.public_key) == 28
+    # a node's private seed is blake2b-256 of key seed ‖ b"node" ‖ its id (u64, little-endian)
+    seed = hashlib.blake2b(helpers.KEY_SEED + b"node" + struct.pack("<Q", helpers.DRONE_A),
+                           digest_size=crypto.PRIVATE_SEED_LEN).digest()
+    public = registry.sealing_key((helpers.DRONE_A,))
+    assert public == BACKEND.digest224(seed) == registry.public_key(helpers.DRONE_A)
+    assert len(public) == 28
 
 
 def test_registry_rejects_duplicate_registration(registry):

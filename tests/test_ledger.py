@@ -138,46 +138,56 @@ def test_full_ledger_finds_each_stored_transaction(registry):
 # --- access control ---
 
 
-def _request(requester, tx, registry):
-    return sign_access_request(requester, tx.creator, tx.tx_seq, registry, BACKEND)
+def _check(requester, tx, registry, signature=None):
+    """The decision on ``requester``'s request for ``tx``, signed by the
+    requester unless ``signature`` is given."""
+    if signature is None:
+        signature = sign_access_request(requester, tx.key(), registry, BACKEND)
+    return check_access(requester, signature, tx.key(), tx.owners, registry, BACKEND)
 
 
 def test_owner_allowed(registry):
     tx = helpers.make_t1_command(registry, BACKEND, owner=helpers.DRONE_A)
-    decision = check_access(helpers.DRONE_A, _request(helpers.DRONE_A, tx, registry),
-                            tx, registry, BACKEND)
+    decision = _check(helpers.DRONE_A, tx, registry)
     assert decision.verdict is Verdict.ALLOW and decision.incident is None
 
 
 def test_public_always_allowed(registry):
     tx = helpers.make_t3_data(registry, BACKEND)
-    decision = check_access(helpers.DRONE_B, _request(helpers.DRONE_B, tx, registry),
-                            tx, registry, BACKEND)
+    decision = _check(helpers.DRONE_B, tx, registry)
     assert decision.verdict is Verdict.ALLOW
 
 
 def test_ca_allowed(registry):
     tx = helpers.make_t1_command(registry, BACKEND, owner=helpers.DRONE_A)
-    decision = check_access(helpers.CA_ID, _request(helpers.CA_ID, tx, registry),
-                            tx, registry, BACKEND)
+    decision = _check(helpers.CA_ID, tx, registry)
     assert decision.verdict is Verdict.ALLOW
 
 
 def test_unauthorized_request_denied_with_incident(registry):
     tx = helpers.make_t1_command(registry, BACKEND, owner=helpers.DRONE_A)
-    decision = check_access(helpers.DRONE_B, _request(helpers.DRONE_B, tx, registry),
-                            tx, registry, BACKEND)
+    decision = _check(helpers.DRONE_B, tx, registry)
     assert decision.verdict is Verdict.DENY
     assert decision.incident is not None
     assert decision.incident.subject == helpers.DRONE_B
     assert decision.incident.reason == "unauthorized-access"
+    assert decision.incident.tx_key == tx.key()
     assert b"incident" in decision.incident.payload()
 
 
 def test_forged_request_signature_denied_as_forgery(registry):
     tx = helpers.make_t1_command(registry, BACKEND, owner=helpers.DRONE_A)
-    forged = bytes(64)
-    decision = check_access(helpers.DRONE_A, forged, tx, registry, BACKEND)
+    decision = _check(helpers.DRONE_A, tx, registry, signature=bytes(64))
+    assert decision.verdict is Verdict.DENY
+    assert decision.incident.reason == "forgery"
+
+
+def test_a_request_signed_for_another_key_is_a_forgery(registry):
+    # a signature names its key: one made for a request of the drone's own
+    # private data, (drone, 0), is no request for any transaction
+    tx = helpers.make_t1_command(registry, BACKEND, owner=helpers.DRONE_A)
+    probe = sign_access_request(helpers.DRONE_A, (helpers.DRONE_A, 0), registry, BACKEND)
+    decision = _check(helpers.DRONE_A, tx, registry, signature=probe)
     assert decision.verdict is Verdict.DENY
     assert decision.incident.reason == "forgery"
 

@@ -35,8 +35,7 @@ CODECS = {
 NO_CODEC = {
     "fetch-req": ("96 bytes", lambda request: 96),
     "fetch-resp": ("64 bytes, or the encoded size of the transaction it carries",
-                   lambda reply: 64 if reply.tx is None
-                   else len(wire.encode_transaction(reply.tx))),
+                   lambda tx: 64 if tx is None else len(wire.encode_transaction(tx))),
 }
 
 RUN_NAMES = ("attacks-and-probes", "rotating-orderers", "rejected-miner")

@@ -16,7 +16,7 @@ from proactlab import consensus, crypto, ledger, txbuild, wire
 from proactlab.crypto import SUITE_S1, SUITE_S2_C1
 from proactlab.sim import default_config, run
 from proactlab.consensus import StationProtocol
-from proactlab.sim.agents import FetchRequest, FetchResponse, Packet, ReportMeta, TgcsAgent, World
+from proactlab.sim.agents import FetchRequest, Packet, ReportMeta, TgcsAgent, World
 from proactlab.sim.engine import US, Simulator, to_us
 from proactlab.sim.metrics import MetricsCollector
 from proactlab.sim.netmodel import (
@@ -317,6 +317,18 @@ def _world(**overrides):
     return world
 
 
+Sent = collections.namedtuple("Sent", "src dst kind payload meta")
+
+
+def _capture_sends(world):
+    """Make ``world.send`` record each send, and send nothing; returns the
+    list of ``Sent`` it fills."""
+    sent = []
+    world.send = lambda src, dst, kind, payload, size, meta=None, on_expired=None: \
+        sent.append(Sent(src, dst, kind, payload, meta))
+    return sent
+
+
 def test_workload_classification_t1():
     world = _world()
     gcs = world.agents[world.topo.gcs_ids[0]]
@@ -355,11 +367,9 @@ def test_workload_classification_t3():
     world = _world()
     drone_id = sorted(world.topo.drone_uavn)[0]
     drone = world.agents[drone_id]
-    sent = []
-    world.send = lambda src, dst, kind, payload, size, meta=None, on_expired=None: \
-        sent.append((kind, payload, meta))
+    sent = _capture_sends(world)
     drone._send_report(fabricated=None, attack_id=None)
-    ((kind, tx, meta),) = sent
+    ((_, _, kind, tx, meta),) = sent
     assert kind == "tx"
     assert tx.access_class is AccessClass.PUBLIC
     assert tx.security_class is crypto.SecurityClass.S1
@@ -371,12 +381,10 @@ def test_workload_classification_t3():
 def test_workload_classification_t5():
     world = _world()
     ca = world.agents[world.topo.ca_ids[0]]
-    sent = []
-    world.send = lambda src, dst, kind, payload, size, meta=None, on_expired=None: \
-        sent.append((dst, payload))
+    sent = _capture_sends(world)
     ca._command_stations()
     assert len(sent) == len(world.topo.gcs_ids)
-    for dst, tx in sent:
+    for _, dst, _, tx, _ in sent:
         assert tx.access_class is AccessClass.SINGLE
         assert tx.owners == (dst,)
         assert tx.security_class is crypto.SecurityClass.S1
@@ -468,21 +476,19 @@ def test_unauthorized_probe_denied_with_incident():
     victim = next(d for d in drones if d not in world.malicious)
     attacker = next(d for d in drones if d in world.malicious)
     agent = world.agents[victim]
-    sent = []
-    world.send = lambda src, dst, kind, payload, size, meta=None, on_expired=None: \
-        sent.append((kind, dst, payload, meta))
+    sent = _capture_sends(world)
     aid = world.metrics.attack_injected()
-    request = FetchRequest(attacker, None,
-                           ledger.sign_access_request(attacker, 0, 0,
-                                                      world.registry, world.backend),
+    key = (victim, 0)  # the victim's private data
+    request = FetchRequest(attacker, key,
+                           ledger.sign_access_request(attacker, key, world.registry,
+                                                      world.backend),
                            aid)
     agent.on_packet(Packet("fetch-req", attacker, victim, request))
-    kinds = [k for k, *_ in sent]
-    assert "tx" in kinds  # the incident transaction to the station
-    incident_meta = next(m for k, _, _, m in sent if k == "tx")
-    assert incident_meta["incident_attack_id"] == aid
-    response = next(p for k, _, p, _ in sent if k == "fetch-resp")
-    assert response.status == "denied"
+    # the incident transaction to the station, then an empty reply
+    incident, reply = sent
+    assert (incident.dst, incident.kind) == (agent.gcs_id, "tx")
+    assert incident.meta["incident_attack_id"] == aid
+    assert (reply.dst, reply.kind, reply.payload) == (attacker, "fetch-resp", None)
 
 
 def test_malicious_target_stays_silent():
@@ -490,15 +496,15 @@ def test_malicious_target_stays_silent():
     drones = sorted(world.topo.drone_uavn)
     colluders = [d for d in drones if d in world.malicious]
     agent = world.agents[colluders[0]]
-    sent = []
-    world.send = lambda src, dst, kind, payload, size, meta=None, on_expired=None: \
-        sent.append(kind)
-    request = FetchRequest(colluders[1], None,
-                           ledger.sign_access_request(colluders[1], 0, 0,
-                                                      world.registry, world.backend),
+    sent = _capture_sends(world)
+    key = (colluders[0], 0)
+    request = FetchRequest(colluders[1], key,
+                           ledger.sign_access_request(colluders[1], key, world.registry,
+                                                      world.backend),
                            world.metrics.attack_injected())
     agent.on_packet(Packet("fetch-req", colluders[1], colluders[0], request))
-    assert sent == ["fetch-resp"]  # denial, but no incident transaction
+    # denial, but no incident transaction
+    assert [(s.kind, s.payload) for s in sent] == [("fetch-resp", None)]
 
 
 # --- fetch sources ---
@@ -523,27 +529,23 @@ def test_keyed_fetch_denial_raises_an_incident_only_at_a_drone():
     key = block.transactions[0].key()
     world.agents[owner].ledger.store_block(block)
     world.agents[gcs_id].ledger.append_block(block)
-    sent = []
-    world.send = lambda src, dst, kind, payload, size, meta=None, on_expired=None: \
-        sent.append((src, dst, kind, payload))
+    sent = _capture_sends(world)
     request = FetchRequest(peer, key,
-                           ledger.sign_access_request(peer, key[0], key[1],
-                                                      world.registry, world.backend))
+                           ledger.sign_access_request(peer, key, world.registry, world.backend))
 
     # the drone reports the peer to its station before it answers
     world.agents[owner].on_packet(Packet("fetch-req", peer, owner, request))
-    assert [(src, dst, kind) for src, dst, kind, _ in sent] == \
+    assert [(s.src, s.dst, s.kind) for s in sent] == \
         [(owner, gcs_id, "tx"), (owner, peer, "fetch-resp")]
-    incident, response = sent[0][3], sent[1][3]
+    incident, reply = (s.payload for s in sent)
     assert incident.access_class is AccessClass.SINGLE and incident.owners == (gcs_id,)
-    assert (response.key, response.tx, response.status) == (key, None, "denied")
+    assert reply is None
 
     # the station only denies
     sent.clear()
     world.agents[gcs_id].on_packet(Packet("fetch-req", peer, gcs_id, request))
-    assert [(src, dst, kind) for src, dst, kind, _ in sent] == [(gcs_id, peer, "fetch-resp")]
-    response = sent[0][3]
-    assert (response.key, response.tx, response.status) == (key, None, "denied")
+    assert [(s.src, s.dst, s.kind, s.payload) for s in sent] == \
+        [(gcs_id, peer, "fetch-resp", None)]
 
 
 def test_fetch_sources_local_then_gcs_after_eviction():
@@ -598,13 +600,13 @@ def test_fetch_unknown_network_wide_not_found():
 
     def spy(packet):
         if packet.kind == "fetch-resp":
-            responses.append(packet.payload.status)
+            responses.append(packet.payload)
         original(packet)
 
     drone.on_packet = spy
     drone.fetch_transaction((424242, 7))
     world.sim.run()
-    assert responses == ["not-found"]
+    assert responses == [None]
 
 
 # --- transport ---
@@ -766,6 +768,8 @@ def _check_settled_and_agreed(world):
         agent.ledger.verify_chain()
         tips.add(agent.ledger.tip_digest)
     assert len(tips) == 1
+    # a probe names (target, 0), which must be no transaction's key
+    assert all(tx.tx_seq > 0 for block in agent.ledger.blocks for tx in block.transactions)
 
 
 def test_small_run_conserves_and_chains(registry):
@@ -1191,12 +1195,15 @@ def test_a_station_holds_the_zero_padding_of_committed_reports_as_a_count():
 
 def _fresh(payload):
     """A copy of a payload that shares no object with it: wire and consensus
-    types go through their own codecs, fetch messages through deepcopy."""
+    types go through their own codecs, a fetch request through deepcopy, and
+    an empty fetch reply is None."""
+    if payload is None:
+        return None
     if isinstance(payload, wire.Transaction):
         return wire.decode_transaction(wire.encode_transaction(payload))
     if isinstance(payload, wire.Block):
         return wire.decode_block(wire.encode_block(payload))
-    if isinstance(payload, (FetchRequest, FetchResponse)):
+    if isinstance(payload, FetchRequest):
         return copy.deepcopy(payload)
     if isinstance(payload, bytes):
         return payload  # the orderer handoff, already encoded

@@ -43,8 +43,8 @@ from test_sim import (
 
 MODULES = (agents, consensus, ledger, netmodel)
 
-_OWNER_ASKS = ("a keyed request comes only from fetch_transaction, for a key from the "
-               "requester's own block copies, signed by the requester: an owner")
+_OWNER_ASKS = ("a request reaches a station only from fetch_transaction (a probe goes to "
+               "a drone), for a key from the requester's own block copies: an owner")
 _ONCE = "a link delivers each packet once, and each block or copy is sent once"
 _HANDOFF = ("a request reaches the next authority before the state only if it leaves in "
             "the handoff's microsecond; the handoff model check reaches it (ROADMAP item 3b)")
@@ -59,8 +59,10 @@ _FINALIZE = ("only scenario.run reads the drop total, when it finalizes the reco
 # (file, function, statement text) -> why no run reaches it.  The text is
 # the statement's first line as ast.unparse writes it, after its block's header.
 ALLOWED = {
-    ("sim/agents.py", "answer_fetch",
-     "return (FetchResponse(tx.key(), None, 'denied'), decision.incident)"): _OWNER_ASKS,
+    ("sim/agents.py", "GcsAgent._serve_fetch",
+     "if tx is not None and check_access(request.requester, request.signature, request.key, "
+     "tx.owners, self.w.registry, self.w.backend).verdict is Verdict.DENY: tx = None"):
+        _OWNER_ASKS,
     ("sim/agents.py", "GcsAgent._detect_false", "if site_id in record.claims: continue"):
         "a fabricated site id is 1,000,000 plus the attack id, above every real site's",
     ("sim/agents.py", "GcsAgent.absorb_committed",
@@ -98,12 +100,11 @@ ALLOWED = {
     ("ledger.py", "FullLedger.find_transaction", "if block_id is None: return None"):
         "a drone asks its station only for keys from the copies the station sent it",
     ("ledger.py", "check_access",
-     "if not request_is_genuine(requester, tx.creator, tx.tx_seq, request_signature, "
-     "registry, backend): return AccessDecision(Verdict.DENY, IncidentDraft(requester, "
-     "'forgery', tx.key()))"): _OWNER_ASKS,
-    ("ledger.py", "check_access",
-     "return AccessDecision(Verdict.DENY, IncidentDraft(requester, 'unauthorized-access', "
-     "tx.key()))"): _OWNER_ASKS,
+     "if not (registry.has_node(requester) and crypto.verify(crypto.SUITE_S1, "
+     "registry.public_key(requester), digest, request_signature, backend)): "
+     "return AccessDecision(Verdict.DENY, IncidentDraft(requester, 'forgery', key))"):
+        "every request a run sends carries its sender's genuine signature; "
+        "tests/test_ledger.py checks a forged one",
     ("ledger.py", "DroneLedger.store_block",
      "if index < len(self.blocks) and self.blocks[index].block_id == block.block_id: "
      "return []"): _ONCE,
