@@ -104,14 +104,12 @@ class Spongent:
     byte ``i``, and four 256-byte digit tables give a whole round.
     """
 
-    def __init__(self, variant: HashVariant, sbox: Sequence[int] = SBOX):
-        if sorted(sbox) != list(range(16)):
-            raise CryptoError("S-box must be a permutation of 0..15")
+    def __init__(self, variant: HashVariant):
         bits, rate, digest_bits, rounds, lw, lt, ls = _SPONGENT_PARAMS[variant]
         self.state_bytes = bits // 8
         self.rate_bytes = rate // 8
         self.digest_bytes = digest_bits // 8
-        sbox8 = [sbox[v & 0xF] | (sbox[v >> 4] << 4) for v in range(256)]
+        sbox8 = [SBOX[v & 0xF] | (SBOX[v >> 4] << 4) for v in range(256)]
         # ASCII base-4 digit of each byte, quarter 3 (the top state bits) first
         self._digits = [
             bytes(ord("0") + (sub >> q & 1) + 2 * (sub >> (q + 4) & 1) for sub in sbox8)

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import crypto, txbuild, wire
 from .crypto import HashBackend, KeyRegistry
-from .wire import Block, BlockTarget, Transaction, WireError
+from .wire import Block, BlockTarget, Transaction
 
 
 class LedgerError(Exception):
@@ -31,17 +31,15 @@ class ValidationIssue:
 
 
 #: validation issue codes, in check order
-CHECK_ORDER = (
-    "block_id", "prev_hash", "merkle_root", "signature",
-    "ta_fidelity", "access_enc", "block_type", "duplicate_tx",
-)
+CHECK_ORDER = ("block_id", "prev_hash", "merkle_root", "signature", "duplicate_tx")
 
 
 def validate_block(expected_id: int, tip_digest: bytes, block: Block,
                    registry: KeyRegistry, backend: HashBackend,
                    seen_tx: Optional[Callable[[Tuple[int, int]], bool]] = None
                    ) -> List[ValidationIssue]:
-    """Run the full acceptance checklist for a candidate successor block.
+    """Run the acceptance checks that depend on the chain and the registry
+    for a candidate successor block; a Block is well-formed by construction.
 
     Returns an empty list when the block is valid; otherwise one issue per
     failed check (any issue means a Block ERROR vote).
@@ -55,11 +53,8 @@ def validate_block(expected_id: int, tip_digest: bytes, block: Block,
     if header.prev_hash != tip_digest:
         issues.append(ValidationIssue("prev_hash", "does not match the tip digest"))
 
-    try:
-        if wire.body_root(block.transactions, backend) != header.merkle_root:
-            issues.append(ValidationIssue("merkle_root", "does not recompute"))
-    except WireError as exc:
-        issues.append(ValidationIssue("merkle_root", f"body unencodable: {exc}"))
+    if wire.body_root(block.transactions, backend) != header.merkle_root:
+        issues.append(ValidationIssue("merkle_root", "does not recompute"))
 
     for i, tx in enumerate(block.transactions):
         if not registry.has_node(tx.creator):
@@ -67,23 +62,6 @@ def validate_block(expected_id: int, tip_digest: bytes, block: Block,
                 "signature", f"tx {i}: unknown creator {tx.creator}"))
         elif not txbuild.verify_transaction(tx, registry, backend):
             issues.append(ValidationIssue("signature", f"tx {i}: bad signature"))
-
-    differing = wire.ta_mismatches(header, block.transactions)
-    if differing is None:
-        issues.append(ValidationIssue("ta_fidelity", "entry count mismatch"))
-    else:
-        issues.extend(ValidationIssue("ta_fidelity", f"entry {i} differs")
-                      for i in differing)
-
-    for i, tx in enumerate(block.transactions):
-        try:
-            tx.validate()
-        except WireError as exc:
-            issues.append(ValidationIssue("access_enc", f"tx {i}: {exc}"))
-
-    for i in wire.type_mismatches(header, block.transactions):
-        issues.append(ValidationIssue(
-            "block_type", f"tx {i} targets {block.transactions[i].block_target.name}"))
 
     keys_in_block: Set[Tuple[int, int]] = set()
     for i, tx in enumerate(block.transactions):
@@ -136,8 +114,7 @@ class FullLedger:
                 raise LedgerError("gap", f"id {block.block_id} at height {expected_id}")
             if block.header.prev_hash != digest:
                 raise LedgerError("prev_hash", f"broken link at block {expected_id}")
-            if block.transactions and wire.body_root(
-                    block.transactions, self._backend) != block.header.merkle_root:
+            if wire.body_root(block.transactions, self._backend) != block.header.merkle_root:
                 raise LedgerError("merkle_root", f"bad root at block {expected_id}")
             digest = wire.block_hash(block.header, self._backend)
 

@@ -61,8 +61,7 @@ class ReportMeta:
     x: float
     y: float
     claims: Tuple[int, ...]
-    fabricated: Optional[Tuple[int, float, float]] = None  # site_id, x, y
-    attack_id: Optional[int] = None
+    attack_id: Optional[int] = None  # set on a fabricated report only
 
 
 @dataclass(slots=True)
@@ -256,17 +255,17 @@ class DroneAgent(Agent):
 
     # --- data reports ---
 
-    def _send_report(self, fabricated=None, attack_id=None) -> None:
+    def _send_report(self, attack_id: Optional[int] = None) -> None:
+        """Report the sites seen from here; attack ``attack_id`` adds a
+        fabricated site, 1,000,000 plus its id, above every real site's."""
         cfg = self.w.cfg
-        now = self.w.sim.now_us
-        x, y = self.w.topo.position(self.id, now)
+        x, y = self.w.topo.position(self.id, self.w.sim.now_us)
         claims = list(self.w.topo.truth.observed_from(x, y))
-        if fabricated is not None:
-            claims.append(fabricated[0])
+        if attack_id is not None:
+            claims.append(1_000_000 + attack_id)
         prefix, zeros = report_payload(self.id, x, y, claims, cfg.data_tx_size)
         tx = self.new_tx(SUITE_S1, AccessClass.PUBLIC, (), BlockTarget.BLOCK_T2, prefix, zeros)
-        self._send_own_tx(tx, SUITE_S1,
-                          {"report": ReportMeta(x, y, tuple(claims), fabricated, attack_id)})
+        self._send_own_tx(tx, SUITE_S1, {"report": ReportMeta(x, y, tuple(claims), attack_id)})
 
     def _send_own_tx(self, tx: Transaction, suite: crypto.CryptoSuite, meta: dict) -> None:
         """Pay the signing energy and send this drone's transaction to its
@@ -290,11 +289,7 @@ class DroneAgent(Agent):
                                    attack_id)
             self.w.post(self.id, (target,), "fetch-req", request)
         else:
-            attack_id = self.w.metrics.attack_injected()
-            now = self.w.sim.now_us
-            x, y = self.w.topo.position(self.id, now)
-            fabricated = (1_000_000 + attack_id, x, y)
-            self._send_report(fabricated=fabricated, attack_id=attack_id)
+            self._send_report(attack_id=self.w.metrics.attack_injected())
 
     # --- stored-chain workload ---
 
@@ -452,7 +447,7 @@ class GcsAgent(Agent):
                                   report.claims, legit)
             self._prune_reports(now)
             self.recent_reports.append(record)
-            if report.fabricated is not None and \
+            if report.attack_id is not None and \
                     self._detect_false(report, tx.created_at_us):
                 self.w.sim.log(str(self.id), "detect-false",
                                f"drone={packet.src} attack={report.attack_id}")
@@ -477,7 +472,6 @@ class GcsAgent(Agent):
         claimed location delivered a report (that necessarily lacks the
         fabricated site) generated within the corroboration window before
         the suspect one; only reports already delivered can witness."""
-        site_id, sx, sy = report.fabricated
         reach = self.w.cfg.r_detect_m
         window = to_us(self.w.cfg.w_detect_s)
         for record in self.recent_reports:
@@ -485,9 +479,7 @@ class GcsAgent(Agent):
                 continue
             if not 0 <= created_us - record.created_us <= window:
                 continue
-            if site_id in record.claims:
-                continue
-            if math.hypot(record.x - sx, record.y - sy) <= reach:
+            if math.hypot(record.x - report.x, record.y - report.y) <= reach:
                 return True
         return False
 

@@ -14,8 +14,11 @@ Block header layout (80 bytes before the access list):
 
 Each access-list entry is tx_index(2) access_class(1) owner_count(2)
 owners(4 each).  The block hash covers the header bytes only; the Merkle
-root commits to the body.  Values are immutable after construction and all
-operations here are pure functions.
+root commits to the body.  A Transaction or Block that exists is
+well-formed: its constructor enforces each format rule and raises WireError
+otherwise, so no encoder, decoder or validator checks one again.  Values
+are immutable after construction and all operations here are pure
+functions.
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ class BlockTarget(IntEnum):
     BLOCK_T2 = 2
 
 
-# Set by _with_facts (_facts and _facts_by together), block_hash, validate and
+# Set by _with_facts (_facts and _facts_by together), block_hash and
 # encoded_tx_size; a replace() copy lacks them.  Transaction._key is the exception:
 # __post_init__ sets it on every object.
 _memo = partial(field, default=None, init=False, repr=False, compare=False)
@@ -91,7 +94,8 @@ class Transaction:
     trailing run of zeros (``payload``) plus the length of that run
     (``payload_zeros``); the wire bytes and every digest are those of the
     whole payload.  The form is canonical: a ``payload`` given with a zero
-    tail has that tail moved into (added to) the count."""
+    tail has that tail moved into (added to) the count.  Construction
+    raises WireError unless the fields agree."""
 
     creator: int
     tx_seq: int
@@ -108,7 +112,6 @@ class Transaction:
     payload: bytes
     payload_zeros: int
     signature: bytes
-    _valid: Optional[bool] = _memo()
     _facts: Optional[bytes] = _memo()  # commit ‖ content ‖ leaf, read in place
     _facts_by: Optional[HashBackend] = _memo()  # the backend that derived _facts
     _size: Optional[int] = _memo()
@@ -121,26 +124,6 @@ class Transaction:
                                self.payload_zeros + len(self.payload) - len(head))
             object.__setattr__(self, "payload", head)
         object.__setattr__(self, "_key", (self.creator, self.tx_seq))
-
-    def key(self) -> Tuple[int, int]:
-        """(creator, tx_seq), one tuple per object, shared by every index that keys on it."""
-        return self._key
-
-    def payload_len(self) -> int:
-        """The length of the whole payload, as written on the wire."""
-        return len(self.payload) + self.payload_zeros
-
-    def plaintext_len(self) -> int:
-        """Original payload size before sealing (the BTO baseline)."""
-        if self.access_class is AccessClass.PUBLIC:
-            return self.payload_len()
-        suite = suite_for_class(self.security_class)
-        return self.payload_len() - NONCE_LEN - suite.tag_len
-
-    def validate(self) -> None:
-        """Raise WireError unless the fields agree; a passed object is not checked again."""
-        if self._valid:
-            return
         n_owners = len(self.owners)
         bad_owner_count = (
             (self.access_class is AccessClass.PUBLIC and n_owners != 0)
@@ -165,7 +148,21 @@ class Transaction:
         if len(self.signature) != suite.signature_len:
             raise WireError(f"signature length {len(self.signature)} != suite's "
                             f"{suite.signature_len}")
-        object.__setattr__(self, "_valid", True)
+
+    def key(self) -> Tuple[int, int]:
+        """(creator, tx_seq), one tuple per object, shared by every index that keys on it."""
+        return self._key
+
+    def payload_len(self) -> int:
+        """The length of the whole payload, as written on the wire."""
+        return len(self.payload) + self.payload_zeros
+
+    def plaintext_len(self) -> int:
+        """Original payload size before sealing (the BTO baseline)."""
+        if self.access_class is AccessClass.PUBLIC:
+            return self.payload_len()
+        suite = suite_for_class(self.security_class)
+        return self.payload_len() - NONCE_LEN - suite.tag_len
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,7 +189,9 @@ class BlockHeader:
 
 @dataclass(frozen=True)
 class Block:
-    """A header and its body.
+    """A header and its body.  Construction raises WireError unless the
+    body is non-empty, the access list mirrors it and every transaction
+    targets the block type.
 
     The cached properties below are the delivery facts: derived once per
     Block object and shared by every station and drone that receives it.
@@ -202,6 +201,19 @@ class Block:
 
     header: BlockHeader
     transactions: Tuple[Transaction, ...]
+
+    def __post_init__(self) -> None:
+        header, transactions = self.header, self.transactions
+        if not transactions:
+            raise WireError("a block must hold at least one transaction")
+        if len(header.ta_list) != len(transactions):
+            raise WireError("access list length does not match transaction count")
+        for i, (entry, tx) in enumerate(zip(header.ta_list, transactions)):
+            if entry.tx_index != i or entry.access_class is not tx.access_class \
+                    or entry.owners != tx.owners:
+                raise WireError(f"access list entry {i} does not mirror its transaction")
+        if any(tx.block_target is not header.block_type for tx in transactions):
+            raise WireError("transaction block target differs from the block type")
 
     @property
     def block_id(self) -> int:
@@ -266,12 +278,10 @@ def _with_facts(signing, security_class, backend, make: Callable[[bytes], Transa
 
 
 def new_transaction(sign: Callable[[bytes], bytes], backend: HashBackend, **fields) -> Transaction:
-    """The validated transaction of ``fields`` (all but the signature) and
+    """The transaction of ``fields`` (all but the signature) and
     ``sign(content digest)``, its derived facts stored."""
-    tx = _with_facts(_signing_bytes(**fields), fields["security_class"], backend,
-                     lambda content: Transaction(**fields, signature=sign(content)))
-    tx.validate()
-    return tx
+    return _with_facts(_signing_bytes(**fields), fields["security_class"], backend,
+                       lambda content: Transaction(**fields, signature=sign(content)))
 
 
 def _stored_facts(tx: Transaction, backend: HashBackend) -> bytes:
@@ -296,13 +306,11 @@ def content_digest(tx: Transaction, backend: HashBackend) -> bytes:
 
 
 def leaf_digest(tx: Transaction, backend: HashBackend) -> bytes:
-    """The SPONGENT-224 digest of the encoding; WireError for an invalid transaction."""
-    tx.validate()
+    """The SPONGENT-224 digest of the encoding."""
     return _stored_facts(tx, backend)[-HASH_LEN:]
 
 
 def encode_transaction(tx: Transaction) -> bytes:
-    tx.validate()
     return _signing_bytes(*_SIGNED_FIELDS(tx)) + (struct.pack(_SIG_LEN, len(tx.signature))
                                                   + tx.signature)
 
@@ -377,11 +385,9 @@ def _decode_transaction(reader: _Reader) -> Transaction:
     hash_par = reader.text(*reader.unpack(_HASH_PAR_LEN))
     payload = reader.take(*reader.unpack(_PAYLOAD_LEN))
     signature = reader.take(*reader.unpack(_SIG_LEN))
-    tx = Transaction(creator, tx_seq, created, topic, access, tuple(owners),
-                     sec, target, enc_id, hash_id, enc_par, hash_par,
-                     payload, 0, signature)
-    tx.validate()
-    return tx
+    return Transaction(creator, tx_seq, created, topic, access, tuple(owners),
+                       sec, target, enc_id, hash_id, enc_par, hash_par,
+                       payload, 0, signature)
 
 
 def decode_transaction(data: bytes) -> Transaction:
@@ -423,35 +429,7 @@ def encoded_block_size(block: Block) -> int:
             + sum(encoded_tx_size(tx) for tx in block.transactions))
 
 
-def ta_mismatches(header: BlockHeader,
-                  transactions: Sequence[Transaction]) -> Optional[List[int]]:
-    """Indices of the access-list entries that do not mirror their
-    transaction; None when the list and the body differ in length."""
-    if len(header.ta_list) != len(transactions):
-        return None
-    return [i for i, (entry, tx) in enumerate(zip(header.ta_list, transactions))
-            if entry.tx_index != i or entry.access_class is not tx.access_class
-            or entry.owners != tx.owners]
-
-
-def type_mismatches(header: BlockHeader, transactions: Sequence[Transaction]) -> List[int]:
-    """Indices of the transactions whose target differs from the block type."""
-    return [i for i, tx in enumerate(transactions)
-            if tx.block_target is not header.block_type]
-
-
-def _check_ta(header: BlockHeader, transactions: Sequence[Transaction]) -> None:
-    differing = ta_mismatches(header, transactions)
-    if differing is None:
-        raise WireError("access list length does not match transaction count")
-    if differing:
-        raise WireError(f"access list entry {differing[0]} does not mirror its transaction")
-    if type_mismatches(header, transactions):
-        raise WireError("transaction block target differs from the block type")
-
-
 def encode_block(block: Block) -> bytes:
-    _check_ta(block.header, block.transactions)
     parts = [encode_header(block.header)]
     parts.extend(encode_transaction(tx) for tx in block.transactions)
     return b"".join(parts)
@@ -479,7 +457,6 @@ def decode_block(data: bytes) -> Block:
     transactions = tuple(_decode_transaction(reader) for _ in range(tx_count))
     header = BlockHeader(version, block_id, block_type, miner, timestamp,
                          prev_hash, merkle, tuple(ta_entries))
-    _check_ta(header, transactions)
     reader.end()
     return Block(header, transactions)
 

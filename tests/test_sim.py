@@ -368,14 +368,14 @@ def test_workload_classification_t3():
     drone_id = sorted(world.topo.drone_uavn)[0]
     drone = world.agents[drone_id]
     sent = _capture_sends(world)
-    drone._send_report(fabricated=None, attack_id=None)
+    drone._send_report()
     ((_, _, kind, tx, meta),) = sent
     assert kind == "tx"
     assert tx.access_class is AccessClass.PUBLIC
     assert tx.security_class is crypto.SecurityClass.S1
     assert tx.block_target is BlockTarget.BLOCK_T2
     assert tx.plaintext_len() == world.cfg.data_tx_size
-    assert meta["report"].fabricated is None
+    assert meta["report"].attack_id is None
 
 
 def test_workload_classification_t5():
@@ -391,7 +391,7 @@ def test_workload_classification_t5():
         assert tx.block_target is BlockTarget.BLOCK_T2
 
 
-def _report_packet(world, sender, x, y, claims, fabricated=None, attack_id=None,
+def _report_packet(world, sender, x, y, claims, attack_id=None,
                    created_us=None, seq=1):
     now = world.sim.now_us if created_us is None else created_us
     payload = bytes(world.cfg.data_tx_size)
@@ -401,7 +401,7 @@ def _report_packet(world, sender, x, y, claims, fabricated=None, attack_id=None,
         block_target=BlockTarget.BLOCK_T2, plaintext=payload,
         registry=world.registry, backend=world.backend)
     world.metrics.tx_generated(tx.key(), now)
-    meta = {"report": ReportMeta(x, y, tuple(claims), fabricated, attack_id)}
+    meta = {"report": ReportMeta(x, y, tuple(claims), attack_id)}
     return Packet("tx", sender, None, tx, meta)
 
 
@@ -415,8 +415,7 @@ def test_false_report_detected_with_witness():
     # witness reports first, from the same spot
     gcs.on_packet(_report_packet(world, legit[0], 0.0, 0.0, [], created_us=1_000_000))
     aid = world.metrics.attack_injected()
-    packet = _report_packet(world, attacker, 0.0, 0.0, [500], (500, 0.0, 0.0),
-                            aid, created_us=2_000_000)
+    packet = _report_packet(world, attacker, 0.0, 0.0, [500], aid, created_us=2_000_000)
     gcs.on_packet(packet)
     assert world.metrics.counters["attacks_detected"] == 1
     assert world.metrics.counters["txs_rejected_invalid"] == 1
@@ -434,8 +433,7 @@ def test_false_report_accepted_without_witness_in_range():
     far = world.cfg.r_detect_m + 1
     gcs.on_packet(_report_packet(world, legit[0], far, 0.0, [], created_us=1_000_000))
     aid = world.metrics.attack_injected()
-    gcs.on_packet(_report_packet(world, attacker, 0.0, 0.0, [501], (501, 0.0, 0.0),
-                                 aid, created_us=2_000_000))
+    gcs.on_packet(_report_packet(world, attacker, 0.0, 0.0, [501], aid, created_us=2_000_000))
     assert world.metrics.counters["attacks_detected"] == 0
     assert len(forwarded) == 2  # both reports forwarded for mining
 
@@ -452,8 +450,7 @@ def test_false_report_accepted_when_witness_missing():
     stale = to_us(20.0)
     gcs.on_packet(_report_packet(world, legit[0], 0.0, 0.0, [], created_us=1_000))
     aid = world.metrics.attack_injected()
-    gcs.on_packet(_report_packet(world, attacker, 0.0, 0.0, [502], (502, 0.0, 0.0),
-                                 aid, created_us=stale))
+    gcs.on_packet(_report_packet(world, attacker, 0.0, 0.0, [502], aid, created_us=stale))
     assert world.metrics.counters["attacks_detected"] == 0
 
 
@@ -465,8 +462,7 @@ def test_malicious_witness_does_not_corroborate():
     bad = [d for d in drones if d in world.malicious]
     gcs.on_packet(_report_packet(world, bad[0], 0.0, 0.0, [], created_us=1_000_000))
     aid = world.metrics.attack_injected()
-    gcs.on_packet(_report_packet(world, bad[1], 0.0, 0.0, [503], (503, 0.0, 0.0),
-                                 aid, created_us=2_000_000))
+    gcs.on_packet(_report_packet(world, bad[1], 0.0, 0.0, [503], aid, created_us=2_000_000))
     assert world.metrics.counters["attacks_detected"] == 0
 
 

@@ -87,18 +87,17 @@ def test_decode_rejects_overrunning_length(registry, sim_backend):
         wire.decode_transaction(bytes(data))
 
 
+# The encoder is never handed a malformed transaction: building one raises.
 def test_encode_rejects_inconsistent_owners(registry, sim_backend):
     tx = helpers.make_t1_command(registry, sim_backend)
-    bad = dataclasses.replace(tx, owners=(1, 2, 3))
     with pytest.raises(WireError, match="owners"):
-        wire.encode_transaction(bad)
+        dataclasses.replace(tx, owners=(1, 2, 3))
 
 
 def test_encode_rejects_empty_payload(registry, sim_backend):
     tx = helpers.make_t3_data(registry, sim_backend)
-    bad = dataclasses.replace(tx, payload=b"", payload_zeros=0)  # its payload is all zeros
     with pytest.raises(WireError, match="payload"):
-        wire.encode_transaction(bad)
+        dataclasses.replace(tx, payload=b"", payload_zeros=0)  # its payload is all zeros
 
 
 def _header(block_id=0, ta=(), block_type=BlockTarget.BLOCK_T1):
@@ -143,6 +142,60 @@ def test_encode_block_rejects_target_mismatch(registry, sim_backend):
                      block_type=BlockTarget.BLOCK_T1)
     with pytest.raises(WireError, match="target"):
         wire.encode_block(Block(header, (tx,)))
+
+
+# One case per format rule that construction enforces: the object made from
+# a well-formed sealed command (t1), public report (t3) or block of the
+# command (b), and the message that building it raises.
+_replace = dataclasses.replace
+_MALFORMED = {
+    "owner-count": (
+        lambda t1, t3, b: _replace(t1, owners=(1, 2)),
+        "SINGLE cannot have 2 owners"),
+    "empty-payload": (
+        lambda t1, t3, b: _replace(t3, payload=b"", payload_zeros=0),
+        "payload must be non-empty"),
+    "public-encryption": (
+        lambda t1, t3, b: _replace(t3, enc_par="x"),
+        "public transactions carry no encryption metadata"),
+    "enc-id": (
+        lambda t1, t3, b: _replace(t1, enc_id=t1.enc_id + 1),
+        "enc_id .* does not match suite"),
+    "sealed-length": (
+        lambda t1, t3, b: _replace(t1, payload=b"\1", payload_zeros=0),
+        "sealed payload shorter than nonce plus tag"),
+    "hash-id": (
+        lambda t1, t3, b: _replace(t1, hash_id=t1.hash_id + 1),
+        "hash_id .* does not match the suite"),
+    "signature-length": (
+        lambda t1, t3, b: _replace(t1, signature=t1.signature[1:]),
+        "signature length"),
+    "access-list-length": (
+        lambda t1, t3, b: Block(b.header, b.transactions * 2),
+        "access list length does not match transaction count"),
+    "access-list-entry": (
+        lambda t1, t3, b: Block(_replace(b.header, ta_list=(TAEntry(0, AccessClass.PUBLIC, ()),)),
+                                b.transactions),
+        "access list entry 0 does not mirror its transaction"),
+    "block-target": (
+        lambda t1, t3, b: Block(_replace(b.header, block_type=BlockTarget.BLOCK_T2),
+                                b.transactions),
+        "transaction block target differs from the block type"),
+    "zero-transactions": (
+        lambda t1, t3, b: wire.decode_block(wire.encode_header(_replace(b.header, ta_list=()))),
+        "a block must hold at least one transaction"),
+}
+
+
+@pytest.mark.parametrize("malform, message", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_a_malformed_transaction_or_block_cannot_be_built(registry, sim_backend,
+                                                          malform, message):
+    t1 = helpers.make_t1_command(registry, sim_backend)
+    t3 = helpers.make_t3_data(registry, sim_backend)
+    block = wire.build_block(1, BlockTarget.BLOCK_T1, helpers.GCS_ID, 0,
+                             wire.ZERO_HASH, [t1], sim_backend)
+    with pytest.raises(WireError, match=message):
+        malform(t1, t3, block)
 
 
 H = SPONGENT_BACKEND.digest224
@@ -202,7 +255,7 @@ def test_stored_digests_equal_a_fresh_computation_on_each_backend(registry, sim_
            helpers.make_t3_data(registry, sim_backend, plaintext=bytes(300)),
            helpers.make_group_command(registry, sim_backend)]
     header = wire.build_block(1, BlockTarget.BLOCK_T1, helpers.GCS_ID, 0,
-                              wire.ZERO_HASH, txs, sim_backend).header
+                              wire.ZERO_HASH, txs[::2], sim_backend).header  # the T1 two
     for backend in (sim_backend, SPONGENT_BACKEND, sim_backend, SPONGENT_BACKEND):
         leaves = []
         for tx in txs:
@@ -280,7 +333,6 @@ def test_a_zero_tail_held_as_a_count_changes_no_wire_byte_or_digest(backend, hea
         whole = _report(registry, backend, head + bytes(zeros))
     assert (tx.payload, tx.payload_zeros) == (whole.payload, whole.payload_zeros) == (head, zeros)
     assert tx == whole and tx.payload_len() == len(head) + zeros
-    tx.validate()  # an all-zero payload is held as b"" and is still non-empty
 
     encoded = wire.encode_transaction(tx)
     assert encoded == wire.encode_transaction(whole)
