@@ -212,8 +212,8 @@ class Block:
             if entry.tx_index != i or entry.access_class is not tx.access_class \
                     or entry.owners != tx.owners:
                 raise WireError(f"access list entry {i} does not mirror its transaction")
-        if any(tx.block_target is not header.block_type for tx in transactions):
-            raise WireError("transaction block target differs from the block type")
+            if tx.block_target is not header.block_type:
+                raise WireError("transaction block target differs from the block type")
 
     @property
     def block_id(self) -> int:
