@@ -9,13 +9,15 @@ are pinned here:
 * the benchmark's desk and congested workloads, seeds 1 and 2, read from
   their INI files in ``perfbench/workloads/``.
 
-Each pins four things:
+Each pins five things:
 
 * the digest of its event log, with a two-byte hash of every line, so a
   mismatch names the number and the text of the first line that differs;
 * ``committed_fingerprint``;
 * the full counter dict;
-* its ``metrics.csv`` row.
+* its ``metrics.csv`` row;
+* the tip digest every station's ledger ends on, so a change to any block's
+  bytes (its timestamp, root or link) moves a pin.
 
 One more test runs one of them under two values of ``PYTHONHASHSEED``, each
 in its own process, and requires the same event log, fingerprint and CSV row.
@@ -36,7 +38,7 @@ from pathlib import Path
 import pytest
 
 from proactlab import config
-from proactlab.sim import run
+from proactlab.sim import run, scenario
 
 from test_sim import _desk_like, _finite_queues, _muted_miner, _rotating_orderers
 
@@ -83,13 +85,25 @@ class HashingSink:
 def observe(name: str, monkeypatch):
     """The pinned fields of one run, and its event-log lines."""
     sink = HashingSink()
+    worlds = []
+    build_world = scenario.build_world
+
+    def kept(*args, **kwargs):
+        worlds.append(build_world(*args, **kwargs))
+        return worlds[-1]
+
+    monkeypatch.setattr(scenario, "build_world", kept)
     record = run(RUNS[name](monkeypatch), sink)
+    (world,) = worlds
+    tips = {world.agents[gcs].ledger.tip_digest.hex() for gcs in world.topo.gcs_ids}
+    assert len(tips) == 1, f"stations end on {len(tips)} different chain tips"
     line_hashes = b"".join(_line_hash(line) for line in sink.lines)
     observed = {"event_log": sink.digest.hexdigest(),
                 "line_hashes": base64.b64encode(line_hashes).decode(),
                 "committed_fingerprint": record.committed_fingerprint,
                 "counters": dict(record.counters),
-                "csv_row": record.csv_row()}
+                "csv_row": record.csv_row(),
+                "chain_tip": tips.pop()}
     return observed, sink.lines
 
 
@@ -116,6 +130,7 @@ def test_a_run_does_what_its_pin_says(name, monkeypatch):
         "committed_fingerprint differs"
     assert observed["counters"] == pin["counters"], "counters differ"
     assert observed["csv_row"] == pin["csv_row"], "CSV row differs"
+    assert observed["chain_tip"] == pin["chain_tip"], "chain tip differs"
     if observed["event_log"] != pin["event_log"]:
         pytest.fail(first_difference(lines, pin["line_hashes"]))
 
