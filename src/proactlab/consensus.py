@@ -10,8 +10,9 @@ while the state is in flight.  Its agent feeds it messages and timer
 firings; it calls back into a port the agent implements (each class names
 its port's methods).  Port calls are synchronous and run in call order, so
 each send happens at the point of the rule that makes it.  The station gets
-validation and finalization as callables, so the protocol never hashes,
-verifies, or reads the ledger, the clock or the world.
+validation and finalization as callables and never looks inside a draft, so
+the protocol never builds a block, hashes, verifies, or reads the ledger,
+the clock or the world.
 
 Cross-agent interaction happens through the message types at the bottom of
 the module, whose byte encodings are the canonical wire formats.
@@ -26,9 +27,8 @@ from enum import Enum
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, TypeVar
 
-from . import ledger, wire
-from .crypto import HashBackend
-from .wire import Block, BlockTarget, Transaction, _Reader
+from . import ledger
+from .wire import Block, _Reader
 
 
 V = TypeVar("V")
@@ -280,31 +280,6 @@ class OrderingState:
         return state
 
 
-# --- miner pipeline ---------------------------------------------------------
-
-
-def miner_assemble(miner: int, transactions: Sequence[Transaction], now_us: int,
-                   backend: HashBackend) -> List[Block]:
-    """Partition valid transactions by target into at most one drone-class
-    and one ground-class draft: a block complete but for its id and its
-    predecessor hash.  Empty input yields nothing (and so no id request)."""
-    groups = [tuple(tx for tx in transactions if tx.block_target is target)
-              for target in (BlockTarget.BLOCK_T1, BlockTarget.BLOCK_T2)]
-    return [wire.build_block(0, group[0].block_target, miner, now_us, wire.ZERO_HASH,
-                             group, backend) for group in groups if group]
-
-
-def miner_finalize(draft: Block, block_id: int, predecessor: Block,
-                   backend: HashBackend) -> Block:
-    """The draft under its assigned id, chained to its predecessor once that
-    block has committed: the block to broadcast for validation."""
-    if predecessor.block_id != block_id - 1:
-        raise ConsensusError("predecessor does not immediately precede this block")
-    prev_hash = wire.block_hash(predecessor.header, backend)
-    return replace(draft, header=replace(draft.header, block_id=block_id,
-                                         prev_hash=prev_hash))
-
-
 # --- the two roles ---------------------------------------------------------
 
 WINDOW, VOID = "window", "void"  # the orderer's timer kinds
@@ -340,30 +315,31 @@ class StationProtocol(_Voter):
     """A miner station: it asks ids for its drafts, broadcasts the draft
     assigned the next id, votes on the next id's candidate, and commits ids
     in turn on a quorum of acks.  ``validate(block_id, block)`` gives None
-    or the first issue's error code; ``finalize(draft, block_id)`` chains a
-    draft to its predecessor.  Port: ``to_orderer(kind, message)``,
+    or the first issue's error code; ``finalize(draft, block_id)`` builds
+    the block a draft becomes under the next id, once every id below it
+    has committed.  Port: ``to_orderer(kind, message)``,
     ``broadcast(kind, message, to_orderer)`` to the other miners,
     ``commit(block_id, block)``, and ``reclaim(draft)`` for a voided draft.
     """
 
     def __init__(self, station_id: int, n_tgcs: int, port,
                  validate: Callable[[int, Block], Optional[int]],
-                 finalize: Callable[[Block, int], Block]) -> None:
+                 finalize: Callable[[object, int], Block]) -> None:
         super().__init__(n_tgcs, port)
         self.id = station_id
         self.next_id = 0  # the id to commit next; the agent adds genesis, id 0
         self._validate = validate
         self._finalize = finalize
-        # drafts (see miner_assemble) waiting for an id, then by their id
-        # until they commit; a draft is broadcast once its tally has a block
-        self.unassigned: List[Block] = []
-        self.assigned: Dict[int, Block] = {}
+        # drafts, opaque here, waiting for an id, then by their id until they
+        # commit; a draft is broadcast once its tally has a block
+        self.unassigned: List[object] = []
+        self.assigned: Dict[int, object] = {}
 
     @property
     def backlog(self) -> int:
         return len(self.unassigned) + len(self.assigned)
 
-    def submit(self, drafts: Sequence[Block], now_us: int) -> None:
+    def submit(self, drafts: Sequence[object], now_us: int) -> None:
         """Ask the orderer for one id per draft."""
         self.unassigned.extend(drafts)
         self.port.to_orderer("nbr", NbrMessage(self.id, now_us, len(drafts)))

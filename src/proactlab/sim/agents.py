@@ -3,10 +3,12 @@ miner stations, and drones.
 
 The consensus rules live in ``consensus``: a miner station runs a
 ``StationProtocol`` and an authority an ``OrdererProtocol``.  The agents
-keep workload generation, assembly batching, message dispatch and the
-commit side effects (ledger append, metrics, ``committed-block`` sends and
-drone copies), and serve as their protocol's port: each callback runs
-synchronously, in the order the protocol calls it.
+keep workload generation, assembly, message dispatch and the commit side
+effects (ledger append, metrics, ``committed-block`` sends and drone
+copies), and serve as their protocol's port: each callback runs
+synchronously, in the order the protocol calls it.  A miner's draft is one
+block target's batch and the time it was assembled; it becomes a block
+once, at finalize, chained to the ledger's tip.
 
 Agents interact by packets (``World.post`` sizes each by its kind's rule in
 ``PACKET_SIZE``, and ``World.send`` hands it to ``netmodel.Network``) with
@@ -26,14 +28,7 @@ from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import consensus, crypto, ledger, txbuild, wire
-from ..consensus import (
-    OrdererProtocol,
-    OrderingState,
-    StationProtocol,
-    miner_assemble,
-    miner_finalize,
-    rotate_bo,
-)
+from ..consensus import OrdererProtocol, OrderingState, StationProtocol, rotate_bo
 from ..crypto import SUITE_S1
 from ..ledger import DroneLedger, FullLedger, IncidentDraft, Verdict, check_access
 from ..wire import AccessClass, Block, BlockTarget, Transaction
@@ -43,6 +38,7 @@ from .engine import to_us
 from .netmodel import Packet, next_leg
 
 TxKey = Tuple[int, int]
+Draft = Tuple[int, List[Transaction]]  # (assembled_us, one target's valid transactions)
 
 # Fixed model inputs that no scenario varies.
 COMMAND_PAYLOAD_BYTES = 100      # a station's or an authority's command
@@ -114,7 +110,7 @@ class World:
         self.agents: Dict[int, object] = net.receivers  # each takes its own packets
         self.malicious: Set[int] = set()
         self.uavn_suite: Dict[int, crypto.CryptoSuite] = {}
-        self.gcs_to_tgcs: Dict[int, int] = {}
+        self.gcs_to_tgcs: Dict[int, int] = {}  # each plain station's miner
         self.sim_end_us = to_us(cfg.sim_duration_s)
         self.n_tgcs = len(topo.tgcs_ids)
         self.roster: List[Tuple[int, str, str]] = []  # (node_id, role, real id)
@@ -422,11 +418,7 @@ class GcsAgent(Agent):
     # --- transaction intake and detection ---
 
     def intake_tx(self, tx: Transaction) -> None:
-        target = self.w.gcs_to_tgcs[self.id]
-        if target == self.id:
-            self.w.agents[self.id].miner_intake(tx)
-        else:
-            self.w.post(self.id, (target,), "tx-forward", tx)
+        self.w.post(self.id, (self.w.gcs_to_tgcs[self.id],), "tx-forward", tx)
 
     def on_packet(self, packet: Packet) -> None:
         if packet.kind == "tx":
@@ -548,8 +540,7 @@ class TgcsAgent(ProtocolAgent, GcsAgent):
 
     def __init__(self, world: World, gcs_id: int):
         super().__init__(world, gcs_id)
-        self.intake: List[Transaction] = []
-        self._intake_keys: Set[TxKey] = set()
+        self.intake: Dict[TxKey, Transaction] = {}  # in arrival order
         self.station = StationProtocol(gcs_id, world.n_tgcs, self, self._validate,
                                        self._finalize)
 
@@ -559,11 +550,12 @@ class TgcsAgent(ProtocolAgent, GcsAgent):
 
     def miner_intake(self, tx: Transaction) -> None:
         key = tx.key()
-        if key in self._intake_keys or self.ledger.has_tx(key):
+        if key in self.intake or self.ledger.has_tx(key):
             return
-        self._intake_keys.add(key)
-        self.intake.append(tx)
+        self.intake[key] = tx
         self.arm("assembly", ASSEMBLY_INTERVAL_S)
+
+    intake_tx = miner_intake  # a miner takes its own transactions directly
 
     def on_packet(self, packet: Packet) -> None:
         kind, station = packet.kind, self.station
@@ -591,34 +583,38 @@ class TgcsAgent(ProtocolAgent, GcsAgent):
     def on_timer(self, kind: str, block_id: int) -> None:
         """The assembly tick, this agent's only timer."""
         if self.intake and self.station.backlog < MAX_PENDING_BLOCKS:
-            batch, overflow = self._take_batch()
-            valid = [tx for tx in batch if self._tx_valid(tx)]
-            self.intake = overflow
-            self._intake_keys = {tx.key() for tx in overflow}
-            drafts = miner_assemble(self.id, valid, self.w.sim.now_us, self.w.backend)
+            now = self.w.sim.now_us
+            drafts: List[Draft] = []
+            for batch in self._take_batch():
+                valid = [tx for tx in batch if self._tx_valid(tx)]
+                if valid:
+                    drafts.append((now, valid))
             if drafts:
-                self.station.submit(drafts, self.w.sim.now_us)
+                self.station.submit(drafts, now)
         if self.intake or self.w.workload_open():
             self.arm("assembly", ASSEMBLY_INTERVAL_S)
 
-    def _take_batch(self) -> Tuple[List[Transaction], List[Transaction]]:
-        cfg = self.w.cfg
-        ordered = sorted(self.intake, key=lambda t: (t.created_at_us, t.creator, t.tx_seq))
-        batch: List[Transaction] = []
-        sizes = {BlockTarget.BLOCK_T1: 0, BlockTarget.BLOCK_T2: 0}
-        counts = {BlockTarget.BLOCK_T1: 0, BlockTarget.BLOCK_T2: 0}
-        overflow: List[Transaction] = []
-        for tx in ordered:
+    def _take_batch(self) -> List[List[Transaction]]:
+        """The one partition rule: the oldest intake, one batch per block
+        target (T1 first), each within one block's count and byte budget;
+        the rest stays in the intake, oldest first."""
+        max_txs = self.w.cfg.max_txs_per_block
+        batches: Dict[BlockTarget, List[Transaction]] = {BlockTarget.BLOCK_T1: [],
+                                                         BlockTarget.BLOCK_T2: []}
+        sizes = dict.fromkeys(batches, 0)
+        overflow: Dict[TxKey, Transaction] = {}
+        for tx in sorted(self.intake.values(),
+                         key=lambda t: (t.created_at_us, t.creator, t.tx_seq)):
             size = wire.encoded_tx_size(tx)
             target = tx.block_target
-            if counts[target] + 1 > cfg.max_txs_per_block or \
-                    sizes[target] + size > MAX_BLOCK_BYTES:
-                overflow.append(tx)
-            else:
-                counts[target] += 1
+            batch = batches[target]
+            if len(batch) < max_txs and sizes[target] + size <= MAX_BLOCK_BYTES:
                 sizes[target] += size
                 batch.append(tx)
-        return batch, overflow
+            else:
+                overflow[tx.key()] = tx
+        self.intake = overflow
+        return list(batches.values())
 
     def _tx_valid(self, tx: Transaction) -> bool:
         if self.ledger.has_tx(tx.key()):
@@ -636,9 +632,12 @@ class TgcsAgent(ProtocolAgent, GcsAgent):
                                        seen_tx=self.ledger.has_tx)
         return consensus.ERROR_CODES[issues[0].code] if issues else None
 
-    def _finalize(self, draft: Block, block_id: int) -> Block:
-        return miner_finalize(draft, block_id, self.ledger.blocks[block_id - 1],
-                              self.w.backend)
+    def _finalize(self, draft: Draft, block_id: int) -> Block:
+        # the station finalizes only its next id, so the ledger's tip is the
+        # predecessor; the validators' validate_block checks the link
+        assembled_us, txs = draft
+        return wire.build_block(block_id, txs[0].block_target, self.id, assembled_us,
+                                self.ledger.tip_digest, txs, self.w.backend)
 
     def commit(self, block_id: int, block: Block) -> None:
         now = self.w.sim.now_us
@@ -654,9 +653,9 @@ class TgcsAgent(ProtocolAgent, GcsAgent):
                                   if g not in self.w.topo.tgcs_ids], "committed-block", block)
         self.distribute_copies(block)
 
-    def reclaim(self, draft: Block) -> None:
+    def reclaim(self, draft: Draft) -> None:
         self.arm("assembly", 0.0)
-        for tx in draft.transactions:
+        for tx in draft[1]:
             self.miner_intake(tx)
 
 

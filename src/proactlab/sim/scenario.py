@@ -172,7 +172,6 @@ def build_world(cfg: ScenarioConfig, event_log: Optional[TextIO] = None) -> Worl
     world.malicious = set(rngs["malice"].sample(drone_ids, n_malicious))
 
     plain_gcs = [g for g in topo.gcs_ids if g not in topo.tgcs_ids]
-    world.gcs_to_tgcs = {t: t for t in topo.tgcs_ids}
     if plain_gcs:
         assignment = consensus.assign_gcs_to_tgcs(plain_gcs, topo.tgcs_ids,
                                                   rngs["assign"])

@@ -1,5 +1,6 @@
-"""Ordering windows, quorum and vote tallies, voids, the miner pipeline,
-the message formats, and a model check of the station and orderer protocol."""
+"""Ordering windows, quorum and vote tallies, voids, the message formats,
+and a model check of the station and orderer protocol.  A miner's assembly
+and finalize steps are its agent's (tests/test_sim.py)."""
 
 import random
 import struct
@@ -16,7 +17,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from proactlab import consensus, crypto, ledger, wire
+from proactlab import consensus
 from proactlab.consensus import (
     Assignment,
     CommitVerdict,
@@ -29,16 +30,9 @@ from proactlab.consensus import (
     Tally,
     assign_gcs_to_tgcs,
     commit_check,
-    miner_assemble,
-    miner_finalize,
     renumber_after_void,
     rotate_bo,
 )
-from proactlab.wire import BlockTarget
-
-import helpers
-
-BACKEND = crypto.SIMULATED_BACKEND
 
 
 def test_assignment_partitions_all_stations():
@@ -244,57 +238,6 @@ def test_message_encodings_roundtrip():
     assign = consensus.AssignMessage((Assignment(44, 1), Assignment(45, 2)))
     assert len(assign.encode()) == 2 + 2 * 12
     assert consensus.AssignMessage.decode(assign.encode()) == assign
-
-
-def _mixed_transactions(registry):
-    t1 = [helpers.make_t1_command(registry, BACKEND, seq=i) for i in range(3)]
-    t2 = [helpers.make_t3_data(registry, BACKEND, seq=10 + i) for i in range(2)]
-    return t1 + t2
-
-
-def test_assemble_partitions_by_target(registry):
-    pending = miner_assemble(helpers.GCS_ID, _mixed_transactions(registry), 500, BACKEND)
-    assert len(pending) == 2  # an NBR would carry request_count 2
-    by_type = {p.header.block_type: p for p in pending}
-    assert len(by_type[BlockTarget.BLOCK_T1].transactions) == 3
-    assert len(by_type[BlockTarget.BLOCK_T2].transactions) == 2
-
-
-def test_assemble_nothing_from_nothing():
-    assert miner_assemble(helpers.GCS_ID, [], 500, BACKEND) == []
-
-
-def test_assemble_single_transaction_block(registry):
-    tx = helpers.make_t1_command(registry, BACKEND)
-    pending = miner_assemble(helpers.GCS_ID, [tx], 500, BACKEND)
-    assert len(pending) == 1 and len(pending[0].transactions) == 1
-
-
-def _committed_block(registry, block_id):
-    tx = helpers.make_t1_command(registry, BACKEND, seq=block_id)
-    return wire.build_block(block_id, BlockTarget.BLOCK_T1, helpers.GCS_ID,
-                            0, wire.ZERO_HASH, [tx], BACKEND)
-
-
-def test_finalize_chains_to_predecessor(registry):
-    predecessor = _committed_block(registry, 44)
-    (draft,) = miner_assemble(helpers.GCS_ID,
-                              [helpers.make_t1_command(registry, BACKEND, seq=99)],
-                              700, BACKEND)
-    block = miner_finalize(draft, 45, predecessor, BACKEND)
-    assert block.block_id == 45
-    prev_hash = wire.block_hash(predecessor.header, BACKEND)
-    assert block.header.prev_hash == prev_hash
-    assert ledger.validate_block(45, prev_hash, block, registry, BACKEND) == []
-
-
-def test_finalize_requires_immediate_predecessor(registry):
-    predecessor = _committed_block(registry, 44)
-    (draft,) = miner_assemble(helpers.GCS_ID,
-                              [helpers.make_t1_command(registry, BACKEND, seq=98)],
-                              700, BACKEND)
-    with pytest.raises(ConsensusError):
-        miner_finalize(draft, 46, predecessor, BACKEND)
 
 
 def _ordering_state():

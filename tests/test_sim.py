@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from proactlab import consensus, crypto, ledger, txbuild, wire
 from proactlab.crypto import SUITE_S1, SUITE_S2_C1
-from proactlab.sim import default_config, run
+from proactlab.sim import agents, default_config, run
 from proactlab.consensus import StationProtocol
 from proactlab.sim.agents import FetchRequest, Packet, ReportMeta, TgcsAgent, World
 from proactlab.sim.engine import US, Simulator, to_us
@@ -501,6 +501,105 @@ def test_malicious_target_stays_silent():
     agent.on_packet(Packet("fetch-req", colluders[1], colluders[0], request))
     # denial, but no incident transaction
     assert [(s.kind, s.payload) for s in sent] == [("fetch-resp", None)]
+
+
+# --- a miner's assembly tick ---
+
+
+ASSEMBLED_US = 10_000
+
+
+def _miner_with_genesis(**overrides):
+    """A tiny world's first miner, holding genesis, and the list that
+    captures every send of the world."""
+    world = _world(**overrides)
+    sent = _capture_sends(world)
+    world.agents[world.topo.ca_ids[0]]._emit_genesis()
+    miner = world.agents[world.topo.tgcs_ids[0]]
+    miner.absorb_committed(sent[0].payload)
+    sent.clear()
+    return world, miner, sent
+
+
+def _commands_and_reports(world, miner):
+    """Three T1 commands from the miner and three T2 reports from one of its
+    drones, created at 1, 3, 5 and 2, 4, 6 ms, so their ages interleave."""
+    drone = world.agents[world.topo.drones_of_gcs(miner.id)[0]]
+    commands = []
+    for created_us in (1_000, 3_000, 5_000):
+        world.sim.now_us = created_us
+        commands.append(miner.new_tx(drone.suite, AccessClass.SINGLE, drone.sole_owner,
+                                     BlockTarget.BLOCK_T1, bytes(100)))
+    reports = [_report_packet(world, drone.id, 0.0, 0.0, [], created_us=created_us,
+                              seq=seq).payload
+               for seq, created_us in enumerate((2_000, 4_000, 6_000), start=1)]
+    return commands, reports
+
+
+def _assembly_tick(world, miner, intake):
+    """Feed ``intake`` to the miner youngest first, then run one assembly
+    tick at ASSEMBLED_US; returns the drafts it submitted."""
+    for tx in sorted(intake, key=lambda tx: tx.created_at_us, reverse=True):
+        miner.intake_tx(tx)
+    world.sim.now_us = ASSEMBLED_US
+    miner.on_timer("assembly", 0)
+    return miner.station.unassigned
+
+
+def _keys(txs):
+    return [tx.key() for tx in txs]
+
+
+@pytest.mark.parametrize("valid_reports", [2, 0])
+def test_an_assembly_tick_drafts_one_block_per_target_with_a_valid_transaction(
+        valid_reports):
+    world, miner, sent = _miner_with_genesis()
+    commands, reports = _commands_and_reports(world, miner)
+    forged = reports[valid_reports]
+    forged = dataclasses.replace(forged, signature=bytes([forged.signature[0] ^ 1])
+                                 + forged.signature[1:])
+    intake = commands + reports[:valid_reports] + [forged]
+    drafts = _assembly_tick(world, miner, intake)
+    expected = [commands, reports[:valid_reports]]
+    assert [(at, _keys(txs)) for at, txs in drafts] == \
+        [(ASSEMBLED_US, _keys(txs)) for txs in expected if txs]
+    assert world.metrics.counters["txs_rejected_invalid"] == 1
+    assert miner.intake == {}
+    ((_, _, kind, nbr, _),) = sent
+    assert (kind, nbr.request_count, nbr.timestamp_us) == ("nbr", len(drafts), ASSEMBLED_US)
+
+
+@pytest.mark.parametrize("budget", ["count", "bytes"])
+def test_each_target_is_batched_within_its_own_block_budget(budget, monkeypatch):
+    # two transactions a block, or two reports' bytes a block: a shared
+    # budget would take two transactions in all, or push the second report out
+    overrides = {"max_txs_per_block": 2} if budget == "count" else {}
+    world, miner, _ = _miner_with_genesis(**overrides)
+    commands, reports = _commands_and_reports(world, miner)
+    if budget == "bytes":
+        monkeypatch.setattr(agents, "MAX_BLOCK_BYTES",
+                            2 * wire.encoded_tx_size(reports[0]))
+        taken, left = [commands, reports[:2]], [reports[2]]
+    else:
+        taken, left = [commands[:2], reports[:2]], [commands[2], reports[2]]
+    drafts = _assembly_tick(world, miner, commands + reports)
+    assert [_keys(txs) for _, txs in drafts] == [_keys(txs) for txs in taken]
+    assert list(miner.intake) == _keys(left)  # oldest first
+
+
+def test_finalize_builds_a_draft_once_on_the_ledger_tip():
+    world, miner, _ = _miner_with_genesis()
+    commands, reports = _commands_and_reports(world, miner)
+    (draft, _) = _assembly_tick(world, miner, commands + reports)
+    chain = miner.ledger
+    block = miner._finalize(draft, miner.station.next_id)
+    header = block.header
+    assert (block.block_id, header.block_type, header.miner, header.timestamp_us) == \
+        (chain.next_block_id, BlockTarget.BLOCK_T1, miner.id, ASSEMBLED_US)
+    assert header.prev_hash == chain.tip_digest
+    assert block.transactions == tuple(commands)
+    assert ledger.validate_block(chain.next_block_id, chain.tip_digest, block,
+                                 world.registry, world.backend, seen_tx=chain.has_tx) == []
 
 
 # --- fetch sources ---

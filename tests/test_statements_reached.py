@@ -66,7 +66,7 @@ ALLOWED = {
     ("sim/agents.py", "GcsAgent.absorb_committed",
      "if block.block_id < self.ledger.next_block_id: return"): _ONCE,
     ("sim/agents.py", "TgcsAgent.miner_intake",
-     "if key in self._intake_keys or self.ledger.has_tx(key): return"):
+     "if key in self.intake or self.ledger.has_tx(key): return"):
         _ONCE + "; a voided draft comes back only if it did not commit",
     ("sim/agents.py", "TgcsAgent._tx_valid", "if self.ledger.has_tx(tx.key()): return False"):
         "intake admits no key on the chain, and only this miner commits what it holds",

@@ -13,12 +13,14 @@ congested, on seed 1, it records:
   --seconds S --trace 1``, with ``S`` the ``run_seconds`` of this
   repository's ``BENCHMARK.json``, and the end-to-end medians and span counts that
   ``run.py`` prints only to its log when it traces;
-* from three probe processes of its own (``PROBE``): two call counts for one
+* from four probe processes of its own (``PROBE``): two call counts for one
   ``scenario.run``, pstats' ``total_calls`` (``calls``) and the sum of
-  cProfile's raw entries (``raw_calls``); the peak of the memory that ``tracemalloc``
+  cProfile's raw entries (``raw_calls``); the bytecode instructions one
+  ``scenario.run`` executes (``opcodes``), counted with ``sys.settrace``,
+  which, unlike the call counts, sees the work inside a function; the peak of the memory that ``tracemalloc``
   traces during one ``scenario.run``, which, unlike ``peak_rss_mb``, repeats
   to the byte and excludes what the imports allocate; and, from a run under
-  neither, the cyclic collector's collections per generation and its time
+  none of them, the cyclic collector's collections per generation and its time
   (read through ``gc.callbacks``, which cProfile and the tracer cannot see),
   the events fired and the CSV digest.
 
@@ -110,8 +112,8 @@ CAVEATS = [
 ]
 
 # One probe run of a workload's scenario, in the checkout's own interpreter
-# environment.  argv: mode (gc | profile | memory), INI path, seed.  Prints one
-# JSON line.
+# environment.  argv: mode (gc | profile | opcodes | memory), INI path, seed.
+# Prints one JSON line.
 PROBE = r"""
 import dataclasses, gc, hashlib, json, sys, time
 from proactlab import config
@@ -128,6 +130,27 @@ if mode == "profile":
     profile.disable()
     print(json.dumps({"calls": pstats.Stats(profile).total_calls,
                       "raw_calls": sum(entry.callcount for entry in profile.getstats())}))
+    sys.exit(0)
+if mode == "opcodes":
+    # the process's only run, as in perfbench's child: after a warm-up run
+    # crypto's SPONGENT digest memo would already hold every digest of the
+    # spongent workload, and the count would miss 99.6% of its work
+    opcodes = [0]
+
+    def step(frame, event, arg):
+        if event == "opcode":
+            opcodes[0] += 1
+        return step
+
+    def enter(frame, event, arg):
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return step
+
+    sys.settrace(enter)
+    scenario.run(cfg)
+    sys.settrace(None)
+    print(json.dumps({"opcodes": opcodes[0]}))
     sys.exit(0)
 if mode == "memory":
     import tracemalloc
@@ -232,7 +255,7 @@ def probe(checkout: Path, workload: str) -> dict:
     ini = str(checkout / "perfbench" / "workloads" / f"{workload}.ini")
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONHASHSEED="0")
     found = {}
-    for mode in ("gc", "profile", "memory"):
+    for mode in ("gc", "profile", "opcodes", "memory"):
         out = _run([sys.executable, "-c", PROBE, mode, ini, str(SEED)], checkout, env)
         found.update(json.loads(out.strip().splitlines()[-1]))
     return found
@@ -290,8 +313,8 @@ def work_counts(recorded: dict) -> dict:
         for name, value in run["spans"].items():
             counts[f"{workload}.{name}"] = value
         found = figures["probe"]
-        for name in ("calls", "raw_calls", "events_fired", "gc_collections", "csv_digest",
-                     "peak_traced_bytes"):
+        for name in ("calls", "raw_calls", "opcodes", "events_fired", "gc_collections",
+                     "csv_digest", "peak_traced_bytes"):
             if name in found:  # an older recording lacks the later probe figures
                 counts[f"{workload}.probe.{name}"] = found[name]
     return counts
