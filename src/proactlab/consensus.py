@@ -514,7 +514,7 @@ class OrdererProtocol(_Voter):
 # --- message wire formats ---------------------------------------------------
 
 
-#: Block ERROR codes on the wire: the validation issue codes, numbered from 1
+#: Block ERROR codes on the wire: the validation codes, numbered from 1
 ERROR_CODES = {code: i + 1 for i, code in enumerate(ledger.CHECK_ORDER)}
 
 

@@ -11,7 +11,7 @@ import struct
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import crypto, txbuild, wire
 from .crypto import HashBackend, KeyRegistry
@@ -24,53 +24,35 @@ class LedgerError(Exception):
         self.code = code
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    code: str
-    detail: str = ""
-
-
-#: validation issue codes, in check order
+#: validation codes, in check order
 CHECK_ORDER = ("block_id", "prev_hash", "merkle_root", "signature", "duplicate_tx")
 
 
 def validate_block(expected_id: int, tip_digest: bytes, block: Block,
                    registry: KeyRegistry, backend: HashBackend,
                    seen_tx: Optional[Callable[[Tuple[int, int]], bool]] = None
-                   ) -> List[ValidationIssue]:
+                   ) -> Optional[str]:
     """Run the acceptance checks that depend on the chain and the registry
     for a candidate successor block; a Block is well-formed by construction.
 
-    Returns an empty list when the block is valid; otherwise one issue per
-    failed check (any issue means a Block ERROR vote).
+    Returns None when the block is valid; otherwise the first failing code
+    of ``CHECK_ORDER`` (any code means a Block ERROR vote).
     """
-    issues: List[ValidationIssue] = []
     header = block.header
-
     if header.block_id != expected_id:
-        issues.append(ValidationIssue(
-            "block_id", f"got {header.block_id}, expected {expected_id}"))
+        return "block_id"
     if header.prev_hash != tip_digest:
-        issues.append(ValidationIssue("prev_hash", "does not match the tip digest"))
-
+        return "prev_hash"
     if wire.body_root(block.transactions, backend) != header.merkle_root:
-        issues.append(ValidationIssue("merkle_root", "does not recompute"))
-
-    for i, tx in enumerate(block.transactions):
-        if not registry.has_node(tx.creator):
-            issues.append(ValidationIssue(
-                "signature", f"tx {i}: unknown creator {tx.creator}"))
-        elif not txbuild.verify_transaction(tx, registry, backend):
-            issues.append(ValidationIssue("signature", f"tx {i}: bad signature"))
-
-    keys_in_block: Set[Tuple[int, int]] = set()
-    for i, tx in enumerate(block.transactions):
-        key = tx.key()
-        if key in keys_in_block or (seen_tx is not None and seen_tx(key)):
-            issues.append(ValidationIssue("duplicate_tx", f"tx {i}: {key} already on chain"))
-        keys_in_block.add(key)
-
-    return issues
+        return "merkle_root"
+    if not all(txbuild.verify_transaction(tx, registry, backend)
+               for tx in block.transactions):
+        return "signature"
+    keys = block.tx_locations  # one entry per distinct key
+    if len(keys) < len(block.transactions) or \
+            (seen_tx is not None and any(map(seen_tx, keys))):
+        return "duplicate_tx"
+    return None
 
 
 class FullLedger:
@@ -106,16 +88,16 @@ class FullLedger:
         block = self.blocks[block_id]
         return block.transactions[block.tx_locations[key]]
 
-    def verify_chain(self) -> None:
-        """Recompute every prev_hash link and Merkle root; raise on breakage."""
-        digest = wire.ZERO_HASH
-        for expected_id, block in enumerate(self.blocks):
-            if block.block_id != expected_id:
-                raise LedgerError("gap", f"id {block.block_id} at height {expected_id}")
-            if block.header.prev_hash != digest:
-                raise LedgerError("prev_hash", f"broken link at block {expected_id}")
-            if wire.body_root(block.transactions, self._backend) != block.header.merkle_root:
-                raise LedgerError("merkle_root", f"bad root at block {expected_id}")
+    def verify_chain(self, registry: KeyRegistry) -> None:
+        """Validate every block from genesis against the tip and the keys
+        committed below it; raise the first failing code."""
+        digest, below = wire.ZERO_HASH, set()  # the tip, the keys committed below
+        for height, block in enumerate(self.blocks):
+            code = validate_block(height, digest, block, registry, self._backend,
+                                  seen_tx=below.__contains__)
+            if code is not None:
+                raise LedgerError(code, f"block {height}: {code}")
+            below.update(block.tx_locations)
             digest = wire.block_hash(block.header, self._backend)
 
 
@@ -220,7 +202,7 @@ class DroneLedger:
         return evicted
 
     def has_tx(self, key: Tuple[int, int]) -> bool:
-        return any(key in block.tx_locations for block in self.blocks)
+        return self.find_transaction(key) is not None
 
     def find_transaction(self, key: Tuple[int, int]) -> Optional[Transaction]:
         for block in self.blocks:

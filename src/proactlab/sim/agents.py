@@ -627,10 +627,10 @@ class TgcsAgent(ProtocolAgent, GcsAgent):
     # --- what the station protocol asks of this agent ---
 
     def _validate(self, block_id: int, block: Block) -> Optional[int]:
-        issues = ledger.validate_block(block_id, self.ledger.tip_digest, block,
-                                       self.w.registry, self.w.backend,
-                                       seen_tx=self.ledger.has_tx)
-        return consensus.ERROR_CODES[issues[0].code] if issues else None
+        code = ledger.validate_block(block_id, self.ledger.tip_digest, block,
+                                     self.w.registry, self.w.backend,
+                                     seen_tx=self.ledger.has_tx)
+        return None if code is None else consensus.ERROR_CODES[code]
 
     def _finalize(self, draft: Draft, block_id: int) -> Block:
         # the station finalizes only its next id, so the ledger's tip is the

@@ -6,6 +6,7 @@ import pytest
 
 from proactlab import crypto, wire
 from proactlab.ledger import (
+    CHECK_ORDER,
     AccessDecision,
     DroneLedger,
     FullLedger,
@@ -44,7 +45,34 @@ def test_validate_accepts_wellformed_successor(registry):
     tx = helpers.make_t1_command(registry, BACKEND, seq=50)
     block = _block(registry, full.next_block_id, full.tip_digest, [tx])
     assert validate_block(full.next_block_id, full.tip_digest, block,
-                          registry, BACKEND, seen_tx=full.has_tx) == []
+                          registry, BACKEND, seen_tx=full.has_tx) is None
+
+
+def _hostile_block(registry, full, code):
+    """A successor of ``full`` that fails the ``code`` check and no other."""
+    tx = helpers.make_t1_command(registry, BACKEND, seq=90)
+    height, tip = full.next_block_id, full.tip_digest
+    if code == "block_id":
+        return _block(registry, height + 1, tip, [tx])
+    if code == "prev_hash":
+        return _block(registry, height, wire.block_hash(full.blocks[-2].header, BACKEND), [tx])
+    block = _block(registry, height, tip, [tx])
+    if code == "merkle_root":
+        return dataclasses.replace(
+            block, header=dataclasses.replace(block.header, merkle_root=bytes(28)))
+    if code == "signature":
+        return _block(registry, height, tip,
+                      [dataclasses.replace(tx, signature=bytes(len(tx.signature)))])
+    assert code == "duplicate_tx"  # one transaction twice in one block
+    return _block(registry, height, tip, [tx, tx])
+
+
+@pytest.mark.parametrize("code", CHECK_ORDER)
+def test_validate_returns_the_failing_check(registry, code):
+    full = _chain(registry)
+    block = _hostile_block(registry, full, code)
+    assert validate_block(full.next_block_id, full.tip_digest, block,
+                          registry, BACKEND, seen_tx=full.has_tx) == code
 
 
 def test_validate_flags_stale_prev_hash(registry):
@@ -52,9 +80,8 @@ def test_validate_flags_stale_prev_hash(registry):
     stale_tip = wire.block_hash(full.blocks[1].header, BACKEND)
     tx = helpers.make_t1_command(registry, BACKEND, seq=60)
     block = _block(registry, full.next_block_id, stale_tip, [tx])
-    issues = validate_block(full.next_block_id, full.tip_digest, block,
-                            registry, BACKEND, seen_tx=full.has_tx)
-    assert [i.code for i in issues] == ["prev_hash"]
+    assert validate_block(full.next_block_id, full.tip_digest, block,
+                          registry, BACKEND, seen_tx=full.has_tx) == "prev_hash"
 
 
 def test_validate_flags_unknown_creator(registry):
@@ -63,9 +90,8 @@ def test_validate_flags_unknown_creator(registry):
     rogue_registry.register_node(999)
     tx = helpers.make_t1_command(rogue_registry, BACKEND, creator=999, seq=1)
     block = _block(registry, full.next_block_id, full.tip_digest, [tx], miner=999)
-    issues = validate_block(full.next_block_id, full.tip_digest, block,
-                            registry, BACKEND, seen_tx=full.has_tx)
-    assert any(i.code == "signature" and "unknown creator" in i.detail for i in issues)
+    assert validate_block(full.next_block_id, full.tip_digest, block,
+                          registry, BACKEND, seen_tx=full.has_tx) == "signature"
 
 
 def test_validate_flags_bad_signature(registry):
@@ -73,9 +99,8 @@ def test_validate_flags_bad_signature(registry):
     tx = helpers.make_t1_command(registry, BACKEND, seq=70)
     forged = dataclasses.replace(tx, signature=bytes(len(tx.signature)))
     block = _block(registry, full.next_block_id, full.tip_digest, [forged])
-    issues = validate_block(full.next_block_id, full.tip_digest, block,
-                            registry, BACKEND, seen_tx=full.has_tx)
-    assert any(i.code == "signature" for i in issues)
+    assert validate_block(full.next_block_id, full.tip_digest, block,
+                          registry, BACKEND, seen_tx=full.has_tx) == "signature"
 
 
 def test_validate_flags_merkle_and_ta_tampering(registry):
@@ -84,9 +109,8 @@ def test_validate_flags_merkle_and_ta_tampering(registry):
     block = _block(registry, full.next_block_id, full.tip_digest, [tx])
     tampered = dataclasses.replace(
         block, header=dataclasses.replace(block.header, merkle_root=bytes(28)))
-    issues = validate_block(full.next_block_id, full.tip_digest, tampered,
-                            registry, BACKEND, seen_tx=full.has_tx)
-    assert [i.code for i in issues] == ["merkle_root"]
+    assert validate_block(full.next_block_id, full.tip_digest, tampered,
+                          registry, BACKEND, seen_tx=full.has_tx) == "merkle_root"
     # an access list that does not mirror the body cannot be built
     with pytest.raises(wire.WireError, match="mirror"):
         dataclasses.replace(block, header=dataclasses.replace(
@@ -97,9 +121,8 @@ def test_validate_flags_duplicate_tx(registry):
     full = _chain(registry)
     duplicate = full.blocks[0].transactions[0]
     block = _block(registry, full.next_block_id, full.tip_digest, [duplicate])
-    issues = validate_block(full.next_block_id, full.tip_digest, block,
-                            registry, BACKEND, seen_tx=full.has_tx)
-    assert any(i.code == "duplicate_tx" for i in issues)
+    assert validate_block(full.next_block_id, full.tip_digest, block,
+                          registry, BACKEND, seen_tx=full.has_tx) == "duplicate_tx"
 
 
 def test_append_advances_tip(registry):
@@ -397,23 +420,55 @@ def test_tampered_copies_are_hashed_afresh(registry):
     tx = helpers.make_t1_command(registry, BACKEND, seq=80)
     block = _block(registry, full.next_block_id, full.tip_digest, [tx])
     assert validate_block(full.next_block_id, full.tip_digest, block,
-                          registry, BACKEND, seen_tx=full.has_tx) == []
+                          registry, BACKEND, seen_tx=full.has_tx) is None
     restamped_tx = dataclasses.replace(tx, created_at_us=tx.created_at_us + 1)
     tampered = dataclasses.replace(block, transactions=(restamped_tx,))
-    codes = [i.code for i in validate_block(full.next_block_id, full.tip_digest,
-                                            tampered, registry, BACKEND)]
-    assert codes == ["merkle_root", "signature"]
+    assert validate_block(full.next_block_id, full.tip_digest, tampered,
+                          registry, BACKEND) == "merkle_root"
+    rebuilt = _block(registry, full.next_block_id, full.tip_digest, [restamped_tx])
+    assert validate_block(full.next_block_id, full.tip_digest, rebuilt,
+                          registry, BACKEND) == "signature"
 
     full.append_block(block)
-    full.verify_chain()
+    full.verify_chain(registry)
     blanked = dataclasses.replace(tx, payload=bytes(len(tx.payload)))
     full.blocks[-1] = dataclasses.replace(block, transactions=(blanked,))
     with pytest.raises(LedgerError) as err:
-        full.verify_chain()
+        full.verify_chain(registry)
     assert err.value.code == "merkle_root"
     full.blocks[-1] = block
     restamped = dataclasses.replace(full.blocks[1].header, timestamp_us=1)
     full.blocks[1] = dataclasses.replace(full.blocks[1], header=restamped)
     with pytest.raises(LedgerError) as err:
-        full.verify_chain()
+        full.verify_chain(registry)
     assert err.value.code == "prev_hash"
+
+
+def _drop_block_1(registry, full):
+    del full.blocks[1]  # block 2 now sits at height 1
+
+
+def _recommit_a_transaction(registry, full):
+    earlier = full.blocks[0].transactions[0]
+    full.append_block(_block(registry, full.next_block_id, full.tip_digest, [earlier]))
+
+
+def _forge_under_a_fresh_root(registry, full):
+    last = full.blocks[-1]
+    tx = last.transactions[0]
+    forged = dataclasses.replace(tx, signature=bytes(len(tx.signature)))
+    full.blocks[-1] = _block(registry, last.block_id, last.header.prev_hash, [forged])
+
+
+@pytest.mark.parametrize("tamper, code", [
+    (_drop_block_1, "block_id"),
+    (_recommit_a_transaction, "duplicate_tx"),
+    (_forge_under_a_fresh_root, "signature"),
+])
+def test_verify_chain_validates_every_block(registry, tamper, code):
+    full = _chain(registry)
+    full.verify_chain(registry)
+    tamper(registry, full)
+    with pytest.raises(LedgerError) as err:
+        full.verify_chain(registry)
+    assert err.value.code == code

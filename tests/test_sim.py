@@ -599,7 +599,7 @@ def test_finalize_builds_a_draft_once_on_the_ledger_tip():
     assert header.prev_hash == chain.tip_digest
     assert block.transactions == tuple(commands)
     assert ledger.validate_block(chain.next_block_id, chain.tip_digest, block,
-                                 world.registry, world.backend, seen_tx=chain.has_tx) == []
+                                 world.registry, world.backend, seen_tx=chain.has_tx) is None
 
 
 # --- fetch sources ---
@@ -860,7 +860,7 @@ def _check_settled_and_agreed(world):
     tips = set()
     for gcs_id in world.topo.gcs_ids:
         agent = world.agents[gcs_id]
-        agent.ledger.verify_chain()
+        agent.ledger.verify_chain(world.registry)
         tips.add(agent.ledger.tip_digest)
     assert len(tips) == 1
     # a probe names (target, 0), which must be no transaction's key
@@ -1058,7 +1058,7 @@ def test_void_recovery_after_transient_miner_failure(seed, monkeypatch):
     assert counters["blocks_voided"] >= 1
     assert counters["txs_committed"] == counters["txs_generated"]
     for gcs_id in world.topo.gcs_ids:
-        world.agents[gcs_id].ledger.verify_chain()
+        world.agents[gcs_id].ledger.verify_chain(world.registry)
 
 
 # metrics.csv rows and committed fingerprints of two void runs, recorded
@@ -1214,7 +1214,7 @@ def test_stations_agree_after_a_void_of_a_block_one_of_them_committed():
     assert ledgers[0].next_block_id == ledgers[1].next_block_id
     assert ledgers[0].tip_digest == ledgers[1].tip_digest
     for chain in ledgers:
-        chain.verify_chain()
+        chain.verify_chain(world.registry)
 
 
 # --- the event loop and the cyclic collector ---

@@ -52,7 +52,7 @@ _LATE_VOTES = ("a rejection quorum forms only on an outstanding id: the votes a 
                "behind are fewer than a quorum, and a void timer checks awaits() first")
 _CODEC = "runs hand messages over as objects; the tests check and fuzz the decoders"
 _HOSTILE = ("a hostile block: every simulated miner builds valid blocks (ROADMAP item 5 "
-            "adds a faulty one); tests/test_ledger.py checks each issue")
+            "adds a faulty one); tests/test_ledger.py checks each code")
 _FINALIZE = ("only scenario.run reads the drop total, when it finalizes the record; this "
              "guard calls World.run to keep each world, and every pinned CSV row checks it")
 
@@ -109,30 +109,25 @@ ALLOWED = {
     **{("ledger.py", "FullLedger.verify_chain", text):
        "runs do not check their chains yet (ROADMAP item 5); this guard checks each run's"
        for text in (
-        "digest = wire.ZERO_HASH",
-        "for expected_id, block in enumerate(self.blocks):",
-        "for expected_id, block in enumerate(self.blocks): "
-        "if block.block_id != expected_id:",
-        "for expected_id, block in enumerate(self.blocks): "
-        "if block.header.prev_hash != digest:",
-        "for expected_id, block in enumerate(self.blocks): "
-        "if wire.body_root(block.transactions, self._backend) != block.header.merkle_root:",
-        "for expected_id, block in enumerate(self.blocks): "
+        "digest, below = (wire.ZERO_HASH, set())",
+        "for height, block in enumerate(self.blocks):",
+        "for height, block in enumerate(self.blocks): "
+        "code = validate_block(height, digest, block, registry, self._backend, "
+        "seen_tx=below.__contains__)",
+        "for height, block in enumerate(self.blocks): if code is not None:",
+        "for height, block in enumerate(self.blocks): below.update(block.tx_locations)",
+        "for height, block in enumerate(self.blocks): "
         "digest = wire.block_hash(block.header, self._backend)",
     )},
     **{("ledger.py", "validate_block", text): _HOSTILE for text in (
-        "if header.block_id != expected_id: issues.append(ValidationIssue('block_id', "
-        "f'got {header.block_id}, expected {expected_id}'))",
-        "if header.prev_hash != tip_digest: issues.append(ValidationIssue('prev_hash', "
-        "'does not match the tip digest'))",
+        "if header.block_id != expected_id: return 'block_id'",
+        "if header.prev_hash != tip_digest: return 'prev_hash'",
         "if wire.body_root(block.transactions, backend) != header.merkle_root: "
-        "issues.append(ValidationIssue('merkle_root', 'does not recompute'))",
-        "if not registry.has_node(tx.creator): issues.append(ValidationIssue('signature', "
-        "f'tx {i}: unknown creator {tx.creator}'))",
-        "if not txbuild.verify_transaction(tx, registry, backend): "
-        "issues.append(ValidationIssue('signature', f'tx {i}: bad signature'))",
-        "if key in keys_in_block or (seen_tx is not None and seen_tx(key)): "
-        "issues.append(ValidationIssue('duplicate_tx', f'tx {i}: {key} already on chain'))",
+        "return 'merkle_root'",
+        "if not all((txbuild.verify_transaction(tx, registry, backend) "
+        "for tx in block.transactions)): return 'signature'",
+        "if len(keys) < len(block.transactions) or (seen_tx is not None and "
+        "any(map(seen_tx, keys))): return 'duplicate_tx'",
     )},
 }
 

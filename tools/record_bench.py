@@ -13,11 +13,11 @@ congested, on seed 1, it records:
   --seconds S --trace 1``, with ``S`` the ``run_seconds`` of this
   repository's ``BENCHMARK.json``, and the end-to-end medians and span counts that
   ``run.py`` prints only to its log when it traces;
-* from four probe processes of its own (``PROBE``): two call counts for one
-  ``scenario.run``, pstats' ``total_calls`` (``calls``) and the sum of
-  cProfile's raw entries (``raw_calls``); the bytecode instructions one
-  ``scenario.run`` executes (``opcodes``), counted with ``sys.settrace``,
-  which, unlike the call counts, sees the work inside a function; the peak of the memory that ``tracemalloc``
+* from four probe processes of its own (``PROBE``): the calls one
+  ``scenario.run`` makes, summed over cProfile's raw entries
+  (``raw_calls``); the bytecode instructions one ``scenario.run`` executes
+  (``opcodes``), counted with ``sys.settrace``, which, unlike the call
+  count, sees the work inside a function; the peak of the memory that ``tracemalloc``
   traces during one ``scenario.run``, which, unlike ``peak_rss_mb``, repeats
   to the byte and excludes what the imports allocate; and, from a run under
   none of them, the cyclic collector's collections per generation and its time
@@ -103,9 +103,6 @@ CAVEATS = [
          "figures start from a full collection after the imports."),
     ((), "peak_traced_bytes is tracemalloc's peak over one scenario.run, started after the "
          "imports: the memory Python's allocators hand out, not the process's RSS."),
-    ((), "probe.calls is pstats' total_calls, which keeps one entry of the functions that "
-         "share a (file, line, name) key, such as every dataclass __init__ (all from "
-         "\"<string>\"); probe.raw_calls sums every cProfile entry."),
     ((("src/proactlab/sim/agents.py", r"gc\.disable\(\)", True),),
      "World.run pauses the collector for the event loop, so the collector figures cover "
      "build_world and finalize only."),
@@ -123,13 +120,12 @@ from proactlab.sim.metrics import CSV_COLUMNS
 mode, ini, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
 cfg = dataclasses.replace(config.load_scenarios(ini)[0], seed=seed)
 if mode == "profile":
-    import cProfile, pstats
+    import cProfile
     profile = cProfile.Profile()
     profile.enable()
     scenario.run(cfg)
     profile.disable()
-    print(json.dumps({"calls": pstats.Stats(profile).total_calls,
-                      "raw_calls": sum(entry.callcount for entry in profile.getstats())}))
+    print(json.dumps({"raw_calls": sum(entry.callcount for entry in profile.getstats())}))
     sys.exit(0)
 if mode == "opcodes":
     # the process's only run, as in perfbench's child: after a warm-up run
@@ -313,7 +309,7 @@ def work_counts(recorded: dict) -> dict:
         for name, value in run["spans"].items():
             counts[f"{workload}.{name}"] = value
         found = figures["probe"]
-        for name in ("calls", "raw_calls", "opcodes", "events_fired", "gc_collections",
+        for name in ("raw_calls", "opcodes", "events_fired", "gc_collections",
                      "csv_digest", "peak_traced_bytes"):
             if name in found:  # an older recording lacks the later probe figures
                 counts[f"{workload}.probe.{name}"] = found[name]
