@@ -16,9 +16,9 @@ from typing import Dict, List
 
 from .sim.scenario import ConfigError, ScenarioConfig
 
+# scenario.py postpones its annotations, so each field's type is its name
 _FIELD_TYPES: Dict[str, type] = {
-    f.name: f.type if isinstance(f.type, type) else {"int": int, "float": float,
-                                                     "str": str, "bool": bool}[f.type]
+    f.name: {"int": int, "float": float, "str": str, "bool": bool}[f.type]
     for f in dataclasses.fields(ScenarioConfig)
 }
 

@@ -314,22 +314,18 @@ class _Voter:
 class StationProtocol(_Voter):
     """A miner station: it asks ids for its drafts, broadcasts the draft
     assigned the next id, votes on the next id's candidate, and commits ids
-    in turn on a quorum of acks.  ``validate(block_id, block)`` gives None
-    or the first issue's error code; ``finalize(draft, block_id)`` builds
-    the block a draft becomes under the next id, once every id below it
-    has committed.  Port: ``to_orderer(kind, message)``,
+    in turn on a quorum of acks.  Port: ``validate(block_id, block)`` gives
+    None or the first failing check's error code; ``finalize(draft,
+    block_id)`` builds the block a draft becomes under the next id, once
+    every id below it has committed; ``to_orderer(kind, message)``,
     ``broadcast(kind, message, to_orderer)`` to the other miners,
     ``commit(block_id, block)``, and ``reclaim(draft)`` for a voided draft.
     """
 
-    def __init__(self, station_id: int, n_tgcs: int, port,
-                 validate: Callable[[int, Block], Optional[int]],
-                 finalize: Callable[[object, int], Block]) -> None:
+    def __init__(self, station_id: int, n_tgcs: int, port) -> None:
         super().__init__(n_tgcs, port)
         self.id = station_id
         self.next_id = 0  # the id to commit next; the agent adds genesis, id 0
-        self._validate = validate
-        self._finalize = finalize
         # drafts, opaque here, waiting for an id, then by their id until they
         # commit; a draft is broadcast once its tally has a block
         self.unassigned: List[object] = []
@@ -360,7 +356,7 @@ class StationProtocol(_Voter):
         tally = self._tally(self.next_id)
         if tally.block is not None:
             return  # already broadcast
-        block = self._finalize(draft, self.next_id)
+        block = self.port.finalize(draft, self.next_id)
         self.port.broadcast("block", block)
         tally.propose(block)
         # the orderer tracks commits through the vote stream; the miner's
@@ -381,7 +377,7 @@ class StationProtocol(_Voter):
         if tally is None or tally.block is None or \
                 self.id in tally.acks or self.id in tally.errors:
             return  # no candidate yet, or already voted (a miner acks its own)
-        error = self._validate(next_id, tally.block)
+        error = self.port.validate(next_id, tally.block)
         if error is None:
             vote, kind = BlockAckMessage(next_id, self.id), "ack"
         else:

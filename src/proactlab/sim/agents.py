@@ -541,8 +541,7 @@ class TgcsAgent(ProtocolAgent, GcsAgent):
     def __init__(self, world: World, gcs_id: int):
         super().__init__(world, gcs_id)
         self.intake: Dict[TxKey, Transaction] = {}  # in arrival order
-        self.station = StationProtocol(gcs_id, world.n_tgcs, self, self._validate,
-                                       self._finalize)
+        self.station = StationProtocol(gcs_id, world.n_tgcs, self)
 
     def start(self) -> None:
         super().start()
@@ -626,13 +625,13 @@ class TgcsAgent(ProtocolAgent, GcsAgent):
 
     # --- what the station protocol asks of this agent ---
 
-    def _validate(self, block_id: int, block: Block) -> Optional[int]:
+    def validate(self, block_id: int, block: Block) -> Optional[int]:
         code = ledger.validate_block(block_id, self.ledger.tip_digest, block,
                                      self.w.registry, self.w.backend,
                                      seen_tx=self.ledger.has_tx)
         return None if code is None else consensus.ERROR_CODES[code]
 
-    def _finalize(self, draft: Draft, block_id: int) -> Block:
+    def finalize(self, draft: Draft, block_id: int) -> Block:
         # the station finalizes only its next id, so the ledger's tip is the
         # predecessor; the validators' validate_block checks the link
         assembled_us, txs = draft

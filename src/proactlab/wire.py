@@ -14,11 +14,11 @@ Block header layout (80 bytes before the access list):
 
 Each access-list entry is tx_index(2) access_class(1) owner_count(2)
 owners(4 each).  The block hash covers the header bytes only; the Merkle
-root commits to the body.  A Transaction or Block that exists is
-well-formed: its constructor enforces each format rule and raises WireError
-otherwise, so no encoder, decoder or validator checks one again.  Values
-are immutable after construction and all operations here are pure
-functions.
+root commits to the body.  A Transaction, BlockHeader or Block that exists
+is well-formed: its constructor enforces each format rule and raises
+WireError otherwise, so no encoder, decoder or validator checks one again.
+A size is the length of an encoding.  Values are immutable after
+construction and all operations here are pure functions.
 """
 
 from __future__ import annotations
@@ -45,21 +45,14 @@ ZERO_HASH = bytes(HASH_LEN)
 COMMIT_LEN = 16  # blake2b-128
 WIRE_VERSION = 1
 
-# The fixed-width runs of the layouts above; each encoder and its decoder
-# use these, and the sizes below are derived from them.
+# The fixed-width runs of the layouts above, shared by each encoder and its
+# decoder; a size is the length of the encoding, so nothing else restates them.
 _TX_HEAD = "<IQQIBH"     # creator .. owner_count
 _TX_SUITE = "<BBBB"      # security_class block_target enc_id hash_id
 _HEADER_HEAD = "<BQBIQ"  # version .. timestamp_us
 _TA_ENTRY_HEAD = "<HBH"  # tx_index access_class owner_count
 # The length prefixes of enc_par, hash_par, payload and signature.
-_TX_PREFIXES = ("<H", "<H", "<I", "<B")
-_ENC_PAR_LEN, _HASH_PAR_LEN, _PAYLOAD_LEN, _SIG_LEN = _TX_PREFIXES
-
-TX_FIXED_LEN = struct.calcsize(_TX_HEAD) + struct.calcsize(_TX_SUITE)
-# The bytes of a transaction that do not depend on its contents.
-_TX_BASE_LEN = TX_FIXED_LEN + sum(map(struct.calcsize, _TX_PREFIXES))
-HEADER_FIXED_LEN = struct.calcsize(_HEADER_HEAD) + 2 * HASH_LEN + struct.calcsize("<H")
-_TA_ENTRY_LEN = struct.calcsize(_TA_ENTRY_HEAD)
+_ENC_PAR_LEN, _HASH_PAR_LEN, _PAYLOAD_LEN, _SIG_LEN = "<H", "<H", "<I", "<B"
 
 
 class WireError(Exception):
@@ -82,9 +75,9 @@ class BlockTarget(IntEnum):
     BLOCK_T2 = 2
 
 
-# Set by _with_facts (_facts and _facts_by together), block_hash and
-# encoded_tx_size; a replace() copy lacks them.  Transaction._key is the exception:
-# __post_init__ sets it on every object.
+# Set by _with_facts (_facts, _facts_by and _size together), block_hash and
+# encoded_tx_size; a decoded or replace() copy lacks them.  Transaction._key is the
+# exception: __post_init__ sets it on every object.
 _memo = partial(field, default=None, init=False, repr=False, compare=False)
 
 
@@ -114,7 +107,7 @@ class Transaction:
     signature: bytes
     _facts: Optional[bytes] = _memo()  # commit ‖ content ‖ leaf, read in place
     _facts_by: Optional[HashBackend] = _memo()  # the backend that derived _facts
-    _size: Optional[int] = _memo()
+    _size: Optional[int] = _memo()  # the length of the encoding
     _key: Tuple[int, int] = _memo()
 
     def __post_init__(self) -> None:
@@ -185,6 +178,10 @@ class BlockHeader:
     merkle_root: bytes
     ta_list: Tuple[TAEntry, ...]
     _digest: Optional[Tuple[HashBackend, bytes]] = _memo()
+
+    def __post_init__(self) -> None:
+        if len(self.prev_hash) != HASH_LEN or len(self.merkle_root) != HASH_LEN:
+            raise WireError("header digests must be 28 bytes")
 
 
 @dataclass(frozen=True)
@@ -263,8 +260,8 @@ def _signing_bytes(creator, tx_seq, created_at_us, topic, access_class, owners, 
 
 def _with_facts(signing, security_class, backend, make: Callable[[bytes], Transaction]):
     """``make(content digest)`` with commit digest ‖ content digest ‖ Merkle leaf
-    stored, and ``backend`` beside them; the leaf continues the SPONGENT-224 state
-    after ``signing``."""
+    stored, ``backend`` and the encoding's length beside them; the leaf continues
+    the SPONGENT-224 state after ``signing``."""
     variant = suite_for_class(security_class).hash_variant
     state = backend.prefix_state(HashVariant.SPONGENT_224, signing)
     content = backend.digest(variant, signing, len(signing),
@@ -274,6 +271,7 @@ def _with_facts(signing, security_class, backend, make: Callable[[bytes], Transa
     object.__setattr__(tx, "_facts", blake2b(encoded, digest_size=COMMIT_LEN).digest()
                        + content + backend.digest224(encoded, len(signing), state))
     object.__setattr__(tx, "_facts_by", backend)
+    object.__setattr__(tx, "_size", len(encoded))
     return tx
 
 
@@ -316,11 +314,10 @@ def encode_transaction(tx: Transaction) -> bytes:
 
 
 def encoded_tx_size(tx: Transaction) -> int:
-    """Wire size without materializing the encoding, derived once per object;
-    the metadata strings count in UTF-8 bytes, as they are written."""
+    """The length of the encoding: stored when the transaction was built, and
+    encoded once per object otherwise."""
     if tx._size is None:
-        object.__setattr__(tx, "_size", _TX_BASE_LEN + 4 * len(tx.owners) + tx.payload_len()
-                           + len(tx.enc_par.encode() + tx.hash_par.encode()) + len(tx.signature))
+        object.__setattr__(tx, "_size", len(encode_transaction(tx)))
     return tx._size
 
 
@@ -404,29 +401,21 @@ def ta_list_for(transactions: Sequence[Transaction]) -> Tuple[TAEntry, ...]:
 
 
 def encode_header(header: BlockHeader) -> bytes:
-    if len(header.prev_hash) != HASH_LEN or len(header.merkle_root) != HASH_LEN:
-        raise WireError("header digests must be 28 bytes")
-    parts = [
+    """The fixed fields, then each access-list entry packed with its owners."""
+    return b"".join([
         struct.pack(_HEADER_HEAD, header.version, header.block_id, header.block_type,
                     header.miner, header.timestamp_us),
         header.prev_hash,
         header.merkle_root,
         struct.pack("<H", len(header.ta_list)),
-    ]
-    for entry in header.ta_list:
-        parts.append(struct.pack(_TA_ENTRY_HEAD, entry.tx_index, entry.access_class,
-                                 len(entry.owners)))
-        parts.append(struct.pack(f"<{len(entry.owners)}I", *entry.owners))
-    return b"".join(parts)
-
-
-def encoded_header_size(ta_list: Sequence[TAEntry]) -> int:
-    return HEADER_FIXED_LEN + sum(_TA_ENTRY_LEN + 4 * len(e.owners) for e in ta_list)
+        *[struct.pack(f"{_TA_ENTRY_HEAD}{len(entry.owners)}I", entry.tx_index,
+                      entry.access_class, len(entry.owners), *entry.owners)
+          for entry in header.ta_list],
+    ])
 
 
 def encoded_block_size(block: Block) -> int:
-    return (encoded_header_size(block.header.ta_list)
-            + sum(encoded_tx_size(tx) for tx in block.transactions))
+    return len(encode_header(block.header)) + sum(map(encoded_tx_size, block.transactions))
 
 
 def encode_block(block: Block) -> bytes:

@@ -592,7 +592,7 @@ def test_finalize_builds_a_draft_once_on_the_ledger_tip():
     commands, reports = _commands_and_reports(world, miner)
     (draft, _) = _assembly_tick(world, miner, commands + reports)
     chain = miner.ledger
-    block = miner._finalize(draft, miner.station.next_id)
+    block = miner.finalize(draft, miner.station.next_id)
     header = block.header
     assert (block.block_id, header.block_type, header.miner, header.timestamp_us) == \
         (chain.next_block_id, BlockTarget.BLOCK_T1, miner.id, ASSEMBLED_US)
@@ -1132,7 +1132,7 @@ def _rejected_miner(monkeypatch, until_s=1.0):
     block of the first of three miners, so each meets a quorum of error
     votes.  The finalize timeout is far beyond that, so every void before
     it is a rejection."""
-    validate = TgcsAgent._validate
+    validate = TgcsAgent.validate
 
     def failing(self, block_id, block):
         world = self.w
@@ -1140,7 +1140,7 @@ def _rejected_miner(monkeypatch, until_s=1.0):
             return consensus.ERROR_CODES["signature"]
         return validate(self, block_id, block)
 
-    monkeypatch.setattr(TgcsAgent, "_validate", failing)
+    monkeypatch.setattr(TgcsAgent, "validate", failing)
     return default_config(n_ca=1, gcs_per_ca=3, tgcs_per_ca=3, uavn_per_gcs=1,
                           uav_per_uavn=3, sim_duration_s=3.0, t_blk_s=30.0,
                           fetch_interval_s=0.0, malicious_fraction=0.0, seed=1)

@@ -29,7 +29,7 @@ from proactlab.crypto import SecurityClass
 from proactlab.sim import agents, default_config, netmodel
 from proactlab.sim.scenario import build_world
 
-from test_consensus import _SEARCH, ProtocolModel
+from test_consensus import _SEARCH, loss_free_model
 from test_sim import (
     FORGER,
     TINY,
@@ -364,7 +364,7 @@ def test_runs_reach_every_statement(monkeypatch):
             check(world, log)
             _check_settled_and_agreed(world)
     with collector:
-        run_state_machine_as_test(ProtocolModel, settings=_SEARCH)
+        run_state_machine_as_test(loss_free_model, settings=_SEARCH)
     keyed = list(keyed_statements())
     missed = [f"{key[0]}:{own[0]} {key[1]}: {key[2]}" for path, key, own in keyed
               if collector.hits[path].isdisjoint(own) and key not in ALLOWED]

@@ -29,7 +29,7 @@ def field_sum_size(n_owners, enc_par_len, hash_par_len, payload_wire_len, sig_le
 
 
 def test_fixed_fields_total():
-    assert field_sum_size(0, 0, 0, 0, 0) - (2 + 2 + 4 + 1) == wire.TX_FIXED_LEN == 31
+    assert field_sum_size(0, 0, 0, 0, 0) - (2 + 2 + 4 + 1) == 31
 
 
 def test_sealed_command_encodes_to_199_bytes(registry, sim_backend):
@@ -108,7 +108,13 @@ def _header(block_id=0, ta=(), block_type=BlockTarget.BLOCK_T1):
 def test_empty_block_header_is_80_bytes():
     encoded = wire.encode_header(_header())
     assert len(encoded) == 80
-    assert wire.encoded_header_size(()) == 80
+    assert len(encoded) == 1 + 8 + 1 + 4 + 8 + 28 + 28 + 2  # the oracle's header widths
+
+
+@pytest.mark.parametrize("digest", ["prev_hash", "merkle_root"])
+def test_a_header_with_a_short_digest_cannot_be_built(digest):
+    with pytest.raises(WireError, match="28 bytes"):
+        dataclasses.replace(_header(), **{digest: bytes(wire.HASH_LEN - 1)})
 
 
 def test_single_owner_ta_entry_adds_9_bytes(registry, sim_backend):
@@ -124,9 +130,18 @@ def test_single_owner_ta_entry_adds_9_bytes(registry, sim_backend):
 def test_block_round_trip(registry, sim_backend):
     txs = [helpers.make_t1_command(registry, sim_backend, seq=i) for i in range(3)]
     txs.append(helpers.make_group_command(registry, sim_backend, seq=9))
+    txs.append(txbuild.build_transaction(
+        creator=helpers.GCS_ID, tx_seq=10, created_at_us=0, suite=crypto.SUITE_S1,
+        access_class=AccessClass.PUBLIC, owners=(), block_target=BlockTarget.BLOCK_T1,
+        plaintext=b"public", registry=registry, backend=sim_backend))
     block = wire.build_block(7, BlockTarget.BLOCK_T1, helpers.GCS_ID, 123456,
                              wire.ZERO_HASH, txs, sim_backend)
-    assert wire.decode_block(wire.encode_block(block)) == block
+    encoded = wire.encode_block(block)
+    decoded = wire.decode_block(encoded)
+    assert decoded == block
+    # a block's size is its encoding's length, from stored transaction sizes or not
+    assert all(tx._size is None for tx in decoded.transactions)
+    assert wire.encoded_block_size(block) == wire.encoded_block_size(decoded) == len(encoded)
 
 
 def test_encode_block_rejects_ta_mismatch(registry, sim_backend):
@@ -400,6 +415,11 @@ def test_encoded_size_counts_utf8_bytes_of_metadata(registry, sim_backend):
 
 def test_a_replace_copy_derives_its_own_size(registry, sim_backend):
     tx = helpers.make_t1_command(registry, sim_backend)
+    assert tx._size == len(wire.encode_transaction(tx))  # stored when built
+    for copy in (wire.decode_transaction(wire.encode_transaction(tx)),
+                 dataclasses.replace(tx)):
+        assert copy._size is None
+        assert wire.encoded_tx_size(copy) == tx._size
     assert wire.encoded_tx_size(tx) == 199  # stored on tx
     longer = dataclasses.replace(tx, payload=tx.payload + bytes(5))
     assert wire.encoded_tx_size(longer) == 204 == len(wire.encode_transaction(longer))
@@ -422,7 +442,7 @@ def test_a_transaction_stores_one_key_that_its_copies_equal(backend):
 def test_decode_rejects_non_utf8_metadata(registry, sim_backend):
     tx = helpers.make_t1_command(registry, sim_backend)
     data = bytearray(wire.encode_transaction(tx))
-    enc_par_at = wire.TX_FIXED_LEN + 4 * len(tx.owners) + 2
+    enc_par_at = 31 + 4 * len(tx.owners) + 2  # the fixed fields, owners, enc_par's length
     assert data[enc_par_at:enc_par_at + len(tx.enc_par)] == tx.enc_par.encode()
     data[enc_par_at] = 0xFF
     with pytest.raises(WireError, match="UTF-8"):

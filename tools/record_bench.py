@@ -13,13 +13,15 @@ congested, on seed 1, it records:
   --seconds S --trace 1``, with ``S`` the ``run_seconds`` of this
   repository's ``BENCHMARK.json``, and the end-to-end medians and span counts that
   ``run.py`` prints only to its log when it traces;
-* from four probe processes of its own (``PROBE``): the calls one
+* from five probe processes of its own (``PROBE``): the calls one
   ``scenario.run`` makes, summed over cProfile's raw entries
   (``raw_calls``); the bytecode instructions one ``scenario.run`` executes
   (``opcodes``), counted with ``sys.settrace``, which, unlike the call
   count, sees the work inside a function; the peak of the memory that ``tracemalloc``
   traces during one ``scenario.run``, which, unlike ``peak_rss_mb``, repeats
-  to the byte and excludes what the imports allocate; and, from a run under
+  to the byte and excludes what the imports allocate; the bytes the package
+  passes to blake2b during one ``scenario.run`` (``hashed_bytes``), counted
+  through wrappers in a run of its own; and, from a run under
   none of them, the cyclic collector's collections per generation and its time
   (read through ``gc.callbacks``, which cProfile and the tracer cannot see),
   the events fired and the CSV digest.
@@ -109,8 +111,8 @@ CAVEATS = [
 ]
 
 # One probe run of a workload's scenario, in the checkout's own interpreter
-# environment.  argv: mode (gc | profile | opcodes | memory), INI path, seed.
-# Prints one JSON line.
+# environment.  argv: mode (gc | profile | opcodes | memory | hashed), INI path,
+# seed.  Prints one JSON line.
 PROBE = r"""
 import dataclasses, gc, hashlib, json, sys, time
 from proactlab import config
@@ -154,6 +156,50 @@ if mode == "memory":
     tracemalloc.start()
     scenario.run(cfg)
     print(json.dumps({"peak_traced_bytes": tracemalloc.get_traced_memory()[1]}))
+    sys.exit(0)
+if mode == "hashed":
+    # the bytes the package passes to blake2b: each module's blake2b name and the
+    # simulated backend's _BLAKE2B states, all wrapped; a checkout that lacks one
+    # of these names gets no figure rather than a partial one
+    from proactlab import crypto, txbuild, wire
+    from proactlab.sim import metrics
+    modules = (crypto, txbuild, wire, metrics)
+    if not (all(hasattr(module, "blake2b") for module in modules)
+            and isinstance(getattr(crypto, "_BLAKE2B", None), dict)):
+        print(json.dumps({}))
+        sys.exit(0)
+    hashed = [0]
+    blake2b = crypto.blake2b
+
+    class Counted:
+        __slots__ = ("state",)
+
+        def __init__(self, state):
+            self.state = state
+
+        def update(self, data):
+            hashed[0] += memoryview(data).nbytes
+            self.state.update(data)
+
+        def copy(self):
+            return Counted(self.state.copy())
+
+        def digest(self):
+            return self.state.digest()
+
+        def hexdigest(self):
+            return self.state.hexdigest()
+
+    def counted(data=b"", **kwargs):
+        hashed[0] += memoryview(data).nbytes
+        return Counted(blake2b(data, **kwargs))
+
+    for module in modules:
+        module.blake2b = counted
+    for variant, state in crypto._BLAKE2B.items():
+        crypto._BLAKE2B[variant] = Counted(state)
+    scenario.run(cfg)
+    print(json.dumps({"hashed_bytes": hashed[0]}))
     sys.exit(0)
 
 worlds, collections, clock = [], [0, 0, 0], {"busy_s": 0.0}
@@ -251,7 +297,7 @@ def probe(checkout: Path, workload: str) -> dict:
     ini = str(checkout / "perfbench" / "workloads" / f"{workload}.ini")
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONHASHSEED="0")
     found = {}
-    for mode in ("gc", "profile", "opcodes", "memory"):
+    for mode in ("gc", "profile", "opcodes", "memory", "hashed"):
         out = _run([sys.executable, "-c", PROBE, mode, ini, str(SEED)], checkout, env)
         found.update(json.loads(out.strip().splitlines()[-1]))
     return found
@@ -310,7 +356,7 @@ def work_counts(recorded: dict) -> dict:
             counts[f"{workload}.{name}"] = value
         found = figures["probe"]
         for name in ("raw_calls", "opcodes", "events_fired", "gc_collections",
-                     "csv_digest", "peak_traced_bytes"):
+                     "csv_digest", "peak_traced_bytes", "hashed_bytes"):
             if name in found:  # an older recording lacks the later probe figures
                 counts[f"{workload}.probe.{name}"] = found[name]
     return counts
