@@ -11,7 +11,7 @@ import struct
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from . import crypto, txbuild, wire
 from .crypto import HashBackend, KeyRegistry
@@ -56,13 +56,15 @@ def validate_block(expected_id: int, tip_digest: bytes, block: Block,
 
 
 class FullLedger:
-    """Append-only chain of committed blocks with a (creator, tx_seq) index."""
+    """Append-only chain of committed blocks.  Only a ledger that is asked
+    for membership keeps a set of its (creator, tx_seq) keys: the first
+    ``has_tx`` builds it from the chain, and each append extends it."""
 
     def __init__(self, backend: HashBackend):
         self._backend = backend
         self.blocks: List[Block] = []
         self.tip_digest: bytes = wire.ZERO_HASH
-        self._tx_index: Dict[Tuple[int, int], int] = {}  # key -> block id
+        self._keys: Optional[Set[Tuple[int, int]]] = None  # built by the first has_tx
 
     @property
     def next_block_id(self) -> int:
@@ -76,17 +78,21 @@ class FullLedger:
             raise LedgerError("gap", f"block {block.block_id} leaves a gap at {expected}")
         self.blocks.append(block)
         self.tip_digest = wire.block_hash(block.header, self._backend)
-        self._tx_index.update(dict.fromkeys(block.tx_locations, block.block_id))
+        if self._keys is not None:
+            self._keys.update(block.tx_locations)
 
     def has_tx(self, key: Tuple[int, int]) -> bool:
-        return key in self._tx_index
+        if self._keys is None:
+            self._keys = {held for block in self.blocks for held in block.tx_locations}
+        return key in self._keys
 
     def find_transaction(self, key: Tuple[int, int]) -> Optional[Transaction]:
-        block_id = self._tx_index.get(key)
-        if block_id is None:
-            return None
-        block = self.blocks[block_id]
-        return block.transactions[block.tx_locations[key]]
+        """Walk the chain from the tip through each block's shared tx_locations."""
+        for block in reversed(self.blocks):
+            index = block.tx_locations.get(key)
+            if index is not None:
+                return block.transactions[index]
+        return None
 
     def verify_chain(self, registry: KeyRegistry) -> None:
         """Validate every block from genesis against the tip and the keys

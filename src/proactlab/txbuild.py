@@ -49,12 +49,20 @@ def build_transaction(*, creator: int, tx_seq: int, created_at_us: int,
 def verify_transaction(tx: Transaction, registry: KeyRegistry,
                        backend: HashBackend) -> bool:
     """Check the content digest, derived once per object, against the
-    claimed creator's registered public key."""
+    claimed creator's registered public key.  A success is stored on the
+    object with that key, for the backend that derived its facts, so a
+    second check of the object reads it; a failure is never stored."""
     if not registry.has_node(tx.creator):
         return False
-    suite = crypto.suite_for_class(tx.security_class)
-    return crypto.verify(suite, registry.public_key(tx.creator),
-                         wire.content_digest(tx, backend), tx.signature, backend)
+    public = registry.public_key(tx.creator)
+    content = wire.content_digest(tx, backend)  # another backend's verdict is cleared
+    if tx._verified_under == public:
+        return True
+    if not crypto.verify(crypto.suite_for_class(tx.security_class), public, content,
+                         tx.signature, backend):
+        return False
+    object.__setattr__(tx, "_verified_under", public)
+    return True
 
 
 def registration_payload(node_id: int, role: str, real_id: str,

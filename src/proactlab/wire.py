@@ -75,9 +75,10 @@ class BlockTarget(IntEnum):
     BLOCK_T2 = 2
 
 
-# Set by _with_facts (_facts, _facts_by and _size together), block_hash and
-# encoded_tx_size; a decoded or replace() copy lacks them.  Transaction._key is the
-# exception: __post_init__ sets it on every object.
+# Set by _with_facts (_facts, _facts_by and _size together, clearing _verified_under),
+# txbuild.verify_transaction (_verified_under), block_hash and encoded_tx_size; a
+# decoded or replace() copy lacks them.  Transaction._key is the exception:
+# __post_init__ sets it on every object.
 _memo = partial(field, default=None, init=False, repr=False, compare=False)
 
 
@@ -108,6 +109,7 @@ class Transaction:
     _facts: Optional[bytes] = _memo()  # commit ‖ content ‖ leaf, read in place
     _facts_by: Optional[HashBackend] = _memo()  # the backend that derived _facts
     _size: Optional[int] = _memo()  # the length of the encoding
+    _verified_under: Optional[bytes] = _memo()  # the key it verified under, by _facts_by
     _key: Tuple[int, int] = _memo()
 
     def __post_init__(self) -> None:
@@ -260,8 +262,8 @@ def _signing_bytes(creator, tx_seq, created_at_us, topic, access_class, owners, 
 
 def _with_facts(signing, security_class, backend, make: Callable[[bytes], Transaction]):
     """``make(content digest)`` with commit digest ‖ content digest ‖ Merkle leaf
-    stored, ``backend`` and the encoding's length beside them; the leaf continues
-    the SPONGENT-224 state after ``signing``."""
+    stored, ``backend`` and the encoding's length beside them, and no signature
+    verdict; the leaf continues the SPONGENT-224 state after ``signing``."""
     variant = suite_for_class(security_class).hash_variant
     state = backend.prefix_state(HashVariant.SPONGENT_224, signing)
     content = backend.digest(variant, signing, len(signing),
@@ -272,6 +274,7 @@ def _with_facts(signing, security_class, backend, make: Callable[[bytes], Transa
                        + content + backend.digest224(encoded, len(signing), state))
     object.__setattr__(tx, "_facts_by", backend)
     object.__setattr__(tx, "_size", len(encoded))
+    object.__setattr__(tx, "_verified_under", None)
     return tx
 
 

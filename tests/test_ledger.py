@@ -17,9 +17,11 @@ from proactlab.ledger import (
     validate_block,
 )
 from proactlab.sim import default_config
+from proactlab.sim.scenario import build_world
 from proactlab.wire import AccessClass, BlockTarget
 
 import helpers
+from test_sim import TINY
 
 BACKEND = crypto.SIMULATED_BACKEND
 CAPACITY = default_config().drone_capacity_bytes
@@ -146,17 +148,52 @@ def test_append_rejects_gap_and_duplicate(registry):
 
 
 def test_full_ledger_finds_each_stored_transaction(registry):
-    # the index holds a block id per key; the block maps the key to its slot
+    # find_transaction walks the chain; the first has_tx builds the key set
+    # from the blocks held, and each later append extends it
     full = FullLedger(BACKEND)
-    for block_id in range(4):
+
+    def append(block_id):
         txs = [helpers.make_t1_command(registry, BACKEND, seq=10 * block_id + i)
                for i in range(3)]
         full.append_block(_block(registry, block_id, full.tip_digest, txs))
-    for block in (full.blocks[0], full.blocks[2], full.blocks[-1]):
-        for tx in block.transactions:
-            assert full.has_tx(tx.key()) and full.find_transaction(tx.key()) is tx
+
+    def check_lookups():
+        for block in full.blocks:
+            for tx in block.transactions:
+                assert full.find_transaction(tx.key()) is tx
+        assert full.find_transaction(absent) is None
+
     absent = (helpers.GCS_ID, 3)  # the creator's sequence number between blocks 0 and 1
-    assert not full.has_tx(absent) and full.find_transaction(absent) is None
+    for block_id in range(4):
+        append(block_id)
+    check_lookups()
+    assert full._keys is None  # no membership asked yet
+    before = [tx.key() for block in full.blocks for tx in block.transactions]
+    assert all(map(full.has_tx, before)) and not full.has_tx(absent)
+    check_lookups()
+    append(4)
+    append(5)
+    check_lookups()
+    after = [tx.key() for block in full.blocks[4:] for tx in block.transactions]
+    for key in before + after + [absent, (helpers.GCS_ID, 99)]:
+        assert full.has_tx(key) == (full.find_transaction(key) is not None)
+    assert full._keys == set(before + after)
+
+
+def test_only_the_miners_index_their_chains():
+    # three stations, two of them miners: only a miner asks has_tx
+    world = build_world(default_config(**{**TINY, "gcs_per_ca": 3, "seed": 3}))
+    world.run()
+    plain = set(world.topo.gcs_ids) - set(world.topo.tgcs_ids)
+    assert plain and world.topo.tgcs_ids
+    for gcs in world.topo.gcs_ids:
+        chain = world.agents[gcs].ledger
+        assert len(chain.blocks) > 1
+        if gcs in plain:
+            assert chain._keys is None
+        else:
+            assert chain._keys == {key for block in chain.blocks
+                                   for key in block.tx_locations}
 
 
 # --- access control ---

@@ -439,6 +439,59 @@ def test_a_transaction_stores_one_key_that_its_copies_equal(backend):
     assert dataclasses.replace(tx, tx_seq=8).key() == (helpers.GCS_ID, 8)
 
 
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """The arguments of every crypto.verify call the test makes."""
+    calls = []
+    verify = crypto.verify
+
+    def spy(*args):
+        calls.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(crypto, "verify", spy)
+    return calls
+
+
+def test_a_second_verification_reads_the_stored_verdict(registry, sim_backend,
+                                                          verify_calls):
+    tx = helpers.make_t1_command(registry, sim_backend)
+    assert tx._verified_under is None  # building signs, it does not verify
+    assert txbuild.verify_transaction(tx, registry, sim_backend)
+    assert len(verify_calls) == 1
+    assert tx._verified_under == registry.public_key(tx.creator)
+    assert txbuild.verify_transaction(tx, registry, sim_backend)
+    assert len(verify_calls) == 1
+
+
+def test_a_verdict_holds_only_for_its_backend_and_key(registry, sim_backend, verify_calls):
+    tx = helpers.make_t1_command(registry, sim_backend)
+    assert txbuild.verify_transaction(tx, registry, sim_backend)
+    # the SPONGENT content digest differs, so the simulated signature fails
+    assert not txbuild.verify_transaction(tx, registry, SPONGENT_BACKEND)
+    assert len(verify_calls) == 2 and tx._verified_under is None
+    assert txbuild.verify_transaction(tx, registry, sim_backend)
+    assert len(verify_calls) == 3
+    # a registry that holds another key for the creator
+    other = crypto.KeyRegistry(sim_backend, key_seed=b"other")
+    other.register_node(tx.creator)
+    assert other.public_key(tx.creator) != registry.public_key(tx.creator)
+    assert not txbuild.verify_transaction(tx, other, sim_backend)
+    assert len(verify_calls) == 4
+    assert txbuild.verify_transaction(tx, registry, sim_backend)  # still stored
+    assert len(verify_calls) == 4
+
+
+def test_a_failed_verification_is_not_stored(registry, sim_backend, verify_calls):
+    tx = helpers.make_t1_command(registry, sim_backend)
+    assert txbuild.verify_transaction(tx, registry, sim_backend)
+    forged = dataclasses.replace(tx, signature=bytes([tx.signature[0] ^ 1]) + tx.signature[1:])
+    for attempt in (1, 2):
+        assert not txbuild.verify_transaction(forged, registry, sim_backend)
+        assert forged._verified_under is None
+        assert len(verify_calls) == 1 + attempt
+
+
 def test_decode_rejects_non_utf8_metadata(registry, sim_backend):
     tx = helpers.make_t1_command(registry, sim_backend)
     data = bytearray(wire.encode_transaction(tx))

@@ -19,7 +19,8 @@ congested, on seed 1, it records:
   (``opcodes``), counted with ``sys.settrace``, which, unlike the call
   count, sees the work inside a function; the peak of the memory that ``tracemalloc``
   traces during one ``scenario.run``, which, unlike ``peak_rss_mb``, repeats
-  to the byte and excludes what the imports allocate; the bytes the package
+  to the byte and excludes what the imports allocate, and what it still
+  traces when the run's event loop returns (``held_bytes``); the bytes the package
   passes to blake2b during one ``scenario.run`` (``hashed_bytes``), counted
   through wrappers in a run of its own; and, from a run under
   none of them, the cyclic collector's collections per generation and its time
@@ -151,11 +152,27 @@ if mode == "opcodes":
     print(json.dumps({"opcodes": opcodes[0]}))
     sys.exit(0)
 if mode == "memory":
+    # held_bytes: what is still traced when the event loop returns, before
+    # the run is finalized; a checkout without World.run gets no figure.  It
+    # is written into a buffer allocated before tracing starts, so measuring
+    # it adds nothing to the peak.
     import tracemalloc
+    from array import array
+    from proactlab.sim import agents
+    held = array("q", [-1])
+    world_run = getattr(getattr(agents, "World", None), "run", None)
+    if world_run is not None:
+        def run_and_measure(world):  # no argument packing: nothing traced stays alive
+            world_run(world)
+            held[0] = tracemalloc.get_traced_memory()[0]
+        agents.World.run = run_and_measure
     gc.collect()
     tracemalloc.start()
     scenario.run(cfg)
-    print(json.dumps({"peak_traced_bytes": tracemalloc.get_traced_memory()[1]}))
+    found = {"peak_traced_bytes": tracemalloc.get_traced_memory()[1]}
+    if held[0] >= 0:
+        found["held_bytes"] = held[0]
+    print(json.dumps(found))
     sys.exit(0)
 if mode == "hashed":
     # the bytes the package passes to blake2b: each module's blake2b name and the
@@ -356,7 +373,7 @@ def work_counts(recorded: dict) -> dict:
             counts[f"{workload}.{name}"] = value
         found = figures["probe"]
         for name in ("raw_calls", "opcodes", "events_fired", "gc_collections",
-                     "csv_digest", "peak_traced_bytes", "hashed_bytes"):
+                     "csv_digest", "peak_traced_bytes", "held_bytes", "hashed_bytes"):
             if name in found:  # an older recording lacks the later probe figures
                 counts[f"{workload}.probe.{name}"] = found[name]
     return counts
