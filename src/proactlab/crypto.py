@@ -255,13 +255,13 @@ class CryptoSuite:
     def tag_len(self) -> int:
         return DIGEST_LEN[self.hash_variant]
 
-    @functools.cached_property  # one string shared by every transaction
-    def enc_par(self) -> str:
-        return f"key_bits={self.key_bits}"
+    @property  # the enc_par bytes the wire writes for a sealed transaction
+    def enc_par(self) -> bytes:
+        return f"key_bits={self.key_bits}".encode()
 
-    @functools.cached_property
-    def hash_par(self) -> str:
-        return f"rounds={_SPONGENT_PARAMS[self.hash_variant][3]}"
+    @property  # the hash_par bytes the wire writes
+    def hash_par(self) -> bytes:
+        return f"rounds={_SPONGENT_PARAMS[self.hash_variant][3]}".encode()
 
 
 SUITE_S2_C1 = CryptoSuite(1, SecurityClass.S2_C1, 64, HashVariant.SPONGENT_88, SuiteCost(0.05, 5.0))

@@ -119,6 +119,15 @@ class ScenarioConfig:
             problems.append("disc_radius_m must be below gcs_range_m")
         if self.t_bis_s >= self.t_blk_s:
             problems.append("t_bis_s must be below t_blk_s")
+        # a zero period re-fires in the same microsecond, and a zero rate divides by zero
+        for name in ("t1_interval_s", "t2_interval_s", "t3_interval_s", "t5_interval_s",
+                     "attack_interval_s", "t_bis_s", "t_bo_s", "wireless_bw_bps"):
+            if getattr(self, name) <= 0:
+                problems.append(f"{name} must be positive")
+        if self.fetch_interval_s < 0:
+            problems.append("fetch_interval_s must not be negative (0 turns fetching off)")
+        if self.max_txs_per_block < 1:
+            problems.append("max_txs_per_block must be at least 1")
         if problems:
             raise ConfigError(problems)
 

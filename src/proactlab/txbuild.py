@@ -25,25 +25,19 @@ def build_transaction(*, creator: int, tx_seq: int, created_at_us: int,
                       owners: Sequence[int], block_target: BlockTarget,
                       plaintext: bytes, registry: KeyRegistry,
                       backend: HashBackend, zeros: int = 0) -> Transaction:
-    """Seal (when private), fill the crypto metadata, sign, and store the
-    derived facts.  The payload is ``plaintext`` followed by ``zeros`` zero
-    bytes, which a public transaction holds as a count."""
-    owners = tuple(owners)
-    if access_class is AccessClass.PUBLIC:
-        payload = plaintext
-        enc_id, enc_par = 0, ""
-    else:
-        sealed_to = registry.sealing_key(owners)
-        payload = crypto.seal(suite, sealed_to, deterministic_nonce(creator, tx_seq),
-                              plaintext + bytes(zeros), backend)
-        enc_id, enc_par, zeros = suite.suite_id, suite.enc_par, 0
+    """Seal (when private), sign and store the derived facts.  The payload is
+    ``plaintext`` then ``zeros`` zero bytes, which a public one holds as a count."""
+    owners, payload = tuple(owners), plaintext
+    if access_class is not AccessClass.PUBLIC:
+        payload = crypto.seal(suite, registry.sealing_key(owners),
+                              deterministic_nonce(creator, tx_seq), plaintext + bytes(zeros),
+                              backend)
+        zeros = 0
     return wire.new_transaction(
         lambda digest: crypto.sign(suite, registry.public_key(creator), digest, backend), backend,
-        creator=creator, tx_seq=tx_seq, created_at_us=created_at_us, topic=0,
-        access_class=access_class, owners=owners,
-        security_class=suite.security_class, block_target=block_target,
-        enc_id=enc_id, hash_id=suite.hash_variant.value,
-        enc_par=enc_par, hash_par=suite.hash_par, payload=payload, payload_zeros=zeros)
+        creator=creator, tx_seq=tx_seq, created_at_us=created_at_us,
+        access_class=access_class, owners=owners, security_class=suite.security_class,
+        block_target=block_target, payload=payload, payload_zeros=zeros)
 
 
 def verify_transaction(tx: Transaction, registry: KeyRegistry,

@@ -17,8 +17,10 @@ owners(4 each).  The block hash covers the header bytes only; the Merkle
 root commits to the body.  A Transaction, BlockHeader or Block that exists
 is well-formed: its constructor enforces each format rule and raises
 WireError otherwise, so no encoder, decoder or validator checks one again.
-A size is the length of an encoding.  Values are immutable after
-construction and all operations here are pure functions.
+The encoder writes topic 0, WIRE_VERSION and the suite metadata that the
+classes fix; the decoder raises WireError on any other bytes there.  A size
+is the length of an encoding.  Values are immutable after construction and
+all operations here are pure functions.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .crypto import (
     DIGEST_LEN,
     NONCE_LEN,
+    SUITES_BY_CLASS,
     HashBackend,
     HashVariant,
     SecurityClass,
@@ -48,11 +51,12 @@ WIRE_VERSION = 1
 # The fixed-width runs of the layouts above, shared by each encoder and its
 # decoder; a size is the length of the encoding, so nothing else restates them.
 _TX_HEAD = "<IQQIBH"     # creator .. owner_count
-_TX_SUITE = "<BBBB"      # security_class block_target enc_id hash_id
+_TX_CLASSES = "<BB"      # security_class block_target
 _HEADER_HEAD = "<BQBIQ"  # version .. timestamp_us
 _TA_ENTRY_HEAD = "<HBH"  # tx_index access_class owner_count
-# The length prefixes of enc_par, hash_par, payload and signature.
-_ENC_PAR_LEN, _HASH_PAR_LEN, _PAYLOAD_LEN, _SIG_LEN = "<H", "<H", "<I", "<B"
+# The length prefixes of payload and signature.
+_PAYLOAD_LEN, _SIG_LEN = "<I", "<B"
+_TOPIC = 0  # the one topic a transaction is written with
 
 
 class WireError(Exception):
@@ -75,6 +79,18 @@ class BlockTarget(IntEnum):
     BLOCK_T2 = 2
 
 
+# The one enc_id .. hash_par run that the encoder writes and the decoder accepts
+# for each (access class, security class); a public transaction has no enc_par.
+_METADATA = {
+    (access, suite.security_class): struct.pack(
+        f"<BBH{len(enc_par)}sH{len(suite.hash_par)}s", enc_id, suite.hash_variant.value,
+        len(enc_par), enc_par, len(suite.hash_par), suite.hash_par)
+    for suite in SUITES_BY_CLASS.values() for access in AccessClass
+    for enc_id, enc_par in [(0, b"") if access is AccessClass.PUBLIC
+                            else (suite.suite_id, suite.enc_par)]
+}
+
+
 # Set by _with_facts (_facts, _facts_by and _size together, clearing _verified_under),
 # txbuild.verify_transaction (_verified_under), block_hash and encoded_tx_size; a
 # decoded or replace() copy lacks them.  Transaction._key is the exception:
@@ -94,15 +110,10 @@ class Transaction:
     creator: int
     tx_seq: int
     created_at_us: int
-    topic: int
     access_class: AccessClass
     owners: Tuple[int, ...]
     security_class: SecurityClass
     block_target: BlockTarget
-    enc_id: int
-    hash_id: int
-    enc_par: str
-    hash_par: str
     payload: bytes
     payload_zeros: int
     signature: bytes
@@ -130,16 +141,9 @@ class Transaction:
         if not self.payload_len():
             raise WireError("payload must be non-empty")
         suite = suite_for_class(self.security_class)
-        if self.access_class is AccessClass.PUBLIC:
-            if self.enc_id != 0 or self.enc_par:
-                raise WireError("public transactions carry no encryption metadata")
-        else:
-            if self.enc_id != suite.suite_id:
-                raise WireError(f"enc_id {self.enc_id} does not match suite {suite.suite_id}")
-            if self.payload_len() <= NONCE_LEN + suite.tag_len:
-                raise WireError("sealed payload shorter than nonce plus tag")
-        if self.hash_id != suite.hash_variant.value:
-            raise WireError(f"hash_id {self.hash_id} does not match the suite")
+        if self.access_class is not AccessClass.PUBLIC \
+                and self.payload_len() <= NONCE_LEN + suite.tag_len:
+            raise WireError("sealed payload shorter than nonce plus tag")
         if len(self.signature) != suite.signature_len:
             raise WireError(f"signature length {len(self.signature)} != suite's "
                             f"{suite.signature_len}")
@@ -171,7 +175,6 @@ class TAEntry:
 
 @dataclass(frozen=True, slots=True)
 class BlockHeader:
-    version: int
     block_id: int
     block_type: BlockTarget
     miner: int
@@ -245,17 +248,14 @@ class Block:
 _SIGNED_FIELDS = attrgetter(*Transaction.__match_args__[:-1])  # in layout order, unsigned
 
 
-def _signing_bytes(creator, tx_seq, created_at_us, topic, access_class, owners, security_class,
-                   block_target, enc_id, hash_id, enc_par, hash_par, payload,
-                   payload_zeros) -> bytes:
+def _signing_bytes(creator, tx_seq, created_at_us, access_class, owners, security_class,
+                   block_target, payload, payload_zeros) -> bytes:
     """Every encoded field preceding the signature length: what a creator signs."""
-    enc_par_bytes, hash_par_bytes = enc_par.encode(), hash_par.encode()
     return b"".join((
-        struct.pack(_TX_HEAD, creator, tx_seq, created_at_us, topic, access_class, len(owners)),
+        struct.pack(_TX_HEAD, creator, tx_seq, created_at_us, _TOPIC, access_class, len(owners)),
         struct.pack(f"<{len(owners)}I", *owners),
-        struct.pack(_TX_SUITE, security_class, block_target, enc_id, hash_id),
-        struct.pack(_ENC_PAR_LEN, len(enc_par_bytes)), enc_par_bytes,
-        struct.pack(_HASH_PAR_LEN, len(hash_par_bytes)), hash_par_bytes,
+        struct.pack(_TX_CLASSES, security_class, block_target),
+        _METADATA[access_class, security_class],
         struct.pack(_PAYLOAD_LEN, len(payload) + payload_zeros), payload, bytes(payload_zeros),
     ))
 
@@ -350,12 +350,6 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def text(self, n: int) -> str:
-        try:
-            return self.take(n).decode()
-        except UnicodeDecodeError:
-            raise WireError("metadata string is not valid UTF-8") from None
-
     def end(self) -> None:
         """An encoding is canonical: nothing may follow its last field."""
         if self.pos != len(self.data):
@@ -375,18 +369,18 @@ def _decode_transaction(reader: _Reader) -> Transaction:
     except ValueError:
         raise WireError(f"unknown access class {access_raw}") from None
     owners = reader.unpack(f"<{owner_count}I") if owner_count else ()
-    sec_raw, target_raw, enc_id, hash_id = reader.unpack(_TX_SUITE)
+    sec_raw, target_raw = reader.unpack(_TX_CLASSES)
     try:
         sec = SecurityClass(sec_raw)
         target = BlockTarget(target_raw)
     except ValueError:
         raise WireError("unknown security class or block target") from None
-    enc_par = reader.text(*reader.unpack(_ENC_PAR_LEN))
-    hash_par = reader.text(*reader.unpack(_HASH_PAR_LEN))
+    metadata = _METADATA[access, sec]
+    if topic != _TOPIC or reader.take(len(metadata)) != metadata:
+        raise WireError("topic or suite metadata other than the encoder writes")
     payload = reader.take(*reader.unpack(_PAYLOAD_LEN))
     signature = reader.take(*reader.unpack(_SIG_LEN))
-    return Transaction(creator, tx_seq, created, topic, access, tuple(owners),
-                       sec, target, enc_id, hash_id, enc_par, hash_par,
+    return Transaction(creator, tx_seq, created, access, tuple(owners), sec, target,
                        payload, 0, signature)
 
 
@@ -406,7 +400,7 @@ def ta_list_for(transactions: Sequence[Transaction]) -> Tuple[TAEntry, ...]:
 def encode_header(header: BlockHeader) -> bytes:
     """The fixed fields, then each access-list entry packed with its owners."""
     return b"".join([
-        struct.pack(_HEADER_HEAD, header.version, header.block_id, header.block_type,
+        struct.pack(_HEADER_HEAD, WIRE_VERSION, header.block_id, header.block_type,
                     header.miner, header.timestamp_us),
         header.prev_hash,
         header.merkle_root,
@@ -430,6 +424,8 @@ def encode_block(block: Block) -> bytes:
 def decode_block(data: bytes) -> Block:
     reader = _Reader(data)
     version, block_id, type_raw, miner, timestamp = reader.unpack(_HEADER_HEAD)
+    if version != WIRE_VERSION:
+        raise WireError(f"wire version {version}, not {WIRE_VERSION}")
     try:
         block_type = BlockTarget(type_raw)
     except ValueError:
@@ -447,8 +443,8 @@ def decode_block(data: bytes) -> Block:
         owners = reader.unpack(f"<{owner_count}I") if owner_count else ()
         ta_entries.append(TAEntry(tx_index, access, tuple(owners)))
     transactions = tuple(_decode_transaction(reader) for _ in range(tx_count))
-    header = BlockHeader(version, block_id, block_type, miner, timestamp,
-                         prev_hash, merkle, tuple(ta_entries))
+    header = BlockHeader(block_id, block_type, miner, timestamp, prev_hash, merkle,
+                         tuple(ta_entries))
     reader.end()
     return Block(header, transactions)
 
@@ -490,7 +486,7 @@ def build_block(block_id: int, block_type: BlockTarget, miner: int, timestamp_us
                 backend: HashBackend) -> Block:
     """Assemble a block with its access list and Merkle root computed."""
     txs = tuple(transactions)
-    header = BlockHeader(WIRE_VERSION, block_id, block_type, miner, timestamp_us,
-                         prev_hash, body_root(txs, backend), ta_list_for(txs))
+    header = BlockHeader(block_id, block_type, miner, timestamp_us, prev_hash,
+                         body_root(txs, backend), ta_list_for(txs))
     return Block(header, txs)
 

@@ -143,6 +143,11 @@ def test_unparseable_scenario_file_exits_1(tmp_path, capsys, text, named):
     assert not (tmp_path / "o" / "metrics.csv").exists()
 
 
+# A zero period stalls the clock and a zero rate divides by zero.
+_POSITIVE = ("t1_interval_s", "t2_interval_s", "t3_interval_s", "t5_interval_s",
+             "attack_interval_s", "t_bis_s", "t_bo_s", "wireless_bw_bps")
+
+
 @pytest.mark.parametrize("text, key", [
     ("uav_per_uavn = 0\n", "uav_per_uavn"),
     ("gcs_per_ca = 1\n", "tgcs_per_ca"),
@@ -158,10 +163,14 @@ def test_unparseable_scenario_file_exits_1(tmp_path, capsys, text, named):
     ("t3_interval_s = ,\n", "t3_interval_s"),
     ("data_tx_size = 1024, 2048, 1024\n", "data_tx_size"),
     ("wired_bw_bps = 1e6\n", "wired_bw_bps"),
+    *[(f"{key} = 0\n", key) for key in _POSITIVE],
+    ("fetch_interval_s = -1\n", "fetch_interval_s"),
+    ("max_txs_per_block = 0\n", "max_txs_per_block"),
 ], ids=["count-below-1", "tgcs-above-gcs", "fraction-above-1", "zero-duration",
         "unknown-mode", "unknown-backend", "tiny-report", "group-bounds",
         "disc-beyond-range", "t_bis-above-t_blk", "bool-word", "empty-sweep",
-        "repeated-sweep-value", "retired-key"])
+        "repeated-sweep-value", "retired-key", *[f"zero-{key}" for key in _POSITIVE],
+        "negative-fetch-interval", "zero-block-size"])
 def test_each_config_problem_names_its_key(tmp_path, text, key):
     path = tmp_path / "bad.ini"
     path.write_text("[run]\n" + text)

@@ -43,10 +43,7 @@ def _observe_decoded(name, monkeypatch):
 
 
 def _assert_same(observed, lines, expected):
-    for field in ("committed_fingerprint", "counters", "csv_row", "chain_tip"):
-        assert observed[field] == expected[field], f"{field} differs"
-    if observed["event_log"] != expected["event_log"]:
-        pytest.fail(test_run_pins.first_difference(lines, expected["line_hashes"]))
+    test_run_pins.assert_pinned(observed, lines, expected)
     assert observed == expected
 
 

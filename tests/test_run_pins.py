@@ -122,17 +122,17 @@ def _pins():
     return json.loads(PINS_PATH.read_text())
 
 
-@pytest.mark.parametrize("name", sorted(RUNS), ids=lambda name: name.replace("/", "-"))
-def test_a_run_does_what_its_pin_says(name, monkeypatch):
-    pin = _pins()[name]
-    observed, lines = observe(name, monkeypatch)
-    assert observed["committed_fingerprint"] == pin["committed_fingerprint"], \
-        "committed_fingerprint differs"
-    assert observed["counters"] == pin["counters"], "counters differ"
-    assert observed["csv_row"] == pin["csv_row"], "CSV row differs"
-    assert observed["chain_tip"] == pin["chain_tip"], "chain tip differs"
+def assert_pinned(observed, lines, pin) -> None:
+    """Each pinned field in turn; an event-log mismatch names its first line."""
+    for name in ("committed_fingerprint", "counters", "csv_row", "chain_tip"):
+        assert observed[name] == pin[name], f"{name} differs"
     if observed["event_log"] != pin["event_log"]:
         pytest.fail(first_difference(lines, pin["line_hashes"]))
+
+
+@pytest.mark.parametrize("name", sorted(RUNS), ids=lambda name: name.replace("/", "-"))
+def test_a_run_does_what_its_pin_says(name, monkeypatch):
+    assert_pinned(*observe(name, monkeypatch), _pins()[name])
 
 
 # Prints the event-log digest, the committed fingerprint and the CSV row of

@@ -1,14 +1,17 @@
 """Tooling guard: runs reach every statement of the agents, the transport,
-the consensus protocol and the ledgers.
+the consensus protocol, the ledgers, the wire format and the transaction
+builder.
 
 A statement that no run executes can break without any test noticing, and
 one that no configuration can reach should not exist.  This runs a fixed set
 of small scenarios and the loss-free model check of ``test_consensus.py``
 under a line collector (``sys.settrace``; the stdlib only), then fails on
-any statement of ``sim/agents.py``, ``sim/netmodel.py``, ``consensus.py`` or
-``ledger.py`` that none of them reached.  Every ``raise`` is exempt.  So is
-each statement in ``ALLOWED``, keyed by file, function and statement text
-(not by line number), with the reason no run reaches it.
+any statement of ``sim/agents.py``, ``sim/netmodel.py``, ``consensus.py``,
+``ledger.py``, ``wire.py`` or ``txbuild.py`` that none of them reached.  One
+run delivers every packet that has a codec as the decoding of its encoding,
+so the codec runs too.  Every ``raise`` is exempt.  So is each statement in
+``ALLOWED``, keyed by file, function and statement text (not by line
+number), with the reason no run reaches it.
 
 After each run, outside the collector, the guard checks what the run is
 there for: that the path it stands for ran, that every transaction
@@ -24,7 +27,7 @@ from pathlib import Path
 from hypothesis.stateful import run_state_machine_as_test
 
 import proactlab
-from proactlab import consensus, ledger
+from proactlab import consensus, ledger, txbuild, wire
 from proactlab.crypto import SecurityClass
 from proactlab.sim import agents, default_config, netmodel
 from proactlab.sim.scenario import build_world
@@ -41,7 +44,7 @@ from test_sim import (
     _rotating_orderers,
 )
 
-MODULES = (agents, consensus, ledger, netmodel)
+MODULES = (agents, consensus, ledger, netmodel, txbuild, wire)
 
 _OWNER_ASKS = ("a request reaches a station only from fetch_transaction (a probe goes to "
                "a drone), for a key from the requester's own block copies: an owner")
@@ -106,6 +109,13 @@ ALLOWED = {
     ("ledger.py", "DroneLedger.store_block",
      "if index < len(self.blocks) and self.blocks[index].block_id == block.block_id: "
      "return []"): _ONCE,
+    ("wire.py", "Transaction.plaintext_len",
+     "if self.access_class is AccessClass.PUBLIC: return self.payload_len()"):
+        "drones sample BTO only on the T1 copies they store, which hold no public "
+        "transaction; acceptance criterion 4 checks a public report's",
+    ("txbuild.py", "verify_transaction", "if not registry.has_node(tx.creator): return False"):
+        "every creator a run hears from is registered; tests/test_ledger.py checks "
+        "a rogue registry's",
     **{("ledger.py", "FullLedger.verify_chain", text):
        "runs do not check their chains yet (ROADMAP item 5); this guard checks each run's"
        for text in (
@@ -353,10 +363,19 @@ def keyed_statements():
             yield module.__file__, (name, qualname, text), own
 
 
+# The run whose packets are delivered decoded (test_decoded_delivery.py checks
+# that it ends as it does plain).
+DECODED_RUN = "evictions-and-fetches"
+
+
 def test_runs_reach_every_statement(monkeypatch):
+    from test_decoded_delivery import _deliver_decoded  # it imports this module
+
     collector = LineCollector([module.__file__ for module in MODULES])
-    for make_config, check in RUNS.values():
+    for name, (make_config, check) in RUNS.items():
         with monkeypatch.context() as patched:
+            if name == DECODED_RUN:
+                _deliver_decoded(patched)
             log = io.StringIO()
             with collector:  # the checks below are not runs
                 world = build_world(make_config(patched), log)

@@ -101,8 +101,7 @@ def test_encode_rejects_empty_payload(registry, sim_backend):
 
 
 def _header(block_id=0, ta=(), block_type=BlockTarget.BLOCK_T1):
-    return BlockHeader(wire.WIRE_VERSION, block_id, block_type, 10, 0,
-                       wire.ZERO_HASH, wire.ZERO_HASH, tuple(ta))
+    return BlockHeader(block_id, block_type, 10, 0, wire.ZERO_HASH, wire.ZERO_HASH, tuple(ta))
 
 
 def test_empty_block_header_is_80_bytes():
@@ -170,18 +169,9 @@ _MALFORMED = {
     "empty-payload": (
         lambda t1, t3, b: _replace(t3, payload=b"", payload_zeros=0),
         "payload must be non-empty"),
-    "public-encryption": (
-        lambda t1, t3, b: _replace(t3, enc_par="x"),
-        "public transactions carry no encryption metadata"),
-    "enc-id": (
-        lambda t1, t3, b: _replace(t1, enc_id=t1.enc_id + 1),
-        "enc_id .* does not match suite"),
     "sealed-length": (
         lambda t1, t3, b: _replace(t1, payload=b"\1", payload_zeros=0),
         "sealed payload shorter than nonce plus tag"),
-    "hash-id": (
-        lambda t1, t3, b: _replace(t1, hash_id=t1.hash_id + 1),
-        "hash_id .* does not match the suite"),
     "signature-length": (
         lambda t1, t3, b: _replace(t1, signature=t1.signature[1:]),
         "signature length"),
@@ -211,6 +201,46 @@ def test_a_malformed_transaction_or_block_cannot_be_built(registry, sim_backend,
                              wire.ZERO_HASH, [t1], sim_backend)
     with pytest.raises(WireError, match=message):
         malform(t1, t3, block)
+
+
+# Where a sealed command's suite metadata starts: the 27 bytes up to
+# owner_count, its one owner, then security_class and block_target.
+_ENC_ID_AT = 27 + 4 + 2
+
+# One case per encoded field that no object holds, so that the decoder alone
+# checks it: the encoding (the sealed command t1, the public report t3 or a
+# block b of t1), the offset of the byte to change and the byte written there.
+_NOT_WRITTEN = {
+    "topic": ("t1", 20, 0),
+    "enc-id": ("t1", _ENC_ID_AT, crypto.SUITE_S2_C1.suite_id),
+    "hash-id": ("t1", _ENC_ID_AT + 1, crypto.HashVariant.SPONGENT_88),
+    "enc-par": ("t1", _ENC_ID_AT + 4, ord("k")),
+    "hash-par": ("t1", _ENC_ID_AT + 4 + len(crypto.SUITE_S2_C1.enc_par) + 2, ord("r")),
+    "public-enc-id": ("t3", _ENC_ID_AT - 4, 0),
+    "public-enc-par": ("t3", _ENC_ID_AT - 4 + 2, 0),  # its length
+    "header-version": ("b", 0, wire.WIRE_VERSION),
+}
+
+
+@pytest.mark.parametrize("encoding, offset, written", _NOT_WRITTEN.values(),
+                         ids=_NOT_WRITTEN.keys())
+def test_decode_rejects_what_the_encoder_does_not_write(registry, sim_backend, encoding,
+                                                        offset, written):
+    t1 = helpers.make_t1_command(registry, sim_backend)
+    block = wire.build_block(1, BlockTarget.BLOCK_T1, helpers.GCS_ID, 0,
+                             wire.ZERO_HASH, [t1], sim_backend)
+    valid, decode = {
+        "t1": (wire.encode_transaction(t1), wire.decode_transaction),
+        "t3": (wire.encode_transaction(helpers.make_t3_data(registry, sim_backend)),
+               wire.decode_transaction),
+        "b": (wire.encode_block(block), wire.decode_block),
+    }[encoding]
+    decode(valid)
+    assert valid[offset] == written
+    data = bytearray(valid)
+    data[offset] ^= 1
+    with pytest.raises(WireError, match="metadata|version"):
+        decode(bytes(data))
 
 
 H = SPONGENT_BACKEND.digest224
@@ -382,14 +412,12 @@ def transactions(draw):
         count = draw(st.integers(min_value=2, max_value=len(helpers.GROUP_MEMBERS)))
         owners = helpers.GROUP_MEMBERS[:count]
         registry.group_keygen(helpers.CA_ID, owners)
-    tx = txbuild.build_transaction(
+    return txbuild.build_transaction(
         creator=helpers.GCS_ID, tx_seq=draw(st.integers(0, 2**32)),
         created_at_us=draw(st.integers(0, 2**40)),
         suite=suite, access_class=access, owners=owners,
         block_target=draw(st.sampled_from(list(BlockTarget))),
         plaintext=draw(_payloads), registry=registry, backend=backend)
-    # the builder always writes topic 0; the wire field carries any u32
-    return dataclasses.replace(tx, topic=draw(st.integers(1, 2**32 - 1)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -399,18 +427,11 @@ def test_round_trip_and_size_arithmetic_property(tx):
     assert wire.decode_transaction(encoded) == tx
     assert len(encoded) == wire.encoded_tx_size(tx)
     suite = crypto.suite_for_class(tx.security_class)
-    payload_wire = (tx.plaintext_len() if tx.access_class is AccessClass.PUBLIC
-                    else tx.plaintext_len() + 8 + suite.tag_len)
-    assert len(encoded) == field_sum_size(len(tx.owners), len(tx.enc_par),
-                                          len(tx.hash_par), payload_wire,
+    public = tx.access_class is AccessClass.PUBLIC
+    payload_wire = tx.plaintext_len() if public else tx.plaintext_len() + 8 + suite.tag_len
+    assert len(encoded) == field_sum_size(len(tx.owners), 0 if public else len(suite.enc_par),
+                                          len(suite.hash_par), payload_wire,
                                           len(tx.signature))
-
-
-def test_encoded_size_counts_utf8_bytes_of_metadata(registry, sim_backend):
-    tx = helpers.make_t1_command(registry, sim_backend)
-    for changes in ({"hash_par": tx.hash_par + "\u00e9"}, {"enc_par": tx.enc_par + "\u20ac"}):
-        altered = dataclasses.replace(tx, **changes)
-        assert wire.encoded_tx_size(altered) == len(wire.encode_transaction(altered))
 
 
 def test_a_replace_copy_derives_its_own_size(registry, sim_backend):
@@ -433,7 +454,7 @@ def test_a_transaction_stores_one_key_that_its_copies_equal(backend):
     tx = helpers.make_t1_command(helpers.make_registry(backend), backend, seq=7)
     assert tx.key() is tx.key() and tx.key() == (helpers.GCS_ID, 7)
     decoded = wire.decode_transaction(wire.encode_transaction(tx))
-    replaced = dataclasses.replace(tx, topic=9)
+    replaced = dataclasses.replace(tx, created_at_us=9)
     assert decoded.key() == replaced.key() == tx.key()
     assert decoded.key() is decoded.key() and replaced.key() is replaced.key()
     assert dataclasses.replace(tx, tx_seq=8).key() == (helpers.GCS_ID, 8)
@@ -493,18 +514,20 @@ def test_a_failed_verification_is_not_stored(registry, sim_backend, verify_calls
 
 
 def test_decode_rejects_non_utf8_metadata(registry, sim_backend):
+    # metadata is compared as bytes: text that is not UTF-8 is foreign metadata
     tx = helpers.make_t1_command(registry, sim_backend)
+    suite = crypto.suite_for_class(tx.security_class)
     data = bytearray(wire.encode_transaction(tx))
     enc_par_at = 31 + 4 * len(tx.owners) + 2  # the fixed fields, owners, enc_par's length
-    assert data[enc_par_at:enc_par_at + len(tx.enc_par)] == tx.enc_par.encode()
+    assert data[enc_par_at:enc_par_at + len(suite.enc_par)] == suite.enc_par
     data[enc_par_at] = 0xFF
-    with pytest.raises(WireError, match="UTF-8"):
+    with pytest.raises(WireError, match="metadata"):
         wire.decode_transaction(bytes(data))
-    hash_par_at = enc_par_at + len(tx.enc_par) + 2
+    hash_par_at = enc_par_at + len(suite.enc_par) + 2
     data = bytearray(wire.encode_transaction(tx))
-    assert data[hash_par_at:hash_par_at + len(tx.hash_par)] == tx.hash_par.encode()
+    assert data[hash_par_at:hash_par_at + len(suite.hash_par)] == suite.hash_par
     data[hash_par_at] = 0xC3  # a lead byte with no continuation
-    with pytest.raises(WireError, match="UTF-8"):
+    with pytest.raises(WireError, match="metadata"):
         wire.decode_transaction(bytes(data))
 
 
